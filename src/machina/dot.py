@@ -11,8 +11,10 @@ from .model import (
 )
 
 
-def _quote(name: str) -> str:
-    return '"' + name.replace('"', '\\"') + '"'
+def _quote(text: str) -> str:
+    """A DOT double-quoted string; newlines become DOT's ``\\n`` line break."""
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
 
 
 def _leaf_anchor(sm: StateMachine, name: str) -> str:
@@ -28,7 +30,7 @@ def _leaf_anchor(sm: StateMachine, name: str) -> str:
 def _emit_state(sm: StateMachine, state: State, lines: list[str], indent: str) -> None:
     if state.is_composite:
         lines.append(f"{indent}subgraph cluster_{state.name} {{")
-        lines.append(f'{indent}  label="{state.name}";')
+        lines.append(f"{indent}  label={_quote(state.name)};")
         if TAG_END in state.tags:
             lines.append(f"{indent}  peripheries=2;")
         for sub in state.substates:
@@ -62,7 +64,7 @@ def export_dot(sm: StateMachine) -> str:
         label = t.event
         if t.guard:
             label += f" [{t.guard.describe()}]"
-        attrs = [f'label="{label}"']
+        attrs = [f"label={_quote(label)}"]
         if sm.state(t.source).is_composite:
             attrs.append(f"ltail=cluster_{t.source}")
         if sm.state(t.target).is_composite:

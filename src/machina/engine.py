@@ -24,6 +24,7 @@ from .belief import (
     ActionRecord,
     Belief,
     TransitionRecord,
+    copy_json,
     kv_get,
     kv_set,
     record_action,
@@ -130,6 +131,16 @@ class RunLimits:
 
 @dataclass(frozen=True)
 class RunResult:
+    """How a run ended, with a snapshot of the belief at that point.
+
+    ``belief_snapshot`` does not change afterwards: not through later runs or
+    dispatches on the agent, not through actions that edit their inputs in
+    place and not through edits to the ``EventInstance`` passed in. Its lists
+    share the belief's frozen records, whose values were copied as they were
+    recorded, and its key-value store is a deep copy. Records are read-only;
+    ``copy.deepcopy`` a snapshot before editing it.
+    """
+
     status: str
     output: JsonValue
     belief_snapshot: Belief
@@ -328,7 +339,9 @@ def execute_action(
     External parameters come from ``external_args`` and are datatype
     checked; internal parameters are read from the key-value store under
     their source keys. The output lands in the store under the
-    action's output key.
+    action's output key. The record holds copies of the inputs as the action
+    got them and of its output, so nothing the action or a later step does
+    to those values reaches the record.
     """
     registered = registry.lookup(spec.name)
     if registered is None:
@@ -339,14 +352,17 @@ def execute_action(
             if param.name not in external_args:
                 raise MissingExternalArgument(param.name)
             try:
-                inputs[param.name] = coerce_argument(external_args[param.name], param.datatype)
+                value = coerce_argument(external_args[param.name], param.datatype)
             except ArgumentTypeError as exc:
                 raise ActionFailure(spec.name, f"argument {param.name!r}: {exc}") from None
+            # the event payload stays in the trajectory; the action gets its own copy
+            inputs[param.name] = copy_json(value)
         else:
             value = kv_get(belief, param.resolved_source_key)
             if value is ABSENT:
                 raise MissingInternalValue(param.resolved_source_key)
             inputs[param.name] = value
+    recorded_inputs = copy_json(inputs)
     context = ActionContext(provider=provider, spec=spec)
     try:
         output = registered.impl(inputs, context)
@@ -355,7 +371,13 @@ def execute_action(
     except Exception as exc:
         raise ActionFailure(spec.name, str(exc)) from exc
     kv_set(belief, spec.resolved_output_key, output)
-    record = ActionRecord(step=step, action=spec.name, inputs=inputs, output=output, phase=phase)
+    record = ActionRecord(
+        step=step,
+        action=spec.name,
+        inputs=recorded_inputs,
+        output=copy_json(output),
+        phase=phase,
+    )
     record_action(belief, record)
     return record
 
@@ -400,7 +422,7 @@ def dispatch(
 
     plan = _step_plan(agent.machine, leaf, transition)
     step = len(agent.belief.trajectory) + 1
-    payload = dict(event.payload)
+    payload = copy_json(dict(event.payload))
     records: list[ActionRecord] = []
     try:
         for phase, spec in _step_action_specs(plan, transition):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -10,6 +11,7 @@ from machina.belief import (
     StepOutOfOrder,
     TransitionRecord,
     belief_to_trace,
+    copy_json,
     estimate_tokens,
     kv_get,
     kv_set,
@@ -17,6 +19,7 @@ from machina.belief import (
     record_action,
     record_transition,
     render_history,
+    snapshot,
 )
 from machina.errors import MachinaError
 from machina.keypath import ABSENT
@@ -202,6 +205,41 @@ class TestTrace:
         assert json.dumps(trace)  # JSON-serializable
         assert trace["trajectory"][0]["step"] == 1
         assert trace["current_state"] == "s2"
+
+
+class TestSnapshot:
+    def test_records_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            transition(1).event_payload = {"x": 1}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            action(1).output = "y"
+
+    def test_shares_records_and_copies_the_rest(self):
+        b = filled_belief(3, with_payloads=True)
+        kv_set(b, "items", [{"n": 1}])
+        snap = snapshot(b)
+        assert all(s is r for s, r in zip(snap.trajectory, b.trajectory))
+        assert all(s is r for s, r in zip(snap.execution_log, b.execution_log))
+        record_transition(b, transition(4, source="s3", target="s4"))
+        b.kv["items"][0]["n"] = 2
+        b.task_context.append(("user", "later"))
+        assert len(snap.trajectory) == 3 and snap.current_state == "s3"
+        assert snap.kv == {"items": [{"n": 1}]}
+        assert snap.task_context == []
+
+
+class TestCopyJson:
+    def test_copies_nested_containers(self):
+        value = {"a": [1, {"b": None}], "c": "s", "d": 1.5, "e": True}
+        copied = copy_json(value)
+        assert copied == value
+        assert copied is not value and copied["a"] is not value["a"]
+        assert copied["a"][1] is not value["a"][1]
+
+    def test_other_values_are_deep_copied(self):
+        value = {"t": ([1], "x")}
+        copied = copy_json(value)
+        assert copied == value and copied["t"][0] is not value["t"][0]
 
 
 class TestEdges:

@@ -1,9 +1,11 @@
+import copy
+import json
 import random
 
 import pytest
 
 from machina.actions import builtin_registry
-from machina.belief import kv_get, kv_set, new_belief
+from machina.belief import belief_to_trace, kv_get, kv_set, new_belief, snapshot
 from machina.engine import (
     ActionFailure,
     Agent,
@@ -23,7 +25,7 @@ from machina.engine import (
     start,
 )
 from machina.guards import GuardTypeError
-from machina.harness import make_qa_agent
+from machina.harness import builtin_machine, make_qa_agent
 from machina.model import (
     ActionSpec,
     Condition,
@@ -579,6 +581,109 @@ class TestRun:
         }
         with pytest.raises(InvalidMachine):
             agent_for(doc)
+
+
+def frozen_view(result) -> str:
+    return json.dumps(belief_to_trace(result.belief_snapshot))
+
+
+def mutating_agent() -> Agent:
+    """One state with two external self-loops: ``put`` keeps its external
+    ``data`` argument under ``kept``, ``grow`` appends to ``kept`` in place."""
+
+    def keep(inputs, ctx):
+        return inputs["data"]
+
+    def grow(inputs, ctx):
+        inputs["items"].append("grown")
+        return len(inputs["items"])
+
+    registry = builtin_registry()
+    registry.register("keep", (ParameterSpec("data", "external", "json"),), keep)
+    registry.register(
+        "grow", (ParameterSpec("items", "internal", "json", source_key="kept"),), grow
+    )
+    doc = {
+        "name": "m",
+        "states": [state("a", tags=["start"]), state("z", tags=["end"])],
+        "transitions": [
+            {
+                "source": "a", "target": "a", "event": "put", "trigger": "external",
+                "actions": [{
+                    "name": "keep", "output_key": "kept",
+                    "params": [{"name": "data", "source": "external", "datatype": "json"}],
+                }],
+            },
+            {
+                "source": "a", "target": "a", "event": "grow", "trigger": "external",
+                "actions": [{
+                    "name": "grow", "output_key": "size",
+                    "params": [{"name": "items", "source": "internal", "datatype": "json",
+                                "source_key": "kept"}],
+                }],
+            },
+            {"source": "a", "target": "z", "event": "stop", "trigger": "external"},
+        ],
+    }
+    return Agent(
+        machine=machine_from(doc),
+        belief=new_belief(),
+        policy=(),
+        registry=registry,
+        provider=ScriptedProvider.from_replies([]),
+    )
+
+
+class TestSnapshotContract:
+    def test_caller_payload_edit_reaches_neither_belief_nor_snapshot(self):
+        agent = h3_agent()
+        event = EventInstance("e1", {"lines": ["a"]})
+        result = run(agent, event)
+        event.payload["lines"].append("EDITED")
+        assert agent.belief.trajectory[0].event_payload == {"lines": ["a"]}
+        assert result.belief_snapshot.trajectory[0].event_payload == {"lines": ["a"]}
+
+    def test_h3_snapshots_survive_later_runs(self):
+        agent = h3_agent()
+        results, views = [], []
+        for k in range(4):
+            results.append(run(agent, EventInstance("e1", {"k": k})))
+            views.append(frozen_view(results[-1]))
+        assert run(agent, EventInstance("e2")).status == "completed"
+        for k, (result, view) in enumerate(zip(results, views)):
+            assert result.status == "waiting"
+            assert len(result.belief_snapshot.trajectory) == k + 1
+            assert result.belief_snapshot.current_state == "Leaf"
+            assert frozen_view(result) == view
+
+    def test_mutating_action_does_not_reach_earlier_snapshots(self):
+        agent = mutating_agent()
+        first = run(agent, EventInstance("put", {"data": ["a"]}))
+        view = frozen_view(first)
+        second = run(agent, EventInstance("grow"))
+        run(agent, EventInstance("grow"))
+        assert agent.belief.kv["kept"] == ["a", "grown", "grown"]
+        assert frozen_view(first) == view
+        assert first.belief_snapshot.kv == {"kept": ["a"]}
+        assert second.belief_snapshot.kv == {"kept": ["a", "grown"], "size": 2}
+        assert [r.inputs for r in second.belief_snapshot.execution_log] == [
+            {"data": ["a"]},
+            {"items": ["a"]},
+        ]
+        # the kept value was the payload's; the trajectory keeps the original
+        assert agent.belief.trajectory[0].event_payload == {"data": ["a"]}
+
+    def test_snapshot_trace_matches_deep_copy_on_class_name(self):
+        agent = agent_for(builtin_machine("class_name"), belief=seeded_s1_belief())
+        assert run(agent).status == "waiting"
+        events = ["classes_ready", "patterns_ready", "feedback_ready", "revise_patterns",
+                  "patterns_ready", "feedback_ready", "accept"]
+        for k, name in enumerate(events):
+            result = run(agent, EventInstance(name, {"lines": [f"line {k}"] * k}))
+            expected = json.dumps(belief_to_trace(copy.deepcopy(agent.belief)))
+            assert json.dumps(belief_to_trace(snapshot(agent.belief))) == expected
+            assert frozen_view(result) == expected
+        assert result.status == "completed"
 
 
 class TestFlatSemanticsOracle:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -230,6 +231,85 @@ class TestDot:
         }
         out = export_dot(machine_from(doc))
         assert 'label="go [x > 1]"' in out
+
+
+# A DOT tokenizer: enough of the grammar to tell a well-formed attribute list
+# from one that a stray quote has broken apart.
+DOT_TOKEN = re.compile(
+    r'\s+|(?P<string>"(?:[^"\\\n]|\\.)*")|(?P<id>[A-Za-z_][A-Za-z0-9_]*)'
+    r"|(?P<edge>->)|(?P<punct>[{}\[\];,=])"
+)
+
+
+def dot_tokens(text: str) -> list[tuple[str, str]]:
+    """(kind, value) pairs; string values come back unescaped."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = DOT_TOKEN.match(text, pos)
+        assert m, f"not DOT at {text[pos:pos + 30]!r}"
+        pos = m.end()
+        if m.lastgroup == "string":
+            body = m.group()[1:-1]
+            value = re.sub(r"\\(.)", lambda e: "\n" if e.group(1) == "n" else e.group(1), body)
+            tokens.append(("string", value))
+        elif m.lastgroup:
+            tokens.append((m.lastgroup, m.group()))
+    return tokens
+
+
+def dot_attributes(text: str) -> list[tuple[str, str]]:
+    """Every ``name=value`` pair, asserting that brackets balance and that
+    each value is one token followed by a separator."""
+    tokens = dot_tokens(text)
+    depth = {"{": 0, "[": 0}
+    closers = {"}": "{", "]": "["}
+    attrs = []
+    for i, (_, value) in enumerate(tokens):
+        if value in depth:
+            depth[value] += 1
+        elif value in closers:
+            depth[closers[value]] -= 1
+            assert depth[closers[value]] >= 0
+        elif value == "=":
+            assert tokens[i - 1][0] == "id"
+            assert tokens[i + 1][0] in ("string", "id")
+            assert tokens[i + 2][1] in (",", "]", ";")
+            attrs.append((tokens[i - 1][1], tokens[i + 1][1]))
+    assert depth == {"{": 0, "[": 0}
+    return attrs
+
+
+def guarded_edge_doc(expr: str) -> dict:
+    return {
+        "name": "m",
+        "states": [state("a", tags=["start"]), state("b", tags=["end"])],
+        "transitions": [
+            {"source": "a", "target": "b", "event": "go", "guard": {"expr": expr}}
+        ],
+    }
+
+
+class TestDotQuoting:
+    @pytest.mark.parametrize(
+        "expr",
+        ['answer == "yes"', 'answer == "a\\\\b"', 'answer ==\n"yes"', "answer == 'it\\'s'"],
+    )
+    def test_guard_text_round_trips_through_the_label(self, expr):
+        out = export_dot(machine_from(guarded_edge_doc(expr)))
+        assert ("label", f"go [{expr}]") in dot_attributes(out)
+
+    @pytest.mark.parametrize(
+        "name", ["routing", "react", "planning", "h3", "class_name", "test_driven", "agent_coder"]
+    )
+    def test_builtin_machines_tokenize(self, name):
+        sm = builtin_machine(name)
+        attrs = dot_attributes(export_dot(sm))
+        labels = [v for k, v in attrs if k == "label"]
+        assert len(labels) == len(sm.transitions) + _composite_count(sm.states)
+
+
+def _composite_count(states) -> int:
+    return sum(st.is_composite + _composite_count(st.substates) for st in states)
 
 
 class TestFiles:
