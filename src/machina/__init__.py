@@ -5,7 +5,7 @@ or LLM-based policies over a persistent belief, and actions (LLM calls or
 deterministic tools) fire on transitions and on state entry/exit.
 """
 
-from .actions import ActionRegistry, builtin_registry, register_action
+from .actions import ActionRegistry, builtin_registry
 from .belief import (
     ActionRecord,
     Belief,
@@ -76,7 +76,6 @@ from .providers import (
     HttpProvider,
     ScriptedProvider,
     ScriptStep,
-    snapshot_stats,
 )
 from .scene import (
     SceneGraph,

@@ -79,16 +79,6 @@ class ActionRegistry:
         return frozenset(self._actions)
 
 
-def register_action(
-    registry: ActionRegistry,
-    name: str,
-    params: tuple[ParameterSpec, ...],
-    impl: ActionImpl,
-    output_datatype: str = "json",
-) -> ActionRegistry:
-    return registry.register(name, params, impl, output_datatype)
-
-
 def coerce_argument(value: JsonValue, datatype: str) -> JsonValue:
     """Fit a JSON value to a declared datatype, with mild coercion.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import MachinaError
-from .keypath import ABSENT, JsonValue, resolve, split_path
+from .keypath import JsonValue, resolve, split_path
 from .model import is_identifier
 
 ROLE_USER = "user"
@@ -120,20 +120,29 @@ def kv_get(belief: Belief, path: str):
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
 
+class NestingTooDeep(MachinaError):
+    """A value is nested too deeply to copy."""
+
+
 def copy_json(value: JsonValue) -> JsonValue:
     """Deep copy of a JSON value, a few times faster than ``copy.deepcopy``.
 
     Dicts and lists are rebuilt and JSON scalars are shared; any other
-    value is handed to ``copy.deepcopy``.
+    value is handed to ``copy.deepcopy``. A value nested past the
+    interpreter's recursion limit raises :class:`NestingTooDeep`.
     """
     kind = type(value)
-    if kind is dict:
-        return {k: copy_json(v) for k, v in value.items()}
-    if kind is list:
-        return [copy_json(v) for v in value]
-    if kind in _JSON_SCALARS:
-        return value
-    return copy.deepcopy(value)
+    try:
+        if kind is dict:
+            return {k: copy_json(v) for k, v in value.items()}
+        if kind is list:
+            return [copy_json(v) for v in value]
+        if kind in _JSON_SCALARS:
+            return value
+        return copy.deepcopy(value)
+    except RecursionError:
+        # the innermost level that hit the limit raises; the rest pass it on
+        raise NestingTooDeep("value is nested too deeply to copy") from None
 
 
 def snapshot(belief: Belief) -> Belief:

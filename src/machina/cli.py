@@ -172,74 +172,31 @@ def _with_run_options(command):
     return command
 
 
-@main.command(name="run")
-@_with_run_options
-def run_command(
-    machine_path: str,
-    provider_spec: str,
-    rules_path: str | None,
-    base_url: str | None,
-    model: str | None,
-    max_transitions: int,
-    history_budget: int,
-    trace_path: str | None,
-    scene_path: str | None,
-    question: str | None,
-) -> None:
-    """Run an agent once and print the final output."""
+def _agent_or_exit(options: dict) -> Agent:
     try:
-        agent = _build_agent(
-            machine_path,
-            provider_spec,
-            rules_path,
-            base_url,
-            model,
-            max_transitions,
-            history_budget,
-            question,
-            scene_path,
-        )
+        return _build_agent(**options)
     except (OSError, MachinaError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+
+
+@main.command(name="run")
+@_with_run_options
+def run_command(trace_path: str | None, **options) -> None:
+    """Run an agent once and print the final output."""
+    agent = _agent_or_exit(options)
     sys.exit(_emit_result(run(agent), trace_path))
 
 
 @main.command()
 @_with_run_options
-def repl(
-    machine_path: str,
-    provider_spec: str,
-    rules_path: str | None,
-    base_url: str | None,
-    model: str | None,
-    max_transitions: int,
-    history_budget: int,
-    trace_path: str | None,
-    scene_path: str | None,
-    question: str | None,
-) -> None:
+def repl(trace_path: str | None, **options) -> None:
     """Run an agent, then feed it events interactively while it waits.
 
     Input lines are ``<event name> [json payload]``; meta commands are
     ``:state``, ``:belief`` and ``:quit``.
     """
-    try:
-        agent = _build_agent(
-            machine_path,
-            provider_spec,
-            rules_path,
-            base_url,
-            model,
-            max_transitions,
-            history_budget,
-            question,
-            scene_path,
-        )
-    except (OSError, MachinaError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-
+    agent = _agent_or_exit(options)
     result = run(agent)
     click.echo(f"status: {result.status}", err=True)
     while result.status == STATUS_WAITING:

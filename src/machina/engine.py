@@ -37,9 +37,12 @@ from .keypath import ABSENT, JsonValue
 from .model import (
     GUARD_ACTION,
     GUARD_EXPRESSION,
+    SOURCE_EXTERNAL,
+    SOURCE_INTERNAL,
     TRIGGER_EXTERNAL,
     ActionSpec,
     Condition,
+    ParameterSpec,
     State,
     StateMachine,
     Transition,
@@ -204,14 +207,8 @@ def eval_guard(
     registered = registry.lookup(name)
     if registered is None:
         raise UnknownGuardAction(name)
-    inputs: dict[str, JsonValue] = {}
-    for param in registered.params:
-        if param.source != "internal":
-            continue
-        value = kv_get(belief, param.resolved_source_key)
-        if value is ABSENT:
-            raise MissingInternalValue(param.resolved_source_key)
-        inputs[param.name] = value
+    internal = [p for p in registered.params if p.source == SOURCE_INTERNAL]
+    inputs = _bind(name, internal, {}, belief)
     context = ActionContext(provider=provider, spec=ActionSpec(name))
     try:
         output = registered.impl(inputs, context)
@@ -324,6 +321,32 @@ def resolve_transition(
 # Action execution
 
 
+def _bind(
+    action: str,
+    params: Sequence[ParameterSpec],
+    external_args: Mapping[str, JsonValue],
+    belief: Belief,
+) -> dict[str, JsonValue]:
+    """Inputs for ``params``, bound as :func:`execute_action` describes."""
+    inputs: dict[str, JsonValue] = {}
+    for param in params:
+        if param.source == SOURCE_EXTERNAL:
+            if param.name not in external_args:
+                raise MissingExternalArgument(param.name)
+            try:
+                value = coerce_argument(external_args[param.name], param.datatype)
+            except ArgumentTypeError as exc:
+                raise ActionFailure(action, f"argument {param.name!r}: {exc}") from None
+            # the event payload stays in the trajectory; the action gets its own copy
+            inputs[param.name] = copy_json(value)
+        else:
+            value = kv_get(belief, param.resolved_source_key)
+            if value is ABSENT:
+                raise MissingInternalValue(param.resolved_source_key)
+            inputs[param.name] = value
+    return inputs
+
+
 def execute_action(
     registry: ActionRegistry,
     spec: ActionSpec,
@@ -346,36 +369,21 @@ def execute_action(
     registered = registry.lookup(spec.name)
     if registered is None:
         raise ActionFailure(spec.name, "not registered")
-    inputs: dict[str, JsonValue] = {}
-    for param in spec.params:
-        if param.source == "external":
-            if param.name not in external_args:
-                raise MissingExternalArgument(param.name)
-            try:
-                value = coerce_argument(external_args[param.name], param.datatype)
-            except ArgumentTypeError as exc:
-                raise ActionFailure(spec.name, f"argument {param.name!r}: {exc}") from None
-            # the event payload stays in the trajectory; the action gets its own copy
-            inputs[param.name] = copy_json(value)
-        else:
-            value = kv_get(belief, param.resolved_source_key)
-            if value is ABSENT:
-                raise MissingInternalValue(param.resolved_source_key)
-            inputs[param.name] = value
+    inputs = _bind(spec.name, spec.params, external_args, belief)
     recorded_inputs = copy_json(inputs)
     context = ActionContext(provider=provider, spec=spec)
     try:
         output = registered.impl(inputs, context)
-    except MachinaError as exc:
-        raise ActionFailure(spec.name, str(exc)) from exc
     except Exception as exc:
         raise ActionFailure(spec.name, str(exc)) from exc
+    # copy first: a value too deep to copy must not reach the key-value store
+    recorded_output = copy_json(output)
     kv_set(belief, spec.resolved_output_key, output)
     record = ActionRecord(
         step=step,
         action=spec.name,
         inputs=recorded_inputs,
-        output=copy_json(output),
+        output=recorded_output,
         phase=phase,
     )
     record_action(belief, record)
@@ -451,7 +459,14 @@ def dispatch(
     return StepOutcome(event, transition, leaf, plan.target_leaf, tuple(records))
 
 
-def _enter_initial(agent: Agent) -> None:
+def start(agent: Agent) -> None:
+    """Enter the start state's initial path once, firing entry actions.
+
+    ``run`` calls this implicitly; it is public for callers that drive the
+    machine through :func:`dispatch` directly.
+    """
+    if agent.started:
+        return
     path = initial_entry_path(agent.machine, start_state(agent.machine))
     agent.belief.current_state = path[-1]
     for name in path:
@@ -466,16 +481,6 @@ def _enter_initial(agent: Agent) -> None:
                 phase=PHASE_ENTRY,
                 step=0,
             )
-
-
-def start(agent: Agent) -> None:
-    """Enter the start state's initial path once, firing entry actions.
-
-    ``run`` calls this implicitly; it is public for callers that drive the
-    machine through :func:`dispatch` directly.
-    """
-    if not agent.started:
-        _enter_initial(agent)
 
 
 def _last_output(belief: Belief) -> JsonValue:
@@ -504,8 +509,7 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
     result carries the output of the last executed action.
     """
     try:
-        if not agent.started:
-            _enter_initial(agent)
+        start(agent)
         pending = initial_event
         while True:
             leaf = agent.belief.current_state

@@ -25,10 +25,6 @@ from typing import Mapping, Union
 from .errors import MachinaError
 from .keypath import ABSENT, JsonValue, resolve
 
-COMPARE_OPS = ("==", "!=", "<=", ">=", "<", ">", "contains")
-ORDERING_OPS = ("<", "<=", ">", ">=")
-
-
 class GuardSyntaxError(MachinaError):
     def __init__(self, position: int, expected: frozenset[str], found: str = ""):
         what = f"found {found!r}" if found else "found end of input"
@@ -247,14 +243,7 @@ def parse_guard(text: str) -> GuardExpr:
         raise GuardSyntaxError(0, frozenset({"shallower nesting"})) from None
 
 
-@lru_cache(maxsize=512)
-def _parse_cached(text: str) -> GuardExpr:
-    return parse_guard(text)
-
-
-def parse_guard_cached(text: str) -> GuardExpr:
-    """Memoized :func:`parse_guard` for repeated evaluation of one source."""
-    return _parse_cached(text)
+_parse_cached = lru_cache(maxsize=512)(parse_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -416,4 +405,4 @@ def _operand_value(op: Operand, kv: Mapping[str, JsonValue]):
 
 def evaluate_text(text: str, kv: Mapping[str, JsonValue]) -> bool:
     """Parse (memoized) and evaluate guard source text."""
-    return evaluate(parse_guard_cached(text), kv)
+    return evaluate(_parse_cached(text), kv)

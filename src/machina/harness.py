@@ -490,22 +490,23 @@ def oracle_script_routing(item: DatasetItem) -> ScriptedProvider:
     return ScriptedProvider.from_replies(steps)
 
 
+def _selection(event: str, **arguments) -> str:
+    return json.dumps({"event": event, "arguments": arguments})
+
+
 def oracle_script_react(item: DatasetItem) -> ScriptedProvider:
     """Policy replies for the react machine: explore, then finish.
 
     Counting and judging filter once and answer; querying filters, reads the
     attribute, then answers.
     """
-    def sel(event: str, **arguments) -> str:
-        return json.dumps({"event": event, "arguments": arguments})
-
-    replies = [sel("filter", predicate=dict(item.spec.predicate))]
+    replies = [_selection("filter", predicate=dict(item.spec.predicate))]
     if item.qtype == QUERYING:
         target = oracle_ids(item.scene, item.spec)[0]
         replies.append(
-            sel("query", object=target, attribute=item.spec.query_attribute)
+            _selection("query", object=target, attribute=item.spec.query_attribute)
         )
-    replies.append(sel("finish", text=item.answer))
+    replies.append(_selection("finish", text=item.answer))
     return ScriptedProvider.from_replies(replies)
 
 
@@ -517,19 +518,16 @@ def oracle_script_planning(item: DatasetItem) -> ScriptedProvider:
     attribute lookup straight to the end state, so only judging and
     exclusion counting need the model to phrase the answer itself.
     """
-    def sel(event: str, **arguments) -> str:
-        return json.dumps({"event": event, "arguments": arguments})
-
-    replies = [sel("filter", predicate=dict(item.spec.predicate))]
+    replies = [_selection("filter", predicate=dict(item.spec.predicate))]
     if item.qtype == COUNTING and item.spec.exclude_shape is None:
-        replies.append(sel("count"))
+        replies.append(_selection("count"))
     elif item.qtype == QUERYING:
         target = oracle_ids(item.scene, item.spec)[0]
         replies.append(
-            sel("lookup", object=target, attribute=item.spec.query_attribute)
+            _selection("lookup", object=target, attribute=item.spec.query_attribute)
         )
     else:
-        replies.append(sel("respond", text=item.answer))
+        replies.append(_selection("respond", text=item.answer))
     return ScriptedProvider.from_replies(replies)
 
 

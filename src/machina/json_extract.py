@@ -1,60 +1,33 @@
 """Pull the first embedded JSON object or array out of free-form text.
 
-LLM replies are often chatty; these helpers scan for balanced brace or
-bracket spans (string-literal aware) and return the first span that decodes
-as JSON of the wanted kind.
+LLM replies are often chatty; these helpers try to decode a JSON value at
+each opening brace or bracket from left to right and return the first that
+decodes. A value that is malformed, nested past the interpreter's recursion
+limit or holds an integer too long to convert is skipped, never raised.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterator
+
+_DECODER = json.JSONDecoder()
 
 
-def _balanced_spans(text: str, open_ch: str, close_ch: str) -> Iterator[str]:
+def _first_json(text: str, open_ch: str):
     start = text.find(open_ch)
     while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == open_ch:
-                depth += 1
-            elif ch == close_ch:
-                depth -= 1
-                if depth == 0:
-                    yield text[start : i + 1]
-                    break
-        start = text.find(open_ch, start + 1)
-
-
-def _first_json(text: str, open_ch: str, close_ch: str, kind: type):
-    for span in _balanced_spans(text, open_ch, close_ch):
         try:
-            value = json.loads(span)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(value, kind):
-            return value
+            return _DECODER.raw_decode(text, start)[0]
+        except (ValueError, RecursionError):
+            start = text.find(open_ch, start + 1)
     return None
 
 
 def first_json_object(text: str) -> dict | None:
-    """First balanced ``{...}`` span that parses as a JSON object."""
-    return _first_json(text, "{", "}", dict)
+    """First ``{...}`` span that parses as a JSON object."""
+    return _first_json(text, "{")
 
 
 def first_json_array(text: str) -> list | None:
-    """First balanced ``[...]`` span that parses as a JSON array."""
-    return _first_json(text, "[", "]", list)
+    """First ``[...]`` span that parses as a JSON array."""
+    return _first_json(text, "[")

@@ -149,15 +149,10 @@ class StateMachine:
     def _index(self) -> tuple[dict[str, State], dict[str, Optional[str]]]:
         by_name: dict[str, State] = {}
         parents: dict[str, Optional[str]] = {}
-
-        def walk(states: tuple[State, ...], parent: Optional[str]) -> None:
-            for st in states:
-                if st.name not in by_name:
-                    by_name[st.name] = st
-                    parents[st.name] = parent
-                walk(st.substates, st.name)
-
-        walk(self.states, None)
+        for st, parent in _walk_with_parents(self.states):
+            if st.name not in by_name:
+                by_name[st.name] = st
+                parents[st.name] = parent.name if parent else None
         return by_name, parents
 
     def state(self, name: str) -> State:
@@ -166,9 +161,6 @@ class StateMachine:
             raise UnknownState(name)
         return found
 
-    def has_state(self, name: str) -> bool:
-        return name in self._index[0]
-
     def parent_of(self, name: str) -> Optional[str]:
         if name not in self._index[1]:
             raise UnknownState(name)
@@ -176,13 +168,7 @@ class StateMachine:
 
     def all_states(self) -> Iterator[State]:
         """Pre-order walk over every state at every nesting level."""
-
-        def walk(states: tuple[State, ...]) -> Iterator[State]:
-            for st in states:
-                yield st
-                yield from walk(st.substates)
-
-        return walk(self.states)
+        return (st for st, _ in _walk_with_parents(self.states))
 
 
 # ---------------------------------------------------------------------------

@@ -113,10 +113,6 @@ class ScriptedProvider:
     def from_replies(cls, replies: Sequence[str], strict: bool = False) -> "ScriptedProvider":
         return cls([ScriptStep(reply=r) for r in replies], strict=strict)
 
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self.steps)
-
     def complete(self, request: CompletionRequest) -> str:
         self._stats.calls += 1
         self._stats.prompt_bytes += len(request.prompt.encode("utf-8"))
@@ -247,8 +243,3 @@ class HttpProvider:
 
     def snapshot_stats(self) -> CallStats:
         return self._stats.snapshot()
-
-
-def snapshot_stats(provider: CompletionProvider) -> CallStats:
-    """Copy of the provider's monotone call counters."""
-    return provider.snapshot_stats()

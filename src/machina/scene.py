@@ -33,7 +33,6 @@ ATTRIBUTE_VALUES: dict[str, tuple[str, ...]] = {
 }
 
 RELATIONS = ("left", "right", "front", "behind")
-INVERSE_RELATION = {"left": "right", "right": "left", "front": "behind", "behind": "front"}
 
 QUESTION_TYPES = ("counting", "judging", "querying")
 

@@ -14,7 +14,6 @@ from machina.providers import (
     ScriptStep,
     ScriptedProvider,
     load_script,
-    snapshot_stats,
 )
 
 
@@ -68,10 +67,10 @@ class TestScripted:
 
     def test_stats_monotone(self):
         p = ScriptedProvider.from_replies(["a", "b", "c"])
-        seen = [snapshot_stats(p).calls]
+        seen = [p.snapshot_stats().calls]
         for _ in range(3):
             p.complete(req())
-            seen.append(snapshot_stats(p).calls)
+            seen.append(p.snapshot_stats().calls)
         assert seen == [0, 1, 2, 3]
 
     def test_snapshot_is_a_copy(self):
