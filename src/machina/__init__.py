@@ -34,8 +34,8 @@ from .engine import (
 from .errors import MachinaError, SchemaError
 from .guards import GuardSyntaxError, GuardTypeError, evaluate, guard_to_text, parse_guard
 from .harness import EvalReport, generate_mini_clevr, oracle_answer, run_eval
+from .json_extract import JsonSyntaxError
 from .machine_io import (
-    MachineSyntaxError,
     load_machine,
     parse_machine,
     save_machine,

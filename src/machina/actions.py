@@ -9,11 +9,12 @@ through their own :class:`~machina.model.ActionSpec`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import scene as scene_ops
-from .errors import MachinaError
+from .errors import MachinaError, require_object
 from .keypath import JsonValue
 from .model import (
     SOURCE_EXTERNAL,
@@ -101,7 +102,9 @@ def coerce_argument(value: JsonValue, datatype: str) -> JsonValue:
                 return int(value)
             except ValueError:
                 try:
-                    return float(value)
+                    number = float(value)
+                    if math.isfinite(number):
+                        return number
                 except ValueError:
                     pass
         raise ArgumentTypeError(f"expected a number, got {value!r}")
@@ -131,9 +134,7 @@ def _scene_of(inputs: dict[str, JsonValue]) -> scene_ops.SceneGraph:
 
 
 def _filter_impl(inputs, ctx) -> JsonValue:
-    predicate = inputs["predicate"]
-    if not isinstance(predicate, dict):
-        raise MachinaError(f"predicate must be an object, got {predicate!r}")
+    predicate = require_object(inputs["predicate"], "/predicate")
     return scene_ops.filter_objects(_scene_of(inputs), predicate)
 
 

@@ -27,7 +27,7 @@ from .engine import (
     STATUS_WAITING,
     run,
 )
-from .errors import MachinaError
+from .errors import MachinaError, require_object
 from .harness import (
     Dataset,
     generate_mini_clevr,
@@ -36,6 +36,7 @@ from .harness import (
     read_dataset,
     run_eval,
 )
+from .json_extract import read_json
 from .machine_io import load_machine
 from .model import validate_machine
 from .policy import LlmPolicy, LlmPolicyConfig, PolicyStage, RulePolicy, load_rules
@@ -204,6 +205,9 @@ def repl(trace_path: str | None, **options) -> None:
             line = click.prompt("event", prompt_suffix="> ", err=True)
         except (click.Abort, EOFError):
             sys.exit(0)
+        except UnicodeDecodeError as exc:
+            click.echo(f"error: input is not valid UTF-8: {exc.reason}", err=True)
+            continue
         line = line.strip()
         if not line:
             continue
@@ -219,10 +223,8 @@ def repl(trace_path: str | None, **options) -> None:
         payload: dict = {}
         if len(parts) == 2:
             try:
-                payload = json.loads(parts[1])
-                if not isinstance(payload, dict):
-                    raise ValueError("payload must be a JSON object")
-            except ValueError as exc:
+                payload = require_object(read_json(parts[1]), "")
+            except MachinaError as exc:
                 click.echo(f"error: bad payload: {exc}", err=True)
                 continue
         result = run(agent, EventInstance(parts[0], payload))

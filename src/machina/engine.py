@@ -13,7 +13,7 @@ payload is offered as external arguments to every action the step fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from .actions import ActionContext, ActionRegistry, ArgumentTypeError, coerce_argument
@@ -23,6 +23,7 @@ from .belief import (
     PHASE_TRANSITION,
     ActionRecord,
     Belief,
+    NestingTooDeep,
     TransitionRecord,
     copy_json,
     kv_get,
@@ -141,7 +142,9 @@ class RunResult:
     place and not through edits to the ``EventInstance`` passed in. Its lists
     share the belief's frozen records, whose values were copied as they were
     recorded, and its key-value store is a deep copy. Records are read-only;
-    ``copy.deepcopy`` a snapshot before editing it.
+    ``copy.deepcopy`` a snapshot before editing it. When the key-value store
+    holds a value nested too deeply to copy, the run is ``failed`` with a
+    reason that says so, and the snapshot's key-value store is empty.
     """
 
     status: str
@@ -488,10 +491,16 @@ def _last_output(belief: Belief) -> JsonValue:
 
 
 def _result(agent: Agent, status: str, reason: str | None = None) -> RunResult:
+    try:
+        belief = snapshot(agent.belief)
+    except NestingTooDeep as exc:
+        status = STATUS_FAILED
+        reason = f"{reason}; key-value store: {exc}" if reason else f"key-value store: {exc}"
+        belief = snapshot(replace(agent.belief, kv={}))
     return RunResult(
         status=status,
         output=_last_output(agent.belief),
-        belief_snapshot=snapshot(agent.belief),
+        belief_snapshot=belief,
         stats=agent.provider.snapshot_stats(),
         reason=reason,
     )

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the schema checks every JSON loader uses."""
+
+from typing import Any
 
 
 class MachinaError(Exception):
@@ -16,3 +18,35 @@ class SchemaError(MachinaError):
         super().__init__(f"{pointer or '/'}: {reason}")
         self.pointer = pointer
         self.reason = reason
+
+
+def require_object(value: Any, pointer: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(pointer, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def require_list(value: Any, pointer: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(pointer, f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def check_keys(
+    obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], pointer: str
+) -> None:
+    """Reject a key outside ``allowed`` and a missing ``required`` key."""
+    for key in obj:
+        if key not in allowed:
+            raise SchemaError(f"{pointer}/{key}", f"unknown key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(pointer, f"missing required key {key!r}")
+
+
+def require_string(obj: dict, key: str, pointer: str) -> str:
+    """``obj[key]``, which must be a string; the caller checks the key is present."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise SchemaError(f"{pointer}/{key}", "expected a string")
+    return value

@@ -21,7 +21,8 @@ from typing import Callable, Mapping
 from .actions import builtin_registry
 from .belief import new_belief, kv_set
 from .engine import Agent, RunLimits, run
-from .errors import MachinaError, SchemaError
+from .errors import MachinaError, check_keys, require_object, require_string
+from .json_extract import JsonSyntaxError, read_json
 from .machine_io import parse_machine
 from .model import StateMachine
 from .policy import LlmPolicy, LlmPolicyConfig, PolicyStage, RulePolicy, rules_from_value
@@ -33,6 +34,7 @@ from .scene import (
     SceneGraph,
     SceneObject,
     normalize_answer,
+    parse_scene,
     scene_to_json_value,
 )
 
@@ -391,25 +393,28 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
 
 
 def read_dataset(jsonl_path: str | Path) -> Dataset:
-    from .scene import parse_scene
-
     path = Path(jsonl_path)
     scenes: dict[str, SceneGraph] = {}
     items: list[DatasetItem] = []
-    for index, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+    for index, line in enumerate(path.read_bytes().splitlines()):
         if not line.strip():
             continue
-        doc = json.loads(line)
-        if not isinstance(doc, dict) or "question" not in doc or "scene_file" not in doc:
-            raise SchemaError(f"/{index}", "dataset line needs question and scene_file")
-        scene_file = doc["scene_file"]
+        pointer = f"/{index}"
+        try:
+            doc = require_object(read_json(line), pointer)
+        except JsonSyntaxError as exc:
+            raise JsonSyntaxError(index + 1, exc.column, exc.reason) from None
+        keys = ("question", "scene_file", "answer", "type")
+        check_keys(doc, keys, keys[:2], pointer)
+        question = require_string(doc, "question", pointer)
+        scene_file = require_string(doc, "scene_file", pointer)
         if scene_file not in scenes:
             scenes[scene_file] = parse_scene((path.parent / scene_file).read_bytes())
         scene = scenes[scene_file]
-        spec = parse_question(doc["question"])
+        spec = parse_question(question)
         answer = doc.get("answer") or oracle_answer(scene, spec)
         qtype = doc.get("type") or spec.kind
-        items.append(DatasetItem(index, doc["question"], scene, qtype, answer, spec))
+        items.append(DatasetItem(index, question, scene, qtype, answer, spec))
     if not items:
         raise MinSize("dataset file contains no items")
     return Dataset(-1, tuple(items))
@@ -425,13 +430,11 @@ def builtin_machine(name: str) -> StateMachine:
 
 
 def builtin_rules(name: str) -> tuple:
-    data = resources.files("machina").joinpath(f"rules/{name}.rules.json").read_text("utf-8")
-    return rules_from_value(json.loads(data))
+    data = resources.files("machina").joinpath(f"rules/{name}.rules.json").read_bytes()
+    return rules_from_value(read_json(data))
 
 
 def builtin_scene(name: str) -> SceneGraph:
-    from .scene import parse_scene
-
     data = resources.files("machina").joinpath(f"scenes/{name}.scene.json").read_bytes()
     return parse_scene(data)
 
@@ -574,48 +577,36 @@ def run_eval(
     agent_factory: Callable[[DatasetItem], Agent],
     dataset: Dataset,
     limits: RunLimits | None = None,
-    repeats: int = 1,
 ) -> EvalReport:
     """Run a fresh agent per item; score exact match after normalization.
 
     Items that fail or end waiting score zero and keep their status in the
-    per-item rows. ``repeats`` reruns the whole dataset and averages the
-    aggregate numbers (deterministic providers make repeats redundant).
+    per-item rows.
     """
     if not dataset.items:
         raise MinSize("dataset must not be empty")
-    if repeats < 1:
-        raise MachinaError("repeats must be at least 1")
 
-    accuracies = []
-    avg_calls = []
-    per_item: tuple[ItemResult, ...] = ()
-    for repeat in range(repeats):
-        results = []
-        for item in sorted(dataset.items, key=lambda i: i.index):
-            agent = agent_factory(item)
-            if limits is not None:
-                agent.limits = limits
-            outcome = run(agent)
-            expected = normalize_answer(item.answer)
-            got = normalize_answer(_output_text(outcome.output)) if outcome.status == "completed" else ""
-            results.append(
-                ItemResult(
-                    index=item.index,
-                    question=item.question,
-                    expected=expected,
-                    got=got,
-                    calls=outcome.stats.calls,
-                    status=outcome.status,
-                )
+    results = []
+    for item in sorted(dataset.items, key=lambda i: i.index):
+        agent = agent_factory(item)
+        if limits is not None:
+            agent.limits = limits
+        outcome = run(agent)
+        expected = normalize_answer(item.answer)
+        got = normalize_answer(_output_text(outcome.output)) if outcome.status == "completed" else ""
+        results.append(
+            ItemResult(
+                index=item.index,
+                question=item.question,
+                expected=expected,
+                got=got,
+                calls=outcome.stats.calls,
+                status=outcome.status,
             )
-        accuracies.append(fmean(1.0 if r.expected == r.got else 0.0 for r in results))
-        avg_calls.append(fmean(r.calls for r in results))
-        if repeat == 0:
-            per_item = tuple(results)
+        )
     return EvalReport(
-        n=len(per_item),
-        exact_match_accuracy=fmean(accuracies),
-        avg_provider_calls=fmean(avg_calls),
-        per_item=per_item,
+        n=len(results),
+        exact_match_accuracy=fmean(1.0 if r.expected == r.got else 0.0 for r in results),
+        avg_provider_calls=fmean(r.calls for r in results),
+        per_item=tuple(results),
     )

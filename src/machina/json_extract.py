@@ -1,16 +1,79 @@
-"""Pull the first embedded JSON object or array out of free-form text.
+"""One strict JSON decoder for every value machina reads.
 
-LLM replies are often chatty; these helpers try to decode a JSON value at
-each opening brace or bracket from left to right and return the first that
-decodes. A value that is malformed, nested past the interpreter's recursion
-limit or holds an integer too long to convert is skipped, never raised.
+It rejects ``NaN``, ``Infinity``, numbers that overflow to an infinite float
+and strings holding a lone surrogate, so what machina reads it can write back
+as strict UTF-8 JSON. :func:`read_json` decodes a whole document (a file, an
+HTTP body, a REPL payload). :func:`first_json_object` and
+:func:`first_json_array` return the first value that decodes at an opening
+brace or bracket of a chatty LLM reply, and skip, never raise on, the rest.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 
-_DECODER = json.JSONDecoder()
+from .errors import MachinaError
+
+
+class JsonSyntaxError(MachinaError):
+    """The input is not strict JSON (or not valid UTF-8)."""
+
+    def __init__(self, line: int, column: int, reason: str):
+        super().__init__(f"line {line}, column {column}: {reason}")
+        self.line = line
+        self.column = column
+        self.reason = reason
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text[:40]} is not a finite JSON number")
+    return value
+
+
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+class _StrictDecoder(json.JSONDecoder):
+    def raw_decode(self, s: str, idx: int = 0):
+        value, end = super().raw_decode(s, idx)
+        # A lone surrogate, raw or escaped, makes a string with no UTF-8 form;
+        # an escaped pair is fine, so an escape is checked on the decoded value.
+        try:
+            if not s.isascii():
+                s[idx:end].encode("utf-8")
+            if _SURROGATE_ESCAPE.search(s, idx, end):
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("a string holds a lone surrogate") from None
+        return value, end
+
+
+_DECODER = _StrictDecoder(parse_constant=_finite, parse_float=_finite)
+
+
+def read_json(text: str | bytes):
+    """Decode one whole strict JSON document (bytes must be UTF-8). Every
+    failure, including an integer too long to convert and nesting too deep to
+    decode, raises :class:`JsonSyntaxError`."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            column = exc.start - text.rfind(b"\n", 0, exc.start)
+            raise JsonSyntaxError(line, column, f"not valid UTF-8: {exc.reason}") from None
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise JsonSyntaxError(exc.lineno, exc.colno, exc.msg) from None
+    except ValueError as exc:  # a non-finite number, a lone surrogate, a too-long integer
+        raise JsonSyntaxError(1, 1, str(exc)) from None
+    except RecursionError:
+        raise JsonSyntaxError(1, 1, "document nested too deeply") from None
 
 
 def _first_json(text: str, open_ch: str):

@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Any
 
 from . import model
-from .errors import MachinaError, SchemaError
+from .errors import SchemaError, check_keys, require_list, require_object, require_string
+from .json_extract import read_json
 from .model import (
     ActionSpec,
     Condition,
@@ -33,68 +34,31 @@ from .model import (
 )
 
 
-class MachineSyntaxError(MachinaError):
-    """The input is not valid JSON (or not valid UTF-8)."""
-
-    def __init__(self, line: int, column: int, reason: str):
-        super().__init__(f"line {line}, column {column}: {reason}")
-        self.line = line
-        self.column = column
-
-
-def _require_object(value: Any, pointer: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(pointer, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _require_list(value: Any, pointer: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(pointer, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(obj: dict, allowed: tuple[str, ...], required: tuple[str, ...], pointer: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{pointer}/{key}", f"unknown key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(pointer, f"missing required key {key!r}")
-
-
-def _string(obj: dict, key: str, pointer: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"{pointer}/{key}", "expected a string")
-    return value
-
-
 def _identifier(obj: dict, key: str, pointer: str) -> str:
-    value = _string(obj, key, pointer)
+    value = require_string(obj, key, pointer)
     if not model.is_identifier(value):
         raise SchemaError(f"{pointer}/{key}", f"{value!r} is not an identifier")
     return value
 
 
 def _param_from(value: Any, pointer: str) -> ParameterSpec:
-    obj = _require_object(value, pointer)
-    _check_keys(
+    obj = require_object(value, pointer)
+    check_keys(
         obj,
         ("name", "source", "datatype", "description", "source_key"),
         ("name", "source", "datatype"),
         pointer,
     )
     name = _identifier(obj, "name", pointer)
-    source = _string(obj, "source", pointer)
+    source = require_string(obj, "source", pointer)
     if source not in model.PARAM_SOURCES:
         raise SchemaError(f"{pointer}/source", f"source must be one of {model.PARAM_SOURCES}")
-    datatype = _string(obj, "datatype", pointer)
+    datatype = require_string(obj, "datatype", pointer)
     if datatype not in model.DATATYPES:
         raise SchemaError(f"{pointer}/datatype", f"datatype must be one of {model.DATATYPES}")
     description = ""
     if "description" in obj:
-        description = _string(obj, "description", pointer)
+        description = require_string(obj, "description", pointer)
     source_key = None
     if "source_key" in obj:
         if source != model.SOURCE_INTERNAL:
@@ -108,8 +72,8 @@ def _param_from(value: Any, pointer: str) -> ParameterSpec:
 
 
 def _action_from(value: Any, pointer: str) -> ActionSpec:
-    obj = _require_object(value, pointer)
-    _check_keys(obj, ("name", "output_key", "params"), ("name",), pointer)
+    obj = require_object(value, pointer)
+    check_keys(obj, ("name", "output_key", "params"), ("name",), pointer)
     name = _identifier(obj, "name", pointer)
     output_key = None
     if "output_key" in obj:
@@ -118,7 +82,7 @@ def _action_from(value: Any, pointer: str) -> ActionSpec:
             output_key = None
     params = []
     if "params" in obj:
-        raw = _require_list(obj["params"], f"{pointer}/params")
+        raw = require_list(obj["params"], f"{pointer}/params")
         for i, p in enumerate(raw):
             params.append(_param_from(p, f"{pointer}/params/{i}"))
         names = [p.name for p in params]
@@ -128,33 +92,30 @@ def _action_from(value: Any, pointer: str) -> ActionSpec:
 
 
 def _guard_from(value: Any, pointer: str) -> Condition:
-    obj = _require_object(value, pointer)
-    for key in obj:
-        if key not in ("expr", "action"):
-            raise SchemaError(f"{pointer}/{key}", f"unknown key {key!r}")
+    obj = require_object(value, pointer)
+    check_keys(obj, ("expr", "action"), (), pointer)
     has_expr = "expr" in obj
     has_action = "action" in obj
     if has_expr == has_action:
         raise SchemaError(pointer, "guard needs exactly one of 'expr' or 'action'")
     if has_expr:
-        expr = _string(obj, "expr", pointer)
-        return Condition(model.GUARD_EXPRESSION, expression=expr)
+        return Condition(model.GUARD_EXPRESSION, expression=require_string(obj, "expr", pointer))
     return Condition(model.GUARD_ACTION, action_name=_identifier(obj, "action", pointer))
 
 
 def _state_from(value: Any, pointer: str) -> State:
-    obj = _require_object(value, pointer)
-    _check_keys(
+    obj = require_object(value, pointer)
+    check_keys(
         obj,
         ("name", "description", "tags", "entry", "exit", "substates", "initial"),
         ("name", "description"),
         pointer,
     )
     name = _identifier(obj, "name", pointer)
-    description = _string(obj, "description", pointer)
+    description = require_string(obj, "description", pointer)
     tags: frozenset[str] = frozenset()
     if "tags" in obj:
-        raw_tags = _require_list(obj["tags"], f"{pointer}/tags")
+        raw_tags = require_list(obj["tags"], f"{pointer}/tags")
         for i, tag in enumerate(raw_tags):
             if tag not in model.TAGS:
                 raise SchemaError(f"{pointer}/tags/{i}", f"tag must be one of {model.TAGS}")
@@ -165,7 +126,7 @@ def _state_from(value: Any, pointer: str) -> State:
     exit_ = _action_from(obj["exit"], f"{pointer}/exit") if "exit" in obj else None
     substates: list[State] = []
     if "substates" in obj:
-        raw = _require_list(obj["substates"], f"{pointer}/substates")
+        raw = require_list(obj["substates"], f"{pointer}/substates")
         for i, sub in enumerate(raw):
             substates.append(_state_from(sub, f"{pointer}/substates/{i}"))
     initial = None
@@ -177,8 +138,8 @@ def _state_from(value: Any, pointer: str) -> State:
 
 
 def _transition_from(value: Any, pointer: str) -> Transition:
-    obj = _require_object(value, pointer)
-    _check_keys(
+    obj = require_object(value, pointer)
+    check_keys(
         obj,
         ("source", "target", "event", "guard", "actions", "trigger"),
         ("source", "target", "event"),
@@ -190,12 +151,12 @@ def _transition_from(value: Any, pointer: str) -> Transition:
     guard = _guard_from(obj["guard"], f"{pointer}/guard") if "guard" in obj else None
     actions: list[ActionSpec] = []
     if "actions" in obj:
-        raw = _require_list(obj["actions"], f"{pointer}/actions")
+        raw = require_list(obj["actions"], f"{pointer}/actions")
         for i, a in enumerate(raw):
             actions.append(_action_from(a, f"{pointer}/actions/{i}"))
     trigger = model.TRIGGER_INTERNAL
     if "trigger" in obj:
-        trigger = _string(obj, "trigger", pointer)
+        trigger = require_string(obj, "trigger", pointer)
         if trigger not in model.TRIGGERS:
             raise SchemaError(f"{pointer}/trigger", f"trigger must be one of {model.TRIGGERS}")
     return Transition(source, target, event, guard, tuple(actions), trigger)
@@ -203,35 +164,24 @@ def _transition_from(value: Any, pointer: str) -> Transition:
 
 def machine_from_value(doc: Any) -> StateMachine:
     """Build a machine from an already-decoded JSON value."""
-    obj = _require_object(doc, "")
-    _check_keys(obj, ("name", "states", "transitions"), ("name", "states", "transitions"), "")
+    obj = require_object(doc, "")
+    check_keys(obj, ("name", "states", "transitions"), ("name", "states", "transitions"), "")
     name = _identifier(obj, "name", "")
     states = [
         _state_from(s, f"/states/{i}")
-        for i, s in enumerate(_require_list(obj["states"], "/states"))
+        for i, s in enumerate(require_list(obj["states"], "/states"))
     ]
     transitions = [
         _transition_from(t, f"/transitions/{i}")
-        for i, t in enumerate(_require_list(obj["transitions"], "/transitions"))
+        for i, t in enumerate(require_list(obj["transitions"], "/transitions"))
     ]
     return StateMachine(name, tuple(states), tuple(transitions))
 
 
 def parse_machine(text: str | bytes) -> StateMachine:
     """Parse machine JSON. Total: always a machine or a raised error."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MachineSyntaxError(1, 1, f"not valid UTF-8: {exc.reason}") from None
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MachineSyntaxError(exc.lineno, exc.colno, exc.msg) from None
-    except RecursionError:
-        raise MachineSyntaxError(1, 1, "document nested too deeply") from None
-    try:
-        return machine_from_value(doc)
+        return machine_from_value(read_json(text))
     except RecursionError:
         raise SchemaError("", "document nested too deeply") from None
 

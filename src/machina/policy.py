@@ -8,16 +8,15 @@ stage in order until one selects.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from .actions import ArgumentTypeError, coerce_argument
 from .belief import Belief, kv_get, render_history
-from .errors import MachinaError, SchemaError
+from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
 from .guards import GuardExpr, evaluate, parse_guard
-from .json_extract import first_json_object
+from .json_extract import first_json_object, read_json
 from .keypath import ABSENT, JsonValue
 from .model import TRIGGER_INTERNAL, ParameterSpec, State, Transition
 from .providers import CompletionProvider, CompletionRequest
@@ -328,30 +327,21 @@ def rules_from_value(doc: JsonValue) -> tuple[Rule, ...]:
     the form ``{"$ref": "<dotted path>"}`` is resolved from the belief when
     the rule fires, anything else is a literal.
     """
-    if not isinstance(doc, list):
-        raise SchemaError("", "rules document must be an array")
     rules = []
-    for i, raw in enumerate(doc):
+    for i, raw in enumerate(require_list(doc, "")):
         pointer = f"/{i}"
-        if not isinstance(raw, dict):
-            raise SchemaError(pointer, "rule must be an object")
-        unknown = set(raw) - {"emit_event", "when_state", "when_guard", "emit_arguments"}
-        if unknown:
-            raise SchemaError(pointer, f"unknown keys: {sorted(unknown)}")
-        if not isinstance(raw.get("emit_event"), str):
-            raise SchemaError(pointer, "rule needs a string 'emit_event'")
-        when_state = raw.get("when_state")
-        if when_state is not None and not isinstance(when_state, str):
-            raise SchemaError(f"{pointer}/when_state", "expected a string")
+        obj = require_object(raw, pointer)
+        keys = ("emit_event", "when_state", "when_guard", "emit_arguments")
+        check_keys(obj, keys, ("emit_event",), pointer)
+        event = require_string(obj, "emit_event", pointer)
+        when_state = None
+        if obj.get("when_state") is not None:
+            when_state = require_string(obj, "when_state", pointer)
         when_guard = None
-        if "when_guard" in raw:
-            if not isinstance(raw["when_guard"], str):
-                raise SchemaError(f"{pointer}/when_guard", "expected guard DSL text")
-            when_guard = parse_guard(raw["when_guard"])
+        if "when_guard" in obj:
+            when_guard = parse_guard(require_string(obj, "when_guard", pointer))
         arguments: dict[str, Union[PathRef, JsonValue]] = {}
-        raw_args = raw.get("emit_arguments", {})
-        if not isinstance(raw_args, dict):
-            raise SchemaError(f"{pointer}/emit_arguments", "expected an object")
+        raw_args = require_object(obj.get("emit_arguments", {}), f"{pointer}/emit_arguments")
         for name, value in raw_args.items():
             if isinstance(value, dict) and set(value) == {"$ref"} and isinstance(value["$ref"], str):
                 arguments[name] = PathRef(value["$ref"])
@@ -359,13 +349,9 @@ def rules_from_value(doc: JsonValue) -> tuple[Rule, ...]:
                 arguments[name] = value
         if when_state is None and when_guard is None:
             raise SchemaError(pointer, "rule needs when_state and/or when_guard")
-        rules.append(Rule(raw["emit_event"], when_state, when_guard, arguments))
+        rules.append(Rule(event, when_state, when_guard, arguments))
     return tuple(rules)
 
 
 def load_rules(path: str | Path) -> tuple[Rule, ...]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"rules file is not valid JSON: {exc.msg}") from None
-    return rules_from_value(doc)
+    return rules_from_value(read_json(Path(path).read_bytes()))

@@ -8,7 +8,6 @@ covers.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, replace
@@ -17,7 +16,8 @@ from typing import Callable, Protocol, Sequence
 
 import requests
 
-from .errors import MachinaError, SchemaError
+from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
+from .json_extract import JsonSyntaxError, read_json
 
 API_KEY_ENV = "SHERPA_API_KEY"
 DEFAULT_TEMPERATURE = 0.01
@@ -135,29 +135,18 @@ class ScriptedProvider:
 def load_script(path: str | Path) -> ScriptedProvider:
     """Load a scripted provider from a JSON file:
     ``{"strict": bool?, "steps": [{"reply": str, "match": str?}, ...]}``."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"script is not valid JSON: {exc.msg}") from None
-    if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
-        raise SchemaError("/steps", "script needs a 'steps' array")
+    doc = require_object(read_json(Path(path).read_bytes()), "")
+    check_keys(doc, ("steps", "strict"), ("steps",), "")
     steps = []
-    for i, raw in enumerate(doc["steps"]):
-        if not isinstance(raw, dict) or not isinstance(raw.get("reply"), str):
-            raise SchemaError(f"/steps/{i}", "step needs a string 'reply'")
-        match = raw.get("match")
-        if match is not None and not isinstance(match, str):
-            raise SchemaError(f"/steps/{i}/match", "match must be a string")
-        unknown = set(raw) - {"reply", "match"}
-        if unknown:
-            raise SchemaError(f"/steps/{i}", f"unknown keys: {sorted(unknown)}")
-        steps.append(ScriptStep(reply=raw["reply"], match=match))
+    for i, raw in enumerate(require_list(doc["steps"], "/steps")):
+        pointer = f"/steps/{i}"
+        step = require_object(raw, pointer)
+        check_keys(step, ("reply", "match"), ("reply",), pointer)
+        match = require_string(step, "match", pointer) if step.get("match") is not None else None
+        steps.append(ScriptStep(reply=require_string(step, "reply", pointer), match=match))
     strict = doc.get("strict", False)
     if not isinstance(strict, bool):
         raise SchemaError("/strict", "strict must be a boolean")
-    unknown = set(doc) - {"steps", "strict"}
-    if unknown:
-        raise SchemaError("", f"unknown keys: {sorted(unknown)}")
     return ScriptedProvider(steps, strict=strict)
 
 
@@ -231,8 +220,8 @@ class HttpProvider:
                 raise HttpError(response.status_code, response.text[:200])
 
             try:
-                content = response.json()["choices"][0]["message"]["content"]
-            except (ValueError, LookupError, TypeError):
+                content = read_json(response.text)["choices"][0]["message"]["content"]
+            except (JsonSyntaxError, LookupError, TypeError):
                 raise HttpError(response.status_code, "malformed completion body") from None
             if not isinstance(content, str):
                 raise HttpError(response.status_code, "completion content is not text")

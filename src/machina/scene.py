@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MachinaError, SchemaError
-from .json_extract import first_json_array
+from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
+from .json_extract import first_json_array, read_json
 from .keypath import JsonValue
 from .providers import CompletionProvider, CompletionRequest
 
@@ -117,126 +117,77 @@ def _scene_order(scene: SceneGraph, ids: Iterable[str]) -> list[str]:
     return [o.id for o in scene.objects if o.id in wanted]
 
 
+def _inverse(table: Mapping[str, Iterable[str]]) -> dict[str, set[str]]:
+    inverse: dict[str, set[str]] = {}
+    for key, others in table.items():
+        for other in others:
+            inverse.setdefault(other, set()).add(key)
+    return inverse
+
+
 def _complete_relations(
-    given: dict[str, dict[str, set[str]]], ids: set[str]
+    given: dict[str, dict[str, set[str]]]
 ) -> dict[str, dict[str, frozenset[str]]]:
-    complete: dict[str, dict[str, set[str]]] = {r: {} for r in RELATIONS}
+    complete = dict(given)
     for forward, backward in (("left", "right"), ("front", "behind")):
-        has_fwd = forward in given
-        has_bwd = backward in given
-        fwd = given.get(forward, {})
-        bwd = given.get(backward, {})
-        if has_fwd and has_bwd:
-            derived_bwd: dict[str, set[str]] = {}
-            for key, others in fwd.items():
-                for other in others:
-                    derived_bwd.setdefault(other, set()).add(key)
-            derived_fwd: dict[str, set[str]] = {}
-            for key, others in bwd.items():
-                for other in others:
-                    derived_fwd.setdefault(other, set()).add(key)
-            if {k: v for k, v in derived_bwd.items() if v} != {k: set(v) for k, v in bwd.items() if v} or {
-                k: v for k, v in derived_fwd.items() if v
-            } != {k: set(v) for k, v in fwd.items() if v}:
+        if forward in given and backward in given:
+            if _inverse(given[forward]) != {k: v for k, v in given[backward].items() if v}:
                 raise InverseConflict(
                     f"relations {forward!r} and {backward!r} are not mutual inverses"
                 )
-            complete[forward] = {k: set(v) for k, v in fwd.items()}
-            complete[backward] = {k: set(v) for k, v in bwd.items()}
-        elif has_fwd or has_bwd:
-            present, missing = (forward, backward) if has_fwd else (backward, forward)
-            table = given[present]
-            complete[present] = {k: set(v) for k, v in table.items()}
-            derived: dict[str, set[str]] = {}
-            for key, others in table.items():
-                for other in others:
-                    derived.setdefault(other, set()).add(key)
-            complete[missing] = derived
+        elif forward in given:
+            complete[backward] = _inverse(given[forward])
+        elif backward in given:
+            complete[forward] = _inverse(given[backward])
     return {
-        r: {k: frozenset(v) for k, v in table.items() if v}
-        for r, table in complete.items()
+        r: {k: frozenset(v) for k, v in complete.get(r, {}).items() if v}
+        for r in RELATIONS
     }
+
+
+_OBJECT_KEYS = ("id", "color", "material", "shape", "size")
 
 
 def scene_from_json_value(doc: JsonValue) -> SceneGraph:
     """Build a scene from a decoded JSON value, checking every invariant."""
-    if not isinstance(doc, dict):
-        raise SchemaError("", "scene must be an object")
-    unknown = set(doc) - {"objects", "relations"}
-    if unknown:
-        raise SchemaError("", f"unknown keys: {sorted(unknown)}")
-    if "objects" not in doc or not isinstance(doc["objects"], list):
-        raise SchemaError("/objects", "scene needs an 'objects' array")
+    obj = require_object(doc, "")
+    check_keys(obj, ("objects", "relations"), ("objects",), "")
 
     objects = []
     ids: set[str] = set()
-    for i, raw in enumerate(doc["objects"]):
+    for i, raw in enumerate(require_list(obj["objects"], "/objects")):
         pointer = f"/objects/{i}"
-        if not isinstance(raw, dict):
-            raise SchemaError(pointer, "object must be a JSON object")
-        required = {"id", "color", "material", "shape", "size"}
-        missing = required - set(raw)
-        if missing:
-            raise SchemaError(pointer, f"missing keys: {sorted(missing)}")
-        extra = set(raw) - required
-        if extra:
-            raise SchemaError(pointer, f"unknown keys: {sorted(extra)}")
-        for key in required:
-            if not isinstance(raw[key], str):
-                raise SchemaError(f"{pointer}/{key}", "expected a string")
+        item = require_object(raw, pointer)
+        check_keys(item, _OBJECT_KEYS, _OBJECT_KEYS, pointer)
+        object_id, *values = (require_string(item, key, pointer) for key in _OBJECT_KEYS)
         for attr in ATTRIBUTES:
-            if raw[attr] not in ATTRIBUTE_VALUES[attr]:
-                raise SchemaError(
-                    f"{pointer}/{attr}",
-                    f"{raw[attr]!r} is not a valid {attr}",
-                )
-        if raw["id"] in ids:
-            raise SchemaError(f"{pointer}/id", f"duplicate object id {raw['id']!r}")
-        ids.add(raw["id"])
-        objects.append(
-            SceneObject(raw["id"], raw["color"], raw["material"], raw["shape"], raw["size"])
-        )
+            if item[attr] not in ATTRIBUTE_VALUES[attr]:
+                raise SchemaError(f"{pointer}/{attr}", f"{item[attr]!r} is not a valid {attr}")
+        if object_id in ids:
+            raise SchemaError(f"{pointer}/id", f"duplicate object id {object_id!r}")
+        ids.add(object_id)
+        objects.append(SceneObject(object_id, *values))
 
     given: dict[str, dict[str, set[str]]] = {}
-    relations_doc = doc.get("relations", {})
-    if not isinstance(relations_doc, dict):
-        raise SchemaError("/relations", "relations must be an object")
-    for rel, table in relations_doc.items():
+    for rel, table in require_object(obj.get("relations", {}), "/relations").items():
         if rel not in RELATIONS:
             raise SchemaError(f"/relations/{rel}", f"unknown relation {rel!r}")
-        if not isinstance(table, dict):
-            raise SchemaError(f"/relations/{rel}", "expected an object of id -> [ids]")
         parsed: dict[str, set[str]] = {}
-        for key, others in table.items():
+        for key, others in require_object(table, f"/relations/{rel}").items():
+            pointer = f"/relations/{rel}/{key}"
             if key not in ids:
-                raise SchemaError(f"/relations/{rel}/{key}", f"unknown object {key!r}")
-            if not isinstance(others, list) or not all(isinstance(o, str) for o in others):
-                raise SchemaError(f"/relations/{rel}/{key}", "expected an array of ids")
-            for other in others:
-                if other not in ids:
-                    raise SchemaError(f"/relations/{rel}/{key}", f"unknown object {other!r}")
-                if other == key:
-                    raise SchemaError(f"/relations/{rel}/{key}", "object related to itself")
+                raise SchemaError(pointer, f"unknown object {key!r}")
+            for other in require_list(others, pointer):
+                if not isinstance(other, str) or other not in ids or other == key:
+                    raise SchemaError(pointer, f"{other!r} is not another object of the scene")
             parsed[key] = set(others)
         given[rel] = parsed
 
-    relations = _complete_relations(given, ids)
-    return SceneGraph(tuple(objects), relations)
+    return SceneGraph(tuple(objects), _complete_relations(given))
 
 
 def parse_scene(text: str | bytes) -> SceneGraph:
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError("", f"not valid UTF-8: {exc.reason}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"not valid JSON: {exc.msg}") from None
-    except RecursionError:
-        raise SchemaError("", "document nested too deeply") from None
-    return scene_from_json_value(doc)
+    return scene_from_json_value(read_json(text))
 
 
 def scene_to_json_value(scene: SceneGraph) -> dict:

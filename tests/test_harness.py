@@ -144,13 +144,6 @@ class TestRunEval:
         report = run_eval(oracle_agent_factory("routing"), shuffled)
         assert [r.index for r in report.per_item] == sorted(r.index for r in report.per_item)
 
-    def test_repeats_average(self):
-        dataset = generate_mini_clevr(9, 2, 3)
-        once = run_eval(oracle_agent_factory("react"), dataset)
-        thrice = run_eval(oracle_agent_factory("react"), dataset, repeats=3)
-        assert once.exact_match_accuracy == thrice.exact_match_accuracy
-        assert once.avg_provider_calls == thrice.avg_provider_calls
-
     def test_planning_calls_at_most_react(self):
         dataset = generate_mini_clevr(9, 12, 3)
         planning = run_eval(oracle_agent_factory("planning"), dataset)

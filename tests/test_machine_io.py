@@ -6,8 +6,8 @@ import pytest
 from machina.dot import export_dot
 from machina.errors import SchemaError
 from machina.harness import builtin_machine
+from machina.json_extract import JsonSyntaxError
 from machina.machine_io import (
-    MachineSyntaxError,
     load_machine,
     machine_to_value,
     parse_machine,
@@ -131,12 +131,12 @@ class TestParse:
             parse_machine(json.dumps(both))
 
     def test_invalid_json_gives_position(self):
-        with pytest.raises(MachineSyntaxError) as err:
+        with pytest.raises(JsonSyntaxError) as err:
             parse_machine('{"name": "m",\n  "states": }')
         assert err.value.line == 2
 
     def test_invalid_utf8_bytes(self):
-        with pytest.raises(MachineSyntaxError):
+        with pytest.raises(JsonSyntaxError):
             parse_machine(b'\xff\xfe{"name"}')
 
     def test_non_identifier_event(self):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from machina.actions import builtin_registry
-from machina.belief import NestingTooDeep, belief_to_trace, copy_json, new_belief, snapshot
+from machina.belief import NestingTooDeep, belief_to_trace, copy_json, kv_set, new_belief, snapshot
 from machina.engine import Agent, EventInstance, run
 from machina.errors import MachinaError
 from machina.harness import make_qa_agent
@@ -44,6 +44,15 @@ class TestDeepPayload:
         assert result.belief_snapshot.trajectory == []
         assert_usable(result)
         assert run(agent, EventInstance("e2")).status == "completed"
+
+    def test_caller_store_too_deep_to_copy_fails_the_run(self):
+        agent = h3_agent()
+        kv_set(agent.belief, "x", nested_list(5000))
+        result = run(agent)
+        assert result.status == "failed"
+        assert "nested too deeply" in result.reason
+        assert result.belief_snapshot.kv == {}
+        assert_usable(result)
 
     def test_too_deep_action_output_stays_out_of_the_store(self):
         registry = builtin_registry().register("deepen", (), lambda inputs, ctx: nested_list(5000))

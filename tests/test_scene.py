@@ -1,7 +1,10 @@
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from machina.errors import SchemaError
 from machina.providers import ScriptStep, ScriptedProvider
@@ -13,7 +16,9 @@ from machina.scene import (
     UnknownAttribute,
     UnknownObject,
     UnknownRelation,
+    RELATIONS,
     UnparseableReply,
+    _complete_relations,
     answer_question,
     classify_question,
     count_objects,
@@ -253,3 +258,92 @@ class TestNormalize:
     )
     def test_normalize(self, raw, expected):
         assert normalize_answer(raw) == expected
+
+
+# Reference: relation completion as first written, with the inversion loop
+# spelled out three times. ``_complete_relations`` must agree with it.
+def _reference_complete_relations(
+    given: dict[str, dict[str, set[str]]], ids: set[str]
+) -> dict[str, dict[str, frozenset[str]]]:
+    complete: dict[str, dict[str, set[str]]] = {r: {} for r in RELATIONS}
+    for forward, backward in (("left", "right"), ("front", "behind")):
+        has_fwd = forward in given
+        has_bwd = backward in given
+        fwd = given.get(forward, {})
+        bwd = given.get(backward, {})
+        if has_fwd and has_bwd:
+            derived_bwd: dict[str, set[str]] = {}
+            for key, others in fwd.items():
+                for other in others:
+                    derived_bwd.setdefault(other, set()).add(key)
+            derived_fwd: dict[str, set[str]] = {}
+            for key, others in bwd.items():
+                for other in others:
+                    derived_fwd.setdefault(other, set()).add(key)
+            if {k: v for k, v in derived_bwd.items() if v} != {k: set(v) for k, v in bwd.items() if v} or {
+                k: v for k, v in derived_fwd.items() if v
+            } != {k: set(v) for k, v in fwd.items() if v}:
+                raise InverseConflict(
+                    f"relations {forward!r} and {backward!r} are not mutual inverses"
+                )
+            complete[forward] = {k: set(v) for k, v in fwd.items()}
+            complete[backward] = {k: set(v) for k, v in bwd.items()}
+        elif has_fwd or has_bwd:
+            present, missing = (forward, backward) if has_fwd else (backward, forward)
+            table = given[present]
+            complete[present] = {k: set(v) for k, v in table.items()}
+            derived: dict[str, set[str]] = {}
+            for key, others in table.items():
+                for other in others:
+                    derived.setdefault(other, set()).add(key)
+            complete[missing] = derived
+    return {
+        r: {k: frozenset(v) for k, v in table.items() if v}
+        for r, table in complete.items()
+    }
+
+
+IDS = ("a", "b", "c", "d")
+# id -> ids standing in the relation to it; empty entries are allowed, as in files
+TABLES = st.dictionaries(st.sampled_from(IDS), st.frozensets(st.sampled_from(IDS))).map(
+    lambda table: {key: set(others - {key}) for key, others in table.items()}
+)
+
+
+@st.composite
+def relation_tables(draw):
+    """Each inverse pair given on neither side, one side, both sides as true
+    inverses (plus empty entries), or both sides drawn independently, which
+    mostly conflict."""
+    tables = {}
+    for forward, backward in (("left", "right"), ("front", "behind")):
+        shape = draw(st.sampled_from(["none", "forward", "backward", "inverse", "independent"]))
+        if shape == "forward":
+            tables[forward] = draw(TABLES)
+        elif shape == "backward":
+            tables[backward] = draw(TABLES)
+        elif shape == "inverse":
+            tables[forward] = draw(TABLES)
+            inverse = {key: set() for key in draw(st.sets(st.sampled_from(IDS)))}
+            for key, others in tables[forward].items():
+                for other in others:
+                    inverse.setdefault(other, set()).add(key)
+            tables[backward] = inverse
+        elif shape == "independent":
+            tables[forward] = draw(TABLES)
+            tables[backward] = draw(TABLES)
+    return tables
+
+
+def _completed(complete, tables):
+    try:
+        return complete(copy.deepcopy(tables))
+    except InverseConflict as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(relation_tables())
+def test_complete_relations_agrees_with_reference(tables):
+    expected = _completed(lambda t: _reference_complete_relations(t, set(IDS)), tables)
+    assert _completed(_complete_relations, tables) == expected
