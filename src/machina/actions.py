@@ -178,70 +178,79 @@ def _note_impl(inputs, ctx) -> JsonValue:
     return str(text)
 
 
+_SCENE_PARAM = _int("scene", "json", "scene graph JSON from the belief")
+
+# The bundled action library, built once; each registry gets its own dict
+# over these shared, frozen entries.
+_BUILTIN_ACTIONS = {
+    a.name: a
+    for a in (
+        RegisteredAction(
+            "filter",
+            (_ext("predicate", "json", "attribute name to required value"), _SCENE_PARAM),
+            _filter_impl,
+        ),
+        RegisteredAction(
+            "relation",
+            (
+                _ext("object", "string", "anchor object id"),
+                _ext("relation", "string", "one of left, right, front, behind"),
+                _SCENE_PARAM,
+            ),
+            _relation_impl,
+        ),
+        RegisteredAction(
+            "checking",
+            (
+                _ext("object", "string", "anchor object id"),
+                _ext("attribute", "string", "attribute to compare"),
+                _SCENE_PARAM,
+            ),
+            _checking_impl,
+        ),
+        RegisteredAction(
+            "query",
+            (
+                _ext("object", "string", "object id to inspect"),
+                _ext("attribute", "string", "attribute to read"),
+                _SCENE_PARAM,
+            ),
+            _query_impl,
+            output_datatype="string",
+        ),
+        RegisteredAction(
+            "countObjects",
+            (_int("ids", "json", "object ids to count"),),
+            _count_impl,
+            output_datatype="number",
+        ),
+        RegisteredAction(
+            "classifyQuestion",
+            (_int("question", "string"),),
+            _classify_impl,
+            output_datatype="string",
+        ),
+        RegisteredAction(
+            "extractObjects",
+            (_int("question", "string"), _SCENE_PARAM),
+            _extract_impl,
+        ),
+        RegisteredAction(
+            "answerQuestion",
+            (_int("question", "string"), _SCENE_PARAM),
+            _answer_impl,
+            output_datatype="string",
+        ),
+        RegisteredAction(
+            "note",
+            (_ext("text", "string", "marker to record"),),
+            _note_impl,
+            output_datatype="string",
+        ),
+    )
+}
+
+
 def builtin_registry() -> ActionRegistry:
-    """Registry with the bundled action library."""
-    registry = ActionRegistry()
-    scene_param = _int("scene", "json", "scene graph JSON from the belief")
-    registry.register(
-        "filter",
-        (_ext("predicate", "json", "attribute name to required value"), scene_param),
-        _filter_impl,
-    )
-    registry.register(
-        "relation",
-        (
-            _ext("object", "string", "anchor object id"),
-            _ext("relation", "string", "one of left, right, front, behind"),
-            scene_param,
-        ),
-        _relation_impl,
-    )
-    registry.register(
-        "checking",
-        (
-            _ext("object", "string", "anchor object id"),
-            _ext("attribute", "string", "attribute to compare"),
-            scene_param,
-        ),
-        _checking_impl,
-    )
-    registry.register(
-        "query",
-        (
-            _ext("object", "string", "object id to inspect"),
-            _ext("attribute", "string", "attribute to read"),
-            scene_param,
-        ),
-        _query_impl,
-        output_datatype="string",
-    )
-    registry.register(
-        "countObjects",
-        (_int("ids", "json", "object ids to count"),),
-        _count_impl,
-        output_datatype="number",
-    )
-    registry.register(
-        "classifyQuestion",
-        (_int("question", "string"),),
-        _classify_impl,
-        output_datatype="string",
-    )
-    registry.register(
-        "extractObjects",
-        (_int("question", "string"), scene_param),
-        _extract_impl,
-    )
-    registry.register(
-        "answerQuestion",
-        (_int("question", "string"), scene_param),
-        _answer_impl,
-        output_datatype="string",
-    )
-    registry.register(
-        "note",
-        (_ext("text", "string", "marker to record"),),
-        _note_impl,
-        output_datatype="string",
-    )
-    return registry
+    """A fresh registry holding the bundled action library."""
+    return ActionRegistry(dict(_BUILTIN_ACTIONS))

@@ -201,14 +201,20 @@ def repl(trace_path: str | None, **options) -> None:
     result = run(agent)
     click.echo(f"status: {result.status}", err=True)
     while result.status == STATUS_WAITING:
+        click.echo("event> ", nl=False, err=True)
+        # Lines are read raw and decoded one at a time, so an undecodable
+        # line costs only itself, not the lines buffered after it.
         try:
-            line = click.prompt("event", prompt_suffix="> ", err=True)
-        except (click.Abort, EOFError):
+            raw = sys.stdin.buffer.readline()
+        except KeyboardInterrupt:
             sys.exit(0)
+        if not raw:
+            sys.exit(0)
+        try:
+            line = raw.decode(sys.stdin.encoding, sys.stdin.errors).strip()
         except UnicodeDecodeError as exc:
             click.echo(f"error: input is not valid UTF-8: {exc.reason}", err=True)
             continue
-        line = line.strip()
         if not line:
             continue
         if line == ":quit":

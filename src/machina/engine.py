@@ -175,7 +175,12 @@ class Agent:
     limits: RunLimits = RunLimits()
 
     def __post_init__(self) -> None:
-        report = validate_machine(self.machine, self.registry.names())
+        # A machine instance is validated once per set of registered names.
+        names = self.registry.names()
+        report = self.machine._memo.get(("report", names))
+        if report is None:
+            report = validate_machine(self.machine, names)
+            self.machine._memo[("report", names)] = report
         if not report.ok:
             raise InvalidMachine(report)
 
@@ -227,13 +232,19 @@ def eval_guard(
 
 
 @dataclass(frozen=True)
-class _StepPlan:
+class _Step:
+    """What firing ``transition`` from one leaf does; fixed by the machine."""
+
+    transition: Transition
     exit_states: tuple[State, ...]
     entry_states: tuple[State, ...]
     target_leaf: str
+    actions: tuple[tuple[str, ActionSpec], ...]
+    required_external_params: tuple[ParameterSpec, ...]
+    target_description: str
 
 
-def _step_plan(sm: StateMachine, leaf: str, transition: Transition) -> _StepPlan:
+def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
     source_chain = [leaf] + parent_chain(sm, leaf)
     target_ancestors = parent_chain(sm, transition.target)
     chain_set = set(source_chain)
@@ -253,20 +264,34 @@ def _step_plan(sm: StateMachine, leaf: str, transition: Transition) -> _StepPlan
     entry_names.reverse()
     entry_names.extend(initial_entry_path(sm, transition.target))
     entries = tuple(sm.state(n) for n in entry_names)
-    return _StepPlan(tuple(exits), entries, entry_names[-1])
+
+    actions = [(PHASE_EXIT, st.exit_action) for st in exits if st.exit_action]
+    actions += [(PHASE_TRANSITION, spec) for spec in transition.actions]
+    actions += [(PHASE_ENTRY, st.entry_action) for st in entries if st.entry_action]
+    required: dict[str, ParameterSpec] = {}
+    for _, spec in actions:
+        for param in spec.external_params():
+            required.setdefault(param.name, param)
+    return _Step(
+        transition=transition,
+        exit_states=tuple(exits),
+        entry_states=entries,
+        target_leaf=entry_names[-1],
+        actions=tuple(actions),
+        required_external_params=tuple(required.values()),
+        target_description=sm.state(transition.target).description,
+    )
 
 
-def _step_action_specs(plan: _StepPlan, transition: Transition) -> list[tuple[str, ActionSpec]]:
-    specs = []
-    for st in plan.exit_states:
-        if st.exit_action:
-            specs.append((PHASE_EXIT, st.exit_action))
-    for spec in transition.actions:
-        specs.append((PHASE_TRANSITION, spec))
-    for st in plan.entry_states:
-        if st.entry_action:
-            specs.append((PHASE_ENTRY, st.entry_action))
-    return specs
+def _step_table(sm: StateMachine, leaf: str) -> tuple[_Step, ...]:
+    """The steps enabled at ``leaf`` in resolution order, planned once per
+    machine instance."""
+    key = ("steps", leaf)
+    table = sm._memo.get(key)
+    if table is None:
+        table = tuple(_plan_step(sm, leaf, t) for t in enabled_transitions(sm, leaf))
+        sm._memo[key] = table
+    return table
 
 
 def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
@@ -276,28 +301,32 @@ def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
     leaf = agent.belief.current_state
     if leaf is None:
         raise AgentNotStarted()
-    sm = agent.machine
-    candidates = []
-    for t in enabled_transitions(sm, leaf):
-        passed = (
-            eval_guard(t.guard, agent.belief, agent.registry, agent.provider)
-            if t.guard is not None
-            else True
+    return [
+        CandidateTransition(
+            transition=step.transition,
+            guard_passed=step.transition.guard is None
+            or eval_guard(step.transition.guard, agent.belief, agent.registry, agent.provider),
+            required_external_params=step.required_external_params,
+            target_description=step.target_description,
         )
-        plan = _step_plan(sm, leaf, t)
-        required: dict[str, object] = {}
-        for _, spec in _step_action_specs(plan, t):
-            for param in spec.external_params():
-                required.setdefault(param.name, param)
-        candidates.append(
-            CandidateTransition(
-                transition=t,
-                guard_passed=passed,
-                required_external_params=tuple(required.values()),
-                target_description=sm.state(t.target).description,
-            )
-        )
-    return candidates
+        for step in _step_table(agent.machine, leaf)
+    ]
+
+
+def _resolve(
+    table: Sequence[_Step],
+    event: str,
+    belief: Belief,
+    registry: ActionRegistry,
+    provider: CompletionProvider,
+) -> _Step | None:
+    for step in table:
+        t = step.transition
+        if t.event == event and (
+            t.guard is None or eval_guard(t.guard, belief, registry, provider)
+        ):
+            return step
+    return None
 
 
 def resolve_transition(
@@ -312,12 +341,10 @@ def resolve_transition(
 
     Guards are evaluated lazily in resolution order, each at most once.
     """
-    for t in enabled_transitions(sm, active_leaf):
-        if t.event != event:
-            continue
-        if t.guard is None or eval_guard(t.guard, belief, registry, provider):
-            return t
-    raise UnhandledEvent(event, active_leaf)
+    step = _resolve(_step_table(sm, active_leaf), event, belief, registry, provider)
+    if step is None:
+        raise UnhandledEvent(event, active_leaf)
+    return step.transition
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +440,25 @@ def dispatch(
     if leaf is None:
         raise AgentNotStarted()
 
-    transition: Transition | None = None
+    table = _step_table(agent.machine, leaf)
     if _candidates is not None:
-        for c in _candidates:
-            if c.transition.event == event.name and c.guard_passed:
-                transition = c.transition
-                break
+        fired = next(
+            (c.transition for c in _candidates if c.transition.event == event.name and c.guard_passed),
+            None,
+        )
+        plan = next((s for s in table if s.transition is fired), None)
     else:
-        try:
-            transition = resolve_transition(
-                agent.machine, leaf, event.name, agent.belief, agent.registry, agent.provider
-            )
-        except UnhandledEvent:
-            transition = None
-    if transition is None:
+        plan = _resolve(table, event.name, agent.belief, agent.registry, agent.provider)
+    if plan is None:
         if agent.limits.unhandled_event == UNHANDLED_IGNORE:
             return None
         raise UnhandledEvent(event.name, leaf)
 
-    plan = _step_plan(agent.machine, leaf, transition)
     step = len(agent.belief.trajectory) + 1
     payload = copy_json(dict(event.payload))
     records: list[ActionRecord] = []
     try:
-        for phase, spec in _step_action_specs(plan, transition):
+        for phase, spec in plan.actions:
             records.append(
                 execute_action(
                     agent.registry,
@@ -459,7 +481,7 @@ def dispatch(
                 event_payload=payload or None,
             ),
         )
-    return StepOutcome(event, transition, leaf, plan.target_leaf, tuple(records))
+    return StepOutcome(event, plan.transition, leaf, plan.target_leaf, tuple(records))
 
 
 def start(agent: Agent) -> None:

@@ -9,6 +9,7 @@ replies a perfectly behaving model would give, keeping runs hermetic.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -47,6 +48,13 @@ _VALUE_TO_ATTRIBUTE = {
 
 class MinSize(MachinaError):
     """Dataset generation was asked for an empty dataset."""
+
+
+class BadSceneFile(MachinaError):
+    def __init__(self, dataset: Path, line: int, scene_file: str, cause: MachinaError):
+        super().__init__(f"{dataset}, line {line}: scene file {scene_file!r}: {cause}")
+        self.line = line
+        self.scene_file = scene_file
 
 
 class UnrecognizedQuestion(MachinaError):
@@ -409,7 +417,10 @@ def read_dataset(jsonl_path: str | Path) -> Dataset:
         question = require_string(doc, "question", pointer)
         scene_file = require_string(doc, "scene_file", pointer)
         if scene_file not in scenes:
-            scenes[scene_file] = parse_scene((path.parent / scene_file).read_bytes())
+            try:
+                scenes[scene_file] = parse_scene((path.parent / scene_file).read_bytes())
+            except MachinaError as exc:
+                raise BadSceneFile(path, index + 1, scene_file, exc) from None
         scene = scenes[scene_file]
         spec = parse_question(question)
         answer = doc.get("answer") or oracle_answer(scene, spec)
@@ -424,12 +435,18 @@ def read_dataset(jsonl_path: str | Path) -> Dataset:
 # Bundled machines and agent factories
 
 
+@functools.cache
 def builtin_machine(name: str) -> StateMachine:
+    """The bundled machine ``name``, parsed on the first call and shared,
+    frozen, by every later one."""
     data = resources.files("machina").joinpath(f"machines/{name}.sm.json").read_bytes()
     return parse_machine(data)
 
 
+@functools.cache
 def builtin_rules(name: str) -> tuple:
+    """The bundled rules file ``name``, loaded on the first call and shared
+    by every later one."""
     data = resources.files("machina").joinpath(f"rules/{name}.rules.json").read_bytes()
     return rules_from_value(read_json(data))
 

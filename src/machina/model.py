@@ -155,6 +155,13 @@ class StateMachine:
                 parents[st.name] = parent.name if parent else None
         return by_name, parents
 
+    @cached_property
+    def _memo(self) -> dict:
+        """What the engine derives from this instance (validation reports,
+        step tables), kept per instance: a frozen tree is too slow to hash
+        on every lookup. A ``dataclasses.replace`` copy starts empty."""
+        return {}
+
     def state(self, name: str) -> State:
         found = self._index[0].get(name)
         if found is None:
