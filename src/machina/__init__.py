@@ -38,7 +38,6 @@ from .json_extract import JsonSyntaxError
 from .machine_io import (
     load_machine,
     parse_machine,
-    save_machine,
     serialize_machine,
 )
 from .model import (

@@ -236,23 +236,6 @@ def oracle_ids(scene: SceneGraph, spec: QuestionSpec) -> list[str]:
     return [o.id for o in _oracle_matches(scene, spec)]
 
 
-def action_library_answer(scene: SceneGraph, spec: QuestionSpec) -> str:
-    """Answer via the bundled deterministic actions (cross-check path)."""
-    from .scene import count_objects, filter_objects, query_attribute
-
-    ids = filter_objects(scene, spec.predicate)
-    if spec.exclude_shape is not None:
-        excluded = set(filter_objects(scene, {"shape": spec.exclude_shape}))
-        ids = [i for i in ids if i not in excluded]
-    if spec.kind == COUNTING:
-        return str(count_objects(ids))
-    if spec.kind == JUDGING:
-        return "yes" if count_objects(ids) else "no"
-    if len(ids) != 1:
-        raise MachinaError(f"querying predicate matched {len(ids)} objects")
-    return query_attribute(scene, ids[0], spec.query_attribute or "")
-
-
 # ---------------------------------------------------------------------------
 # Mini dataset generation
 
@@ -370,36 +353,6 @@ def generate_mini_clevr(seed: int, n_scenes: int, questions_per_scene: int) -> D
 # Dataset files (JSONL plus one scene file per scene)
 
 
-def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    (out / "scenes").mkdir(parents=True, exist_ok=True)
-    scene_files: dict[int, str] = {}
-    lines = []
-    for item in dataset.items:
-        key = id(item.scene)
-        if key not in scene_files:
-            name = f"scenes/scene_{len(scene_files):04d}.json"
-            (out / name).write_text(
-                json.dumps(scene_to_json_value(item.scene), indent=2) + "\n",
-                encoding="utf-8",
-            )
-            scene_files[key] = name
-        lines.append(
-            json.dumps(
-                {
-                    "question": item.question,
-                    "scene_file": scene_files[key],
-                    "answer": item.answer,
-                    "type": item.qtype,
-                },
-                ensure_ascii=False,
-            )
-        )
-    path = out / "dataset.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 def read_dataset(jsonl_path: str | Path) -> Dataset:
     path = Path(jsonl_path)
     scenes: dict[str, SceneGraph] = {}
@@ -449,11 +402,6 @@ def builtin_rules(name: str) -> tuple:
     by every later one."""
     data = resources.files("machina").joinpath(f"rules/{name}.rules.json").read_bytes()
     return rules_from_value(read_json(data))
-
-
-def builtin_scene(name: str) -> SceneGraph:
-    data = resources.files("machina").joinpath(f"scenes/{name}.scene.json").read_bytes()
-    return parse_scene(data)
 
 
 _QA_POLICY_CONFIG = LlmPolicyConfig(

@@ -256,6 +256,3 @@ def serialize_machine(sm: StateMachine) -> str:
 def load_machine(path: str | Path) -> StateMachine:
     return parse_machine(Path(path).read_bytes())
 
-
-def save_machine(sm: StateMachine, path: str | Path) -> None:
-    Path(path).write_text(serialize_machine(sm), encoding="utf-8")

@@ -8,13 +8,16 @@ covers.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
-
-import requests
 
 from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
 from .json_extract import JsonSyntaxError, read_json
@@ -82,6 +85,14 @@ class CompletionProvider(Protocol):
     def snapshot_stats(self) -> CallStats: ...
 
 
+def _prompt_bytes(request: CompletionRequest) -> int:
+    """UTF-8 bytes a request sends: the prompt plus the system text, if any."""
+    size = len(request.prompt.encode("utf-8"))
+    if request.system:
+        size += len(request.system.encode("utf-8"))
+    return size
+
+
 def _clip_to_bytes(text: str, max_bytes: int) -> str:
     encoded = text.encode("utf-8")
     if len(encoded) <= max_bytes:
@@ -115,9 +126,7 @@ class ScriptedProvider:
 
     def complete(self, request: CompletionRequest) -> str:
         self._stats.calls += 1
-        self._stats.prompt_bytes += len(request.prompt.encode("utf-8"))
-        if request.system:
-            self._stats.prompt_bytes += len(request.system.encode("utf-8"))
+        self._stats.prompt_bytes += _prompt_bytes(request)
         if self._cursor >= len(self.steps):
             raise ScriptExhausted()
         step = self.steps[self._cursor]
@@ -150,13 +159,26 @@ def load_script(path: str | Path) -> ScriptedProvider:
     return ScriptedProvider(steps, strict=strict)
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Follows no redirect, so the bearer token goes to ``base_url`` only;
+    every 3xx reply fails as its own status."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
 class HttpProvider:
-    """OpenAI-compatible ``POST {base_url}/chat/completions`` client.
+    """OpenAI-compatible ``POST {base_url}/chat/completions`` client on the
+    standard library's ``urllib.request``.
 
     Authenticates with a bearer token from ``SHERPA_API_KEY`` unless an
     explicit key is given. Retries twice on 429 and 5xx responses with
     exponential backoff (0.5s then 2s); other 4xx responses fail
-    immediately. Each HTTP attempt counts as one provider call.
+    immediately, and so does a 3xx, since no redirect is followed. Each
+    HTTP attempt counts as one provider call. The reply body is decoded as
+    strict UTF-8 JSON whatever its charset header; a timeout raises
+    ``Timeout`` and any other transport failure ``HttpError(0, ...)``.
+    Proxy settings are read from the environment when the provider is built.
     """
 
     def __init__(
@@ -165,14 +187,24 @@ class HttpProvider:
         model: str,
         api_key: str | None = None,
         timeout: float = 30.0,
-        session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        if not base_url.startswith(("http://", "https://")):
+            raise MachinaError(f"base_url must start with http:// or https://, got {base_url!r}")
         self.base_url = base_url.rstrip("/")
+        # A request line is ASCII: percent-encode the path's other characters
+        # (existing escapes stay) and reject a host IDNA cannot encode.
+        try:
+            parts = urllib.parse.urlsplit(self.base_url)
+            (parts.hostname or "").encode("idna")
+        except ValueError as exc:
+            raise MachinaError(f"invalid base_url {base_url!r}: {exc}") from None
+        path = urllib.parse.quote(parts.path, safe="/%:@!$&'()*+,;=~")
+        self._url = parts._replace(path=path).geturl() + "/chat/completions"
+        self._opener = urllib.request.build_opener(_NoRedirect)
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
-        self._session = session or requests.Session()
         self._sleep = sleep
         self._stats = CallStats()
 
@@ -183,52 +215,57 @@ class HttpProvider:
         messages.append({"role": "user", "content": request.prompt})
         return messages
 
+    def _post(self, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One attempt: the status and raw body of whatever response arrives."""
+        try:
+            try:
+                response = self._opener.open(
+                    urllib.request.Request(self._url, data=data, headers=headers, method="POST"),
+                    timeout=self.timeout,
+                )
+            except urllib.error.HTTPError as exc:
+                response = exc
+            with response:
+                return response.status, response.read()
+        except TimeoutError:
+            raise Timeout() from None
+        except urllib.error.URLError as exc:
+            if isinstance(exc.reason, TimeoutError):
+                raise Timeout() from None
+            raise HttpError(0, str(exc)[:200]) from None
+        except (OSError, http.client.HTTPException) as exc:
+            raise HttpError(0, str(exc)[:200]) from None
+
     def complete(self, request: CompletionRequest) -> str:
         body = {
             "model": self.model,
             "messages": self._messages(request),
             "temperature": request.temperature,
         }
+        data = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        attempts = 1 + len(RETRY_BACKOFF_SECONDS)
-        for attempt in range(attempts):
+        for backoff in (*RETRY_BACKOFF_SECONDS, None):
             self._stats.calls += 1
-            self._stats.prompt_bytes += len(request.prompt.encode("utf-8"))
-            if request.system:
-                self._stats.prompt_bytes += len(request.system.encode("utf-8"))
-            try:
-                response = self._session.post(
-                    f"{self.base_url}/chat/completions",
-                    json=body,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except requests.Timeout:
-                raise Timeout() from None
-            except requests.RequestException as exc:
-                raise HttpError(0, str(exc)[:200]) from None
+            self._stats.prompt_bytes += _prompt_bytes(request)
+            status, raw = self._post(data, headers)
+            if status == 200:
+                break
+            if backoff is None or not (status == 429 or status >= 500):
+                raise HttpError(status, raw.decode("utf-8", errors="replace")[:200])
+            self._sleep(backoff)
 
-            if response.status_code == 429 or response.status_code >= 500:
-                if attempt < attempts - 1:
-                    self._sleep(RETRY_BACKOFF_SECONDS[attempt])
-                    continue
-                raise HttpError(response.status_code, response.text[:200])
-            if response.status_code != 200:
-                raise HttpError(response.status_code, response.text[:200])
-
-            try:
-                content = read_json(response.text)["choices"][0]["message"]["content"]
-            except (JsonSyntaxError, LookupError, TypeError):
-                raise HttpError(response.status_code, "malformed completion body") from None
-            if not isinstance(content, str):
-                raise HttpError(response.status_code, "completion content is not text")
-            reply = _clip_to_bytes(content, request.max_output_bytes)
-            self._stats.reply_bytes += len(reply.encode("utf-8"))
-            return reply
-        raise HttpError(0, "unreachable")  # loop always returns or raises
+        try:
+            content = read_json(raw)["choices"][0]["message"]["content"]
+        except (JsonSyntaxError, LookupError, TypeError):
+            raise HttpError(200, "malformed completion body") from None
+        if not isinstance(content, str):
+            raise HttpError(200, "completion content is not text")
+        reply = _clip_to_bytes(content, request.max_output_bytes)
+        self._stats.reply_bytes += len(reply.encode("utf-8"))
+        return reply
 
     def snapshot_stats(self) -> CallStats:
         return self._stats.snapshot()

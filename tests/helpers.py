@@ -4,14 +4,25 @@ from __future__ import annotations
 
 import json
 import random
+from importlib import resources
+from pathlib import Path
 
 from machina.actions import builtin_registry
 from machina.belief import new_belief
 from machina.engine import Agent, RunLimits
-from machina.harness import builtin_machine, builtin_scene
+from machina.errors import MachinaError
+from machina.harness import COUNTING, JUDGING, Dataset, QuestionSpec, builtin_machine
 from machina.machine_io import parse_machine
 from machina.model import StateMachine
 from machina.providers import ScriptedProvider
+from machina.scene import (
+    SceneGraph,
+    count_objects,
+    filter_objects,
+    parse_scene,
+    query_attribute,
+    scene_to_json_value,
+)
 
 
 def machine_from(doc: dict) -> StateMachine:
@@ -83,8 +94,59 @@ def agent_for(doc_or_machine, provider=None, policy=(), limits=None, belief=None
     )
 
 
-def s1_scene():
-    return builtin_scene("s1")
+def s1_scene() -> SceneGraph:
+    return parse_scene(resources.files("machina").joinpath("scenes/s1.scene.json").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# QA fixtures: a second answer path and dataset files
+
+
+def action_library_answer(scene: SceneGraph, spec: QuestionSpec) -> str:
+    """Answer via the bundled deterministic actions (cross-check path)."""
+    ids = filter_objects(scene, spec.predicate)
+    if spec.exclude_shape is not None:
+        excluded = set(filter_objects(scene, {"shape": spec.exclude_shape}))
+        ids = [i for i in ids if i not in excluded]
+    if spec.kind == COUNTING:
+        return str(count_objects(ids))
+    if spec.kind == JUDGING:
+        return "yes" if count_objects(ids) else "no"
+    if len(ids) != 1:
+        raise MachinaError(f"querying predicate matched {len(ids)} objects")
+    return query_attribute(scene, ids[0], spec.query_attribute or "")
+
+
+def write_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
+    """Write ``dataset`` as the JSONL file plus scene files that
+    ``read_dataset`` and ``machina bench --dataset`` read."""
+    out = Path(out_dir)
+    (out / "scenes").mkdir(parents=True, exist_ok=True)
+    scene_files: dict[int, str] = {}
+    lines = []
+    for item in dataset.items:
+        key = id(item.scene)
+        if key not in scene_files:
+            name = f"scenes/scene_{len(scene_files):04d}.json"
+            (out / name).write_text(
+                json.dumps(scene_to_json_value(item.scene), indent=2) + "\n",
+                encoding="utf-8",
+            )
+            scene_files[key] = name
+        lines.append(
+            json.dumps(
+                {
+                    "question": item.question,
+                    "scene_file": scene_files[key],
+                    "answer": item.answer,
+                    "type": item.qtype,
+                },
+                ensure_ascii=False,
+            )
+        )
+    path = out / "dataset.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from machina.cli import main
-from machina.harness import generate_mini_clevr, write_dataset
+from machina.harness import generate_mini_clevr
 from machina.machine_io import serialize_machine
-from helpers import MINIMAL_DOC, budget_cycle_doc, machine_from
+from helpers import MINIMAL_DOC, budget_cycle_doc, machine_from, write_dataset
 
 S1_JSON = Path("src/machina/scenes/s1.scene.json")
 ROUTING_JSON = Path("src/machina/machines/routing.sm.json")

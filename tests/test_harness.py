@@ -7,7 +7,6 @@ from machina.harness import (
     MinSize,
     QuestionSpec,
     UnrecognizedQuestion,
-    action_library_answer,
     generate_mini_clevr,
     oracle_agent_factory,
     oracle_answer,
@@ -16,11 +15,10 @@ from machina.harness import (
     read_dataset,
     render_question,
     run_eval,
-    write_dataset,
 )
 from machina.providers import ScriptedProvider
 from machina.scene import scene_to_json_value
-from helpers import s1_scene
+from helpers import action_library_answer, s1_scene, write_dataset
 
 
 def dataset_fingerprint(dataset):

@@ -11,7 +11,6 @@ from machina.machine_io import (
     load_machine,
     machine_to_value,
     parse_machine,
-    save_machine,
     serialize_machine,
 )
 from machina.model import GUARD_ACTION
@@ -316,7 +315,7 @@ class TestFiles:
     def test_save_then_load(self, tmp_path):
         sm = builtin_machine("routing")
         path = tmp_path / "copy.sm.json"
-        save_machine(sm, path)
+        path.write_text(serialize_machine(sm), encoding="utf-8")
         assert load_machine(path) == sm
 
 

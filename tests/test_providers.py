@@ -1,5 +1,7 @@
 import json
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -13,6 +15,7 @@ from machina.providers import (
     ScriptMismatch,
     ScriptStep,
     ScriptedProvider,
+    Timeout,
     load_script,
 )
 
@@ -220,3 +223,204 @@ class TestRequestEdges:
         path.write_text(json.dumps({"steps": [], "strict": "yes"}))
         with pytest.raises(SchemaError):
             load_script(path)
+
+
+class _ServedBodyHandler(BaseHTTPRequestHandler):
+    """Answers every POST with status 200, ``body`` as is, and
+    ``content_type`` (no header when it is None)."""
+
+    body = b""
+    content_type: str | None = None
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        if self.content_type is not None:
+            self.send_header("Content-Type", self.content_type)
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    def log_message(self, *args):
+        pass
+
+
+class _RedirectHandler(BaseHTTPRequestHandler):
+    """Answers every POST with status ``status`` and ``Location: location``."""
+
+    status = 302
+    location = ""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(self.status)
+        self.send_header("Location", self.location)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+class _HangUpHandler(BaseHTTPRequestHandler):
+    """Reads the whole request, then closes the connection unanswered."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+def _serve(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread
+
+
+def _stop(server, thread):
+    server.shutdown()
+    thread.join(timeout=10)
+    server.server_close()
+
+
+@pytest.fixture()
+def served_body():
+    server, thread = _serve(_ServedBodyHandler)
+    yield f"http://127.0.0.1:{server.server_port}"
+    _stop(server, thread)
+
+
+def _raw_completion(content: bytes) -> bytes:
+    return b'{"choices": [{"message": {"content": "' + content + b'"}}]}'
+
+
+class TestHttpBodyDecoding:
+    """The body is strict UTF-8 JSON whatever its charset header says."""
+
+    @pytest.mark.parametrize("content_type", ["application/json", "text/plain", None])
+    def test_utf8_reply_whatever_the_content_type(self, served_body, content_type):
+        _ServedBodyHandler.body = _raw_completion("héllo".encode("utf-8"))
+        _ServedBodyHandler.content_type = content_type
+        provider = HttpProvider(served_body, model="m", api_key="k")
+        assert provider.complete(req()) == "héllo"
+        assert provider.snapshot_stats().reply_bytes == len("héllo".encode("utf-8"))
+
+    @pytest.mark.parametrize("content_type", ["application/json", "text/plain", None])
+    def test_invalid_utf8_in_content_raises(self, served_body, content_type):
+        _ServedBodyHandler.body = _raw_completion(b"a\xffb")
+        _ServedBodyHandler.content_type = content_type
+        provider = HttpProvider(served_body, model="m", api_key="k", sleep=lambda s: None)
+        with pytest.raises(HttpError) as err:
+            provider.complete(req())
+        assert err.value.status == 200
+        assert provider.snapshot_stats().calls == 1
+
+
+class TestHttpTransportFailures:
+    def test_stalled_server_times_out(self):
+        # The kernel completes the handshake on a listening socket; nothing
+        # ever reads the request or answers it.
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+            sleeps = []
+            provider = HttpProvider(url, model="m", api_key="k", timeout=0.3, sleep=sleeps.append)
+            started = time.monotonic()
+            with pytest.raises(Timeout):
+                provider.complete(req())
+            assert time.monotonic() - started < 3.0
+        assert provider.snapshot_stats().calls == 1
+        assert sleeps == []
+
+    def test_refused_port(self):
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            port = probe.getsockname()[1]
+        sleeps = []
+        provider = HttpProvider(f"http://127.0.0.1:{port}", model="m", api_key="k", sleep=sleeps.append)
+        with pytest.raises(HttpError) as err:
+            provider.complete(req())
+        assert err.value.status == 0
+        assert provider.snapshot_stats().calls == 1
+        assert sleeps == []
+
+    def test_connection_dropped_after_request(self):
+        server, thread = _serve(_HangUpHandler)
+        try:
+            sleeps = []
+            provider = HttpProvider(
+                f"http://127.0.0.1:{server.server_port}", model="m", api_key="k", sleep=sleeps.append
+            )
+            with pytest.raises(HttpError) as err:
+                provider.complete(req())
+        finally:
+            _stop(server, thread)
+        assert err.value.status == 0
+        assert provider.snapshot_stats().calls == 1
+        assert sleeps == []
+
+    @pytest.mark.parametrize("base_url", ["localhost:8000", "file:///tmp", "ftp://host", "http://[::1"])
+    def test_base_url_must_be_http(self, base_url):
+        with pytest.raises(MachinaError):
+            HttpProvider(base_url, model="m")
+
+
+class _RecordingHandler(BaseHTTPRequestHandler):
+    """Records the method and Authorization header of every request and
+    answers it with a completion."""
+
+    seen: list = []
+
+    def _answer(self):
+        _RecordingHandler.seen.append((self.command, self.headers.get("Authorization")))
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        data = json.dumps(ok_body()).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args):
+        pass
+
+
+class TestHttpRedirects:
+    """No redirect is followed, so the bearer token reaches ``base_url`` only."""
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_fails_as_its_status_and_sends_no_key_elsewhere(self, status):
+        target, target_thread = _serve(_RecordingHandler)
+        redirector, redirector_thread = _serve(_RedirectHandler)
+        try:
+            _RecordingHandler.seen = []
+            _RedirectHandler.status = status
+            _RedirectHandler.location = f"http://127.0.0.1:{target.server_port}/chat/completions"
+            sleeps = []
+            provider = HttpProvider(
+                f"http://127.0.0.1:{redirector.server_port}", model="m", api_key="secret", sleep=sleeps.append
+            )
+            with pytest.raises(HttpError) as err:
+                provider.complete(req())
+        finally:
+            _stop(redirector, redirector_thread)
+            _stop(target, target_thread)
+        assert err.value.status == status
+        assert _RecordingHandler.seen == []
+        assert provider.snapshot_stats().calls == 1
+        assert sleeps == []
+
+
+class TestHttpBaseUrl:
+    def test_non_ascii_path_is_percent_encoded(self, stub_server):
+        _Handler.plan = [(200, ok_body())]
+        provider = HttpProvider(f"{stub_server}/v\u00e9 x/%41", model="m", api_key="k")
+        assert provider.complete(req()) == "pong"
+        assert _Handler.seen[0]["path"] == "/v%C3%A9%20x/%41/chat/completions"
+
+    def test_host_that_idna_cannot_encode_is_rejected(self):
+        with pytest.raises(MachinaError):
+            HttpProvider(f"http://{'a' * 70}.example", model="m")
