@@ -4,14 +4,15 @@ An action implementation is a callable ``(inputs, context) -> output`` where
 ``inputs`` is the resolved parameter dict and the output is any JSON value.
 The registry declares canonical parameter specs per action for documentation
 and for guard-time invocation; machines bind parameters per usage site
-through their own :class:`~machina.model.ActionSpec`.
+through their own :class:`~machina.model.ActionSpec`. The scene actions
+receive their ``scene`` parameter parsed, as a :class:`~machina.scene.SceneGraph`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 from . import scene as scene_ops
 from .errors import MachinaError, require_object
@@ -51,10 +52,17 @@ ActionImpl = Callable[[dict[str, JsonValue], ActionContext], JsonValue]
 
 @dataclass(frozen=True)
 class RegisteredAction:
+    """A registered action. ``parsers`` maps a parameter name to the
+    function that turns its bound JSON value into what ``impl`` receives;
+    a value read from a task input is parsed once per belief."""
+
     name: str
     params: tuple[ParameterSpec, ...]
     impl: ActionImpl
     output_datatype: str = "json"
+    parsers: Mapping[str, Callable[[JsonValue], object]] = field(
+        default_factory=dict, compare=False
+    )
 
 
 @dataclass
@@ -129,25 +137,29 @@ def _int(name: str, datatype: str, description: str = "", source_key: str | None
     return ParameterSpec(name, SOURCE_INTERNAL, datatype, description, source_key)
 
 
-def _scene_of(inputs: dict[str, JsonValue]) -> scene_ops.SceneGraph:
-    return scene_ops.scene_from_json_value(inputs["scene"])
+def _parse_scene(value: JsonValue) -> scene_ops.SceneGraph:
+    # looked up on the module at call time, so a wrapper installed there sees it
+    return scene_ops.scene_from_json_value(value)
+
+
+_SCENE_PARSER = {"scene": _parse_scene}
 
 
 def _filter_impl(inputs, ctx) -> JsonValue:
     predicate = require_object(inputs["predicate"], "/predicate")
-    return scene_ops.filter_objects(_scene_of(inputs), predicate)
+    return scene_ops.filter_objects(inputs["scene"], predicate)
 
 
 def _relation_impl(inputs, ctx) -> JsonValue:
-    return scene_ops.related_objects(_scene_of(inputs), inputs["object"], inputs["relation"])
+    return scene_ops.related_objects(inputs["scene"], inputs["object"], inputs["relation"])
 
 
 def _checking_impl(inputs, ctx) -> JsonValue:
-    return scene_ops.same_attribute(_scene_of(inputs), inputs["object"], inputs["attribute"])
+    return scene_ops.same_attribute(inputs["scene"], inputs["object"], inputs["attribute"])
 
 
 def _query_impl(inputs, ctx) -> JsonValue:
-    return scene_ops.query_attribute(_scene_of(inputs), inputs["object"], inputs["attribute"])
+    return scene_ops.query_attribute(inputs["scene"], inputs["object"], inputs["attribute"])
 
 
 def _count_impl(inputs, ctx) -> JsonValue:
@@ -162,11 +174,11 @@ def _classify_impl(inputs, ctx) -> JsonValue:
 
 
 def _extract_impl(inputs, ctx) -> JsonValue:
-    return scene_ops.extract_objects(ctx.provider, _scene_of(inputs), inputs["question"])
+    return scene_ops.extract_objects(ctx.provider, inputs["scene"], inputs["question"])
 
 
 def _answer_impl(inputs, ctx) -> JsonValue:
-    return scene_ops.answer_question(ctx.provider, _scene_of(inputs), inputs["question"])
+    return scene_ops.answer_question(ctx.provider, inputs["scene"], inputs["question"])
 
 
 def _note_impl(inputs, ctx) -> JsonValue:
@@ -189,6 +201,7 @@ _BUILTIN_ACTIONS = {
             "filter",
             (_ext("predicate", "json", "attribute name to required value"), _SCENE_PARAM),
             _filter_impl,
+            parsers=_SCENE_PARSER,
         ),
         RegisteredAction(
             "relation",
@@ -198,6 +211,7 @@ _BUILTIN_ACTIONS = {
                 _SCENE_PARAM,
             ),
             _relation_impl,
+            parsers=_SCENE_PARSER,
         ),
         RegisteredAction(
             "checking",
@@ -207,6 +221,7 @@ _BUILTIN_ACTIONS = {
                 _SCENE_PARAM,
             ),
             _checking_impl,
+            parsers=_SCENE_PARSER,
         ),
         RegisteredAction(
             "query",
@@ -217,6 +232,7 @@ _BUILTIN_ACTIONS = {
             ),
             _query_impl,
             output_datatype="string",
+            parsers=_SCENE_PARSER,
         ),
         RegisteredAction(
             "countObjects",
@@ -234,12 +250,14 @@ _BUILTIN_ACTIONS = {
             "extractObjects",
             (_int("question", "string"), _SCENE_PARAM),
             _extract_impl,
+            parsers=_SCENE_PARSER,
         ),
         RegisteredAction(
             "answerQuestion",
             (_int("question", "string"), _SCENE_PARAM),
             _answer_impl,
             output_datatype="string",
+            parsers=_SCENE_PARSER,
         ),
         RegisteredAction(
             "note",

@@ -1,10 +1,11 @@
 """The agent's mutable task memory.
 
 A belief holds the task context (messages that started the task), the
-trajectory store (every fired transition), the execution log (every executed
-action with its inputs and output) and a key-value store for intermediate
-results. :func:`render_history` produces the bounded text block that
-LLM-facing prompts embed.
+read-only task inputs (values such as a scene that the task reads but never
+changes), the trajectory store (every fired transition), the execution log
+(every executed action with its inputs and output) and a key-value store for
+intermediate results. :func:`render_history` produces the bounded text block
+that LLM-facing prompts embed.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, Mapping
 
 from .errors import MachinaError
 from .keypath import JsonValue, resolve, split_path
@@ -50,7 +52,9 @@ class TransitionRecord:
 @dataclass(frozen=True)
 class ActionRecord:
     """One executed action. ``step`` is the trajectory step it belongs to;
-    step 0 marks actions that ran while entering the initial state."""
+    step 0 marks actions that ran while entering the initial state. An
+    input bound to a task input is recorded as the reference
+    ``"<input:name>"``, not as a copy of its value."""
 
     step: int
     action: str
@@ -61,21 +65,46 @@ class ActionRecord:
 
 @dataclass
 class Belief:
+    """The agent's memory. ``inputs`` is read-only: the engine never
+    changes it, snapshots share it, and actions get copies or parsed forms
+    of its values. ``_parsed`` memoizes :func:`parsed_input`."""
+
     task_context: list[tuple[str, str]] = field(default_factory=list)
     trajectory: list[TransitionRecord] = field(default_factory=list)
     execution_log: list[ActionRecord] = field(default_factory=list)
     kv: dict[str, JsonValue] = field(default_factory=dict)
     current_state: str | None = None
+    inputs: dict[str, JsonValue] = field(default_factory=dict)
+    _parsed: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def new_belief(task_context: Iterable[tuple[str, str]] = ()) -> Belief:
-    """Fresh belief with empty stores and no current state."""
+class ReadOnlyInput(MachinaError):
+    def __init__(self, key: str):
+        super().__init__(f"{key!r} is a read-only task input")
+        self.key = key
+
+
+def new_belief(
+    task_context: Iterable[tuple[str, str]] = (),
+    inputs: Mapping[str, JsonValue] | None = None,
+) -> Belief:
+    """Fresh belief with empty stores and no current state.
+
+    ``inputs`` become the read-only task inputs, copied once here. Their
+    keys must be identifiers; internal parameters, guards, rules and
+    :func:`kv_get` read them like key-value entries.
+    """
     context = []
     for role, text in task_context:
         if role not in ROLES:
             raise MachinaError(f"task context role must be one of {ROLES}, got {role!r}")
         context.append((role, str(text)))
-    return Belief(task_context=context)
+    own_inputs = {}
+    for key, value in (inputs or {}).items():
+        if not is_identifier(key):
+            raise MachinaError(f"input key must be an identifier, got {key!r}")
+        own_inputs[key] = copy_json(value)
+    return Belief(task_context=context, inputs=own_inputs)
 
 
 def record_transition(belief: Belief, rec: TransitionRecord) -> Belief:
@@ -106,18 +135,45 @@ def record_action(belief: Belief, rec: ActionRecord) -> Belief:
 
 
 def kv_set(belief: Belief, key: str, value: JsonValue) -> Belief:
+    """Store ``value`` under ``key``; a task input's key raises
+    :class:`ReadOnlyInput`."""
     if not is_identifier(key):
         raise MachinaError(f"kv key must be an identifier, got {key!r}")
+    if key in belief.inputs:
+        raise ReadOnlyInput(key)
     belief.kv[key] = value
     return belief
 
 
 def kv_get(belief: Belief, path: str):
-    """Resolve a dotted path into the store; ``ABSENT`` when missing."""
-    return resolve(belief.kv, split_path(path))
+    """Resolve a dotted path into the task inputs or the store; ``ABSENT``
+    when missing."""
+    segments = split_path(path)
+    return resolve(belief.inputs if segments[0] in belief.inputs else belief.kv, segments)
 
 
-_JSON_SCALARS = (str, int, float, bool, type(None))
+def lookup_scope(belief: Belief) -> Mapping[str, JsonValue]:
+    """What guard expressions read: the store, plus the task inputs."""
+    return ChainMap(belief.inputs, belief.kv) if belief.inputs else belief.kv
+
+
+def parsed_input(belief: Belief, path: str, parse: Callable[[JsonValue], object]):
+    """``parse`` of the task input at ``path``, computed once per belief.
+
+    The memo is keyed by path and parser; snapshots share it, as they share
+    the inputs it is computed from.
+    """
+    key = (path, parse)
+    try:
+        return belief._parsed[key]
+    except KeyError:
+        pass
+    value = parse(kv_get(belief, path))
+    belief._parsed[key] = value
+    return value
+
+
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 class NestingTooDeep(MachinaError):
@@ -133,10 +189,11 @@ def copy_json(value: JsonValue) -> JsonValue:
     """
     kind = type(value)
     try:
+        # scalars inline: most members of a JSON document are leaves
         if kind is dict:
-            return {k: copy_json(v) for k, v in value.items()}
+            return {k: v if type(v) in _JSON_SCALARS else copy_json(v) for k, v in value.items()}
         if kind is list:
-            return [copy_json(v) for v in value]
+            return [v if type(v) in _JSON_SCALARS else copy_json(v) for v in value]
         if kind in _JSON_SCALARS:
             return value
         return copy.deepcopy(value)
@@ -148,10 +205,10 @@ def copy_json(value: JsonValue) -> JsonValue:
 def snapshot(belief: Belief) -> Belief:
     """A copy of ``belief`` that later changes to it cannot reach.
 
-    Records are frozen and hold values copied when they were made, so the
-    copy shares them; only the key-value store, whose values actions receive
-    by reference, is copied. Edit a snapshot's records only after
-    ``copy.deepcopy``.
+    Records are frozen and hold values copied when they were made, and the
+    task inputs are read-only, so the copy shares them; only the key-value
+    store, whose values actions receive by reference, is copied. Edit a
+    snapshot's records only after ``copy.deepcopy``.
     """
     return Belief(
         task_context=list(belief.task_context),
@@ -159,6 +216,8 @@ def snapshot(belief: Belief) -> Belief:
         execution_log=list(belief.execution_log),
         kv=copy_json(belief.kv),
         current_state=belief.current_state,
+        inputs=belief.inputs,
+        _parsed=belief._parsed,
     )
 
 
@@ -166,6 +225,7 @@ def belief_to_trace(belief: Belief) -> dict:
     """JSON-ready trace document (the CLI ``--trace`` payload)."""
     return {
         "task_context": [{"role": r, "text": t} for r, t in belief.task_context],
+        "inputs": belief.inputs,
         "trajectory": [
             {
                 "step": r.step,

@@ -120,12 +120,12 @@ def _build_agent(
             )
         )
     )
-    belief = new_belief([("user", question)] if question else [])
+    inputs = {}
+    if scene_path:
+        inputs["scene"] = scene_to_json_value(parse_scene(Path(scene_path).read_bytes()))
+    belief = new_belief([("user", question)] if question else [], inputs=inputs)
     if question:
         kv_set(belief, "question", question)
-    if scene_path:
-        scene = parse_scene(Path(scene_path).read_bytes())
-        kv_set(belief, "scene", scene_to_json_value(scene))
     return Agent(
         machine=machine,
         belief=belief,

@@ -16,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
-from .actions import ActionContext, ActionRegistry, ArgumentTypeError, coerce_argument
+from .actions import (
+    ActionContext,
+    ActionRegistry,
+    ArgumentTypeError,
+    RegisteredAction,
+    coerce_argument,
+)
 from .belief import (
     PHASE_ENTRY,
     PHASE_EXIT,
@@ -28,6 +34,8 @@ from .belief import (
     copy_json,
     kv_get,
     kv_set,
+    lookup_scope,
+    parsed_input,
     record_action,
     record_transition,
     snapshot,
@@ -201,14 +209,14 @@ def eval_guard(
 ) -> bool:
     """Evaluate a transition guard against the belief.
 
-    Expression guards run over the key-value store. Action guards invoke the
-    named registered action, binding its internal parameters from the
-    belief, and coerce the output by guard truthiness. Guard evaluation is
-    not logged as an executed action; any provider calls it makes still
-    count in the provider's stats.
+    Expression guards run over the key-value store and the task inputs.
+    Action guards invoke the named registered action, binding its internal
+    parameters from the belief, and coerce the output by guard truthiness.
+    Guard evaluation is not logged as an executed action; any provider calls
+    it makes still count in the provider's stats.
     """
     if guard.kind == GUARD_EXPRESSION:
-        return evaluate_text(guard.expression or "", belief.kv)
+        return evaluate_text(guard.expression or "", lookup_scope(belief))
     if guard.kind != GUARD_ACTION:
         raise MachinaError(f"unknown guard kind {guard.kind!r}")
     name = guard.action_name or ""
@@ -216,7 +224,7 @@ def eval_guard(
     if registered is None:
         raise UnknownGuardAction(name)
     internal = [p for p in registered.params if p.source == SOURCE_INTERNAL]
-    inputs = _bind(name, internal, {}, belief)
+    inputs, _ = _bind(registered, internal, {}, belief)
     context = ActionContext(provider=provider, spec=ActionSpec(name))
     try:
         output = registered.impl(inputs, context)
@@ -352,13 +360,16 @@ def resolve_transition(
 
 
 def _bind(
-    action: str,
+    registered: RegisteredAction,
     params: Sequence[ParameterSpec],
     external_args: Mapping[str, JsonValue],
     belief: Belief,
-) -> dict[str, JsonValue]:
-    """Inputs for ``params``, bound as :func:`execute_action` describes."""
+) -> tuple[dict[str, JsonValue], dict[str, JsonValue]]:
+    """Inputs for ``params`` and their record form, bound as
+    :func:`execute_action` describes."""
+    action = registered.name
     inputs: dict[str, JsonValue] = {}
+    recorded: dict[str, JsonValue] = {}
     for param in params:
         if param.source == SOURCE_EXTERNAL:
             if param.name not in external_args:
@@ -369,12 +380,24 @@ def _bind(
                 raise ActionFailure(action, f"argument {param.name!r}: {exc}") from None
             # the event payload stays in the trajectory; the action gets its own copy
             inputs[param.name] = copy_json(value)
-        else:
-            value = kv_get(belief, param.resolved_source_key)
-            if value is ABSENT:
-                raise MissingInternalValue(param.resolved_source_key)
-            inputs[param.name] = value
-    return inputs
+            recorded[param.name] = copy_json(value)
+            continue
+        key = param.resolved_source_key
+        value = kv_get(belief, key)
+        if value is ABSENT:
+            raise MissingInternalValue(key)
+        # a task input is read-only: its record names it, its action gets a copy
+        shared = bool(belief.inputs) and key.partition(".")[0] in belief.inputs
+        recorded[param.name] = f"<input:{key}>" if shared else copy_json(value)
+        parse = registered.parsers.get(param.name)
+        if parse is None:
+            inputs[param.name] = copy_json(value) if shared else value
+            continue
+        try:
+            inputs[param.name] = parsed_input(belief, key, parse) if shared else parse(value)
+        except Exception as exc:
+            raise ActionFailure(action, f"parameter {param.name!r}: {exc}") from exc
+    return inputs, recorded
 
 
 def execute_action(
@@ -390,17 +413,19 @@ def execute_action(
     """Bind parameters, run the action, store its output, log the record.
 
     External parameters come from ``external_args`` and are datatype
-    checked; internal parameters are read from the key-value store under
-    their source keys. The output lands in the store under the
-    action's output key. The record holds copies of the inputs as the action
-    got them and of its output, so nothing the action or a later step does
-    to those values reaches the record.
+    checked; internal parameters are read from the task inputs or the
+    key-value store under their source keys. The output lands in the store
+    under the action's output key. The record holds copies of the inputs as
+    the action got them and of its output, so nothing the action or a later
+    step does to those values reaches the record. An input bound to a task
+    input is recorded as ``"<input:key>"``; the action gets its own copy of
+    the value, or, for a parameter the action parses (the scene actions'
+    ``scene``), the parse memoized per belief.
     """
     registered = registry.lookup(spec.name)
     if registered is None:
         raise ActionFailure(spec.name, "not registered")
-    inputs = _bind(spec.name, spec.params, external_args, belief)
-    recorded_inputs = copy_json(inputs)
+    inputs, recorded_inputs = _bind(registered, spec.params, external_args, belief)
     context = ActionContext(provider=provider, spec=spec)
     try:
         output = registered.impl(inputs, context)

@@ -11,8 +11,9 @@ Grammar (``and`` binds tighter than ``or``)::
 Literals are single- or double-quoted strings, decimal numbers (optional
 leading minus, no exponent), ``true``, ``false`` and ``null``. A bare path
 evaluates by truthiness: anything except ``null``, ``false`` and the empty
-string counts as true. Paths resolve into the belief's key-value store; a
-leading ``kv.`` segment is accepted as an explicit alias for that root.
+string counts as true. Paths resolve into the belief's key-value store and
+its read-only task inputs; a leading ``kv.`` segment is accepted as an
+explicit alias for that root.
 """
 
 from __future__ import annotations
@@ -314,7 +315,8 @@ def resolve_kv_path(kv: Mapping[str, JsonValue], segments: tuple[str, ...]):
     """
     if len(segments) > 1 and segments[0] == "kv":
         segments = segments[1:]
-    return resolve(dict(kv), segments)
+    head = kv.get(segments[0], ABSENT)
+    return head if head is ABSENT else resolve(head, segments[1:])
 
 
 def _json_equal(a: JsonValue, b: JsonValue) -> bool:

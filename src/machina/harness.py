@@ -410,9 +410,8 @@ _QA_POLICY_CONFIG = LlmPolicyConfig(
 
 
 def _qa_belief(question: str, scene: SceneGraph):
-    belief = new_belief([("user", question)])
+    belief = new_belief([("user", question)], inputs={"scene": scene_to_json_value(scene)})
     kv_set(belief, "question", question)
-    kv_set(belief, "scene", scene_to_json_value(scene))
     return belief
 
 

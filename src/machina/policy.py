@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from .actions import ArgumentTypeError, coerce_argument
-from .belief import Belief, kv_get, render_history
+from .belief import Belief, kv_get, lookup_scope, render_history
 from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
 from .guards import GuardExpr, evaluate, parse_guard
 from .json_extract import first_json_object, read_json
@@ -179,7 +179,7 @@ def rule_decide(
     for rule in rules:
         if rule.when_state is not None and rule.when_state != state.name:
             continue
-        if rule.when_guard is not None and not evaluate(rule.when_guard, belief.kv):
+        if rule.when_guard is not None and not evaluate(rule.when_guard, lookup_scope(belief)):
             continue
         candidate = next(
             (c for c in passing if c.transition.event == rule.emit_event), None
@@ -207,12 +207,15 @@ def build_policy_prompt(
     candidates: Sequence[CandidateTransition],
     belief: Belief,
 ) -> str:
-    """Deterministic five-section prompt: task description, execution
-    history, current state, available transitions, output instruction."""
+    """Deterministic five-section prompt: task description and the task
+    context messages, execution history, current state, available
+    transitions, output instruction."""
     passing = [c for c in candidates if c.guard_passed]
     if not passing:
         raise NoCandidates()
-    lines = ["# Task", cfg.task_description, ""]
+    lines = ["# Task", cfg.task_description]
+    lines += [f"{role}: {text}" for role, text in belief.task_context]
+    lines.append("")
     lines += ["# Execution history", render_history(belief, cfg.history_token_budget), ""]
     lines += ["# Current state", f"{state.name}: {state.description}", ""]
     lines.append("# Available transitions")

@@ -289,7 +289,7 @@ def extract_objects(provider: CompletionProvider, scene: SceneGraph, question: s
     """
     prompt = (
         "Scene graph:\n"
-        f"{json.dumps(scene_to_json_value(scene), indent=2)}\n\n"
+        f"{json.dumps(scene_to_json_value(scene))}\n\n"
         f"Question: {question}\n"
         "List the ids of the objects the question refers to as a JSON array"
         ' of strings, for example ["o1", "o2"].'
@@ -309,7 +309,7 @@ def answer_question(provider: CompletionProvider, scene: SceneGraph, question: s
     """Ask the provider to answer directly from the scene; normalized reply."""
     prompt = (
         "Scene graph:\n"
-        f"{json.dumps(scene_to_json_value(scene), indent=2)}\n\n"
+        f"{json.dumps(scene_to_json_value(scene))}\n\n"
         f"Question: {question}\n"
         "Answer with a single word or number."
     )

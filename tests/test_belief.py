@@ -197,6 +197,7 @@ class TestTrace:
         trace = belief_to_trace(b)
         assert set(trace) == {
             "task_context",
+            "inputs",
             "trajectory",
             "execution_log",
             "kv",

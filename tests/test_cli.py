@@ -134,6 +134,7 @@ class TestRun:
         trace = json.loads(trace_path.read_text())
         assert set(trace) == {
             "task_context",
+            "inputs",
             "trajectory",
             "execution_log",
             "kv",
@@ -214,7 +215,9 @@ class _QaStubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def qa_stub_server():
     server = HTTPServer(("127.0.0.1", 0), _QaStubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()

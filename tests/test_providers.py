@@ -143,7 +143,9 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     _Handler.plan = []
     _Handler.seen = []
@@ -275,7 +277,9 @@ class _HangUpHandler(BaseHTTPRequestHandler):
 
 def _serve(handler):
     server = HTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     return server, thread
 

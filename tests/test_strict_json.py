@@ -143,7 +143,9 @@ class _RawHandler(BaseHTTPRequestHandler):
 @pytest.fixture(scope="module")
 def raw_server():
     server = HTTPServer(("127.0.0.1", 0), _RawHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
