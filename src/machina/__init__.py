@@ -59,7 +59,6 @@ from .policy import (
     CandidateTransition,
     EventSelection,
     LlmPolicy,
-    LlmPolicyConfig,
     Rule,
     RulePolicy,
     build_policy_prompt,

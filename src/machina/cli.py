@@ -14,9 +14,10 @@ from pathlib import Path
 import click
 
 from .actions import builtin_registry
-from .belief import belief_to_trace, new_belief, kv_set
+from .belief import belief_to_trace
 from .dot import export_dot
 from .engine import (
+    DEFAULT_MAX_TRANSITIONS,
     Agent,
     EventInstance,
     RunLimits,
@@ -33,15 +34,16 @@ from .harness import (
     generate_mini_clevr,
     oracle_agent_factory,
     qa_agent_factory,
+    qa_belief,
     read_dataset,
     run_eval,
 )
 from .json_extract import read_json
 from .machine_io import load_machine
 from .model import validate_machine
-from .policy import LlmPolicy, LlmPolicyConfig, PolicyStage, RulePolicy, load_rules
+from .policy import DEFAULT_HISTORY_BUDGET, LlmPolicy, PolicyStage, RulePolicy, load_rules
 from .providers import HttpProvider, load_script
-from .scene import parse_scene, scene_to_json_value
+from .scene import parse_scene
 
 EXIT_CODES = {
     STATUS_COMPLETED: 0,
@@ -114,21 +116,14 @@ def _build_agent(
         stack.append(RulePolicy(load_rules(rules_path)))
     stack.append(
         LlmPolicy(
-            LlmPolicyConfig(
-                task_description="Advance the task defined by the state machine.",
-                history_token_budget=history_budget,
-            )
+            task_description="Advance the task defined by the state machine.",
+            history_token_budget=history_budget,
         )
     )
-    inputs = {}
-    if scene_path:
-        inputs["scene"] = scene_to_json_value(parse_scene(Path(scene_path).read_bytes()))
-    belief = new_belief([("user", question)] if question else [], inputs=inputs)
-    if question:
-        kv_set(belief, "question", question)
+    scene = parse_scene(Path(scene_path).read_bytes()) if scene_path else None
     return Agent(
         machine=machine,
-        belief=belief,
+        belief=qa_belief(question, scene),
         policy=tuple(stack),
         registry=builtin_registry(),
         provider=provider,
@@ -159,8 +154,8 @@ _run_options = [
     click.option("--rules", "rules_path", type=click.Path(), default=None),
     click.option("--base-url", default=None),
     click.option("--model", default=None),
-    click.option("--max-transitions", default=10, show_default=True),
-    click.option("--history-budget", default=3000, show_default=True),
+    click.option("--max-transitions", default=DEFAULT_MAX_TRANSITIONS, show_default=True),
+    click.option("--history-budget", default=DEFAULT_HISTORY_BUDGET, show_default=True),
     click.option("--trace", "trace_path", type=click.Path(), default=None),
     click.option("--scene", "scene_path", type=click.Path(), default=None),
     click.option("--question", default=None),
@@ -254,7 +249,7 @@ def repl(trace_path: str | None, **options) -> None:
 @click.option("--provider", "provider_spec", default="oracle", show_default=True)
 @click.option("--base-url", default=None)
 @click.option("--model", default=None)
-@click.option("--max-transitions", default=10, show_default=True)
+@click.option("--max-transitions", default=DEFAULT_MAX_TRANSITIONS, show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def bench(
     dataset_path: str | None,

@@ -30,6 +30,7 @@ from .belief import (
     ActionRecord,
     Belief,
     NestingTooDeep,
+    ReadOnlyInput,
     TransitionRecord,
     copy_json,
     kv_get,
@@ -425,6 +426,8 @@ def execute_action(
     registered = registry.lookup(spec.name)
     if registered is None:
         raise ActionFailure(spec.name, "not registered")
+    if spec.resolved_output_key in belief.inputs:
+        raise ReadOnlyInput(spec.resolved_output_key)
     inputs, recorded_inputs = _bind(registered, spec.params, external_args, belief)
     context = ActionContext(provider=provider, spec=spec)
     try:

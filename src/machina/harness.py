@@ -20,13 +20,13 @@ from statistics import fmean
 from typing import Callable, Mapping
 
 from .actions import builtin_registry
-from .belief import new_belief, kv_set
+from .belief import Belief, new_belief, kv_set
 from .engine import Agent, RunLimits, run
 from .errors import MachinaError, check_keys, require_object, require_string
 from .json_extract import JsonSyntaxError, read_json
 from .machine_io import parse_machine
 from .model import StateMachine
-from .policy import LlmPolicy, LlmPolicyConfig, PolicyStage, RulePolicy, rules_from_value
+from .policy import LlmPolicy, PolicyStage, RulePolicy, rules_from_value
 from .providers import CompletionProvider, ScriptedProvider
 from .scene import (
     ATTRIBUTE_VALUES,
@@ -404,14 +404,19 @@ def builtin_rules(name: str) -> tuple:
     return rules_from_value(read_json(data))
 
 
-_QA_POLICY_CONFIG = LlmPolicyConfig(
-    task_description="Answer the user's question about the scene graph stored in the belief.",
+_QA_POLICY = LlmPolicy(
+    task_description="Answer the user's question about the scene graph stored in the belief."
 )
 
 
-def _qa_belief(question: str, scene: SceneGraph):
-    belief = new_belief([("user", question)], inputs={"scene": scene_to_json_value(scene)})
-    kv_set(belief, "question", question)
+def qa_belief(question: str | None = None, scene: SceneGraph | None = None) -> Belief:
+    """Belief for a question about a scene: the question is the task
+    context's ``user`` message and ``kv["question"]``, and the scene is the
+    read-only task input ``scene``. Either may be left out."""
+    inputs = {"scene": scene_to_json_value(scene)} if scene is not None else {}
+    belief = new_belief([("user", question)] if question else [], inputs=inputs)
+    if question:
+        kv_set(belief, "question", question)
     return belief
 
 
@@ -420,7 +425,6 @@ def make_qa_agent(
     question: str,
     scene: SceneGraph,
     provider: CompletionProvider,
-    max_transitions: int = 10,
 ) -> Agent:
     """Agent for one of the bundled question-answering machines.
 
@@ -430,16 +434,15 @@ def make_qa_agent(
     machine = builtin_machine(variant)
     stack: tuple[PolicyStage, ...]
     if variant == "routing":
-        stack = (RulePolicy(builtin_rules("routing")), LlmPolicy(_QA_POLICY_CONFIG))
+        stack = (RulePolicy(builtin_rules("routing")), _QA_POLICY)
     else:
-        stack = (LlmPolicy(_QA_POLICY_CONFIG),)
+        stack = (_QA_POLICY,)
     return Agent(
         machine=machine,
-        belief=_qa_belief(question, scene),
+        belief=qa_belief(question, scene),
         policy=stack,
         registry=builtin_registry(),
         provider=provider,
-        limits=RunLimits(max_transitions=max_transitions),
     )
 
 

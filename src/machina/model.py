@@ -173,10 +173,6 @@ class StateMachine:
             raise UnknownState(name)
         return self._index[1][name]
 
-    def all_states(self) -> Iterator[State]:
-        """Pre-order walk over every state at every nesting level."""
-        return (st for st, _ in _walk_with_parents(self.states))
-
 
 # ---------------------------------------------------------------------------
 # Structure queries

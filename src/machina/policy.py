@@ -22,7 +22,11 @@ from .model import TRIGGER_INTERNAL, ParameterSpec, State, Transition
 from .providers import CompletionProvider, CompletionRequest
 
 DEFAULT_HISTORY_BUDGET = 3000
-DEFAULT_PARSE_RETRIES = 1
+PARSE_RETRIES = 1
+OUTPUT_INSTRUCTION = (
+    "Choose the next transition. Reply with exactly one JSON object of the form "
+    '{"event": "<event name>", "arguments": {<param name>: <value>}}.'
+)
 
 
 class PolicyError(MachinaError):
@@ -111,30 +115,18 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class LlmPolicyConfig:
-    task_description: str
-    output_instruction: str = (
-        "Choose the next transition. Reply with exactly one JSON object of the form "
-        '{"event": "<event name>", "arguments": {<param name>: <value>}}.'
-    )
-    history_token_budget: int = DEFAULT_HISTORY_BUDGET
-    max_parse_retries: int = DEFAULT_PARSE_RETRIES
-
-    def __post_init__(self) -> None:
-        if self.history_token_budget < 1:
-            raise MachinaError("history_token_budget must be at least 1")
-        if self.max_parse_retries < 0:
-            raise MachinaError("max_parse_retries must not be negative")
-
-
-@dataclass(frozen=True)
 class RulePolicy:
     rules: tuple[Rule, ...]
 
 
 @dataclass(frozen=True)
 class LlmPolicy:
-    config: LlmPolicyConfig
+    task_description: str
+    history_token_budget: int = DEFAULT_HISTORY_BUDGET
+
+    def __post_init__(self) -> None:
+        if self.history_token_budget < 1:
+            raise MachinaError("history_token_budget must be at least 1")
 
 
 PolicyStage = Union[RulePolicy, LlmPolicy]
@@ -202,7 +194,7 @@ def rule_decide(
 
 
 def build_policy_prompt(
-    cfg: LlmPolicyConfig,
+    policy: LlmPolicy,
     state: State,
     candidates: Sequence[CandidateTransition],
     belief: Belief,
@@ -213,10 +205,10 @@ def build_policy_prompt(
     passing = [c for c in candidates if c.guard_passed]
     if not passing:
         raise NoCandidates()
-    lines = ["# Task", cfg.task_description]
+    lines = ["# Task", policy.task_description]
     lines += [f"{role}: {text}" for role, text in belief.task_context]
     lines.append("")
-    lines += ["# Execution history", render_history(belief, cfg.history_token_budget), ""]
+    lines += ["# Execution history", render_history(belief, policy.history_token_budget), ""]
     lines += ["# Current state", f"{state.name}: {state.description}", ""]
     lines.append("# Available transitions")
     for c in passing:
@@ -229,7 +221,7 @@ def build_policy_prompt(
         else:
             params = "none"
         lines.append(f"- {t.event} -> {t.target}: {c.target_description} | params: {params}")
-    lines += ["", "# Output instruction", cfg.output_instruction]
+    lines += ["", "# Output instruction", OUTPUT_INSTRUCTION]
     return "\n".join(lines)
 
 
@@ -266,16 +258,16 @@ def parse_policy_response(
 
 
 def llm_decide(
-    cfg: LlmPolicyConfig,
+    policy: LlmPolicy,
     provider: CompletionProvider,
     state: State,
     candidates: Sequence[CandidateTransition],
     belief: Belief,
 ) -> EventSelection:
     """Prompt, complete, parse; on a bad reply retry with the error appended."""
-    prompt = build_policy_prompt(cfg, state, candidates, belief)
+    prompt = build_policy_prompt(policy, state, candidates, belief)
     last_error: PolicyError | None = None
-    for _ in range(cfg.max_parse_retries + 1):
+    for _ in range(PARSE_RETRIES + 1):
         reply = provider.complete(CompletionRequest(prompt=prompt))
         try:
             return parse_policy_response(reply, candidates)
@@ -312,7 +304,7 @@ def decide(
                 return selection
         elif isinstance(stage, LlmPolicy):
             if selectable:
-                return llm_decide(stage.config, provider, state, selectable, belief)
+                return llm_decide(stage, provider, state, selectable, belief)
         else:
             raise MachinaError(f"unknown policy stage: {stage!r}")
     raise PolicyExhausted()

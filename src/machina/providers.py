@@ -19,12 +19,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
+from .errors import MachinaError, check_keys, require_list, require_object, require_string
 from .json_extract import JsonSyntaxError, read_json
 
 API_KEY_ENV = "SHERPA_API_KEY"
-DEFAULT_TEMPERATURE = 0.01
-DEFAULT_MAX_OUTPUT_BYTES = 16384
+TEMPERATURE = 0.01
+MAX_REPLY_BYTES = 16384
 RETRY_BACKOFF_SECONDS = (0.5, 2.0)
 
 
@@ -59,14 +59,6 @@ class Timeout(ProviderError):
 class CompletionRequest:
     prompt: str
     system: str | None = None
-    temperature: float = DEFAULT_TEMPERATURE
-    max_output_bytes: int = DEFAULT_MAX_OUTPUT_BYTES
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.temperature <= 2:
-            raise MachinaError(f"temperature must be within [0, 2], got {self.temperature}")
-        if self.max_output_bytes < 1:
-            raise MachinaError("max_output_bytes must be positive")
 
 
 @dataclass
@@ -93,11 +85,13 @@ def _prompt_bytes(request: CompletionRequest) -> int:
     return size
 
 
-def _clip_to_bytes(text: str, max_bytes: int) -> str:
+def _clip_reply(text: str) -> str:
+    """The reply cut to its first ``MAX_REPLY_BYTES`` UTF-8 bytes, dropping a
+    character the cut splits."""
     encoded = text.encode("utf-8")
-    if len(encoded) <= max_bytes:
+    if len(encoded) <= MAX_REPLY_BYTES:
         return text
-    return encoded[:max_bytes].decode("utf-8", errors="ignore")
+    return encoded[:MAX_REPLY_BYTES].decode("utf-8", errors="ignore")
 
 
 @dataclass(frozen=True)
@@ -109,20 +103,19 @@ class ScriptStep:
 class ScriptedProvider:
     """Replays a fixed list of replies in order.
 
-    In strict mode a step that declares ``match`` requires the prompt to
-    contain that substring, which pins down prompt plumbing in tests.
-    Replay order matters, so one instance serves one agent at a time.
+    A step that declares ``match`` requires the prompt to contain that
+    substring, which pins down prompt plumbing in tests. Replay order
+    matters, so one instance serves one agent at a time.
     """
 
-    def __init__(self, steps: Sequence[ScriptStep], strict: bool = False):
+    def __init__(self, steps: Sequence[ScriptStep]):
         self.steps = list(steps)
-        self.strict = strict
         self._cursor = 0
         self._stats = CallStats()
 
     @classmethod
-    def from_replies(cls, replies: Sequence[str], strict: bool = False) -> "ScriptedProvider":
-        return cls([ScriptStep(reply=r) for r in replies], strict=strict)
+    def from_replies(cls, replies: Sequence[str]) -> "ScriptedProvider":
+        return cls([ScriptStep(reply=r) for r in replies])
 
     def complete(self, request: CompletionRequest) -> str:
         self._stats.calls += 1
@@ -131,9 +124,9 @@ class ScriptedProvider:
             raise ScriptExhausted()
         step = self.steps[self._cursor]
         self._cursor += 1
-        if self.strict and step.match is not None and step.match not in request.prompt:
+        if step.match is not None and step.match not in request.prompt:
             raise ScriptMismatch(step.match)
-        reply = _clip_to_bytes(step.reply, request.max_output_bytes)
+        reply = _clip_reply(step.reply)
         self._stats.reply_bytes += len(reply.encode("utf-8"))
         return reply
 
@@ -143,9 +136,9 @@ class ScriptedProvider:
 
 def load_script(path: str | Path) -> ScriptedProvider:
     """Load a scripted provider from a JSON file:
-    ``{"strict": bool?, "steps": [{"reply": str, "match": str?}, ...]}``."""
+    ``{"steps": [{"reply": str, "match": str?}, ...]}``."""
     doc = require_object(read_json(Path(path).read_bytes()), "")
-    check_keys(doc, ("steps", "strict"), ("steps",), "")
+    check_keys(doc, ("steps",), ("steps",), "")
     steps = []
     for i, raw in enumerate(require_list(doc["steps"], "/steps")):
         pointer = f"/steps/{i}"
@@ -153,10 +146,7 @@ def load_script(path: str | Path) -> ScriptedProvider:
         check_keys(step, ("reply", "match"), ("reply",), pointer)
         match = require_string(step, "match", pointer) if step.get("match") is not None else None
         steps.append(ScriptStep(reply=require_string(step, "reply", pointer), match=match))
-    strict = doc.get("strict", False)
-    if not isinstance(strict, bool):
-        raise SchemaError("/strict", "strict must be a boolean")
-    return ScriptedProvider(steps, strict=strict)
+    return ScriptedProvider(steps)
 
 
 class _NoRedirect(urllib.request.HTTPRedirectHandler):
@@ -240,7 +230,7 @@ class HttpProvider:
         body = {
             "model": self.model,
             "messages": self._messages(request),
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
         }
         data = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
@@ -263,7 +253,7 @@ class HttpProvider:
             raise HttpError(200, "malformed completion body") from None
         if not isinstance(content, str):
             raise HttpError(200, "completion content is not text")
-        reply = _clip_to_bytes(content, request.max_output_bytes)
+        reply = _clip_reply(content)
         self._stats.reply_bytes += len(reply.encode("utf-8"))
         return reply
 

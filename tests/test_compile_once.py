@@ -41,6 +41,7 @@ from machina.json_extract import read_json
 from machina.machine_io import parse_machine
 from machina.model import (
     ParameterSpec,
+    _walk_with_parents,
     enabled_transitions,
     initial_entry_path,
     parent_chain,
@@ -171,7 +172,7 @@ def all_machines():
 
 
 def leaves(sm):
-    return [st.name for st in sm.all_states() if not st.is_composite]
+    return [st.name for st, _ in _walk_with_parents(sm.states) if not st.is_composite]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from machina.model import (
     Condition,
     ParameterSpec,
 )
-from machina.policy import LlmPolicy, LlmPolicyConfig
+from machina.policy import LlmPolicy
 from machina.providers import ScriptedProvider
 from machina.scene import scene_to_json_value
 from helpers import (
@@ -436,7 +436,7 @@ class TestProviderErrorPassthrough:
         agent = agent_for(
             doc,
             provider=ScriptedProvider.from_replies([]),
-            policy=(LlmPolicy(LlmPolicyConfig(task_description="pick")),),
+            policy=(LlmPolicy(task_description="pick"),),
         )
         result = run(agent)
         assert result.status == "failed"
@@ -567,7 +567,7 @@ class TestRun:
         }
         provider = ScriptedProvider.from_replies(['{"event":"right"}'])
         agent = agent_for(doc, provider=provider,
-                          policy=(LlmPolicy(LlmPolicyConfig(task_description="pick")),))
+                          policy=(LlmPolicy(task_description="pick"),))
         result = run(agent)
         assert result.status == "completed"
         assert result.belief_snapshot.current_state == "c"

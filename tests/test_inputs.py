@@ -220,6 +220,30 @@ class TestUserActionOnInput:
         assert "read-only task input" in result.reason
         assert result.belief_snapshot.inputs == {"scene": {}}
 
+    def test_output_key_clash_fails_before_the_action_runs(self):
+        doc = {
+            "name": "clash",
+            "states": [state("a", tags=["start"]), state("z", tags=["end"])],
+            "transitions": [{"source": "a", "target": "z", "event": "go", "actions": [{
+                "name": "classifyQuestion", "output_key": "scene",
+                "params": [{"name": "question", "source": "internal", "datatype": "string"}],
+            }]}],
+        }
+        belief = new_belief(inputs={"scene": {}})
+        kv_set(belief, "question", "How many cubes are there?")
+        agent = Agent(
+            machine=machine_from(doc),
+            belief=belief,
+            policy=(),
+            registry=builtin_registry(),
+            provider=ScriptedProvider.from_replies(["counting"]),
+        )
+        result = run(agent)
+        assert result.status == "failed"
+        assert "read-only task input" in result.reason
+        assert result.stats.calls == 0
+        assert list(result.belief_snapshot.execution_log) == []
+
 
 class TestSceneInput:
     def test_history_shows_the_reference_not_the_scene(self):

@@ -7,6 +7,7 @@ from machina.actions import builtin_registry
 from machina.harness import builtin_machine
 from machina.model import (
     UnknownState,
+    _walk_with_parents,
     enabled_transitions,
     initial_entry_path,
     is_end,
@@ -220,7 +221,7 @@ class TestQueries:
     def test_enabled_transitions_each_exactly_once(self):
         for name in ("routing", "react", "planning", "h3"):
             sm = builtin_machine(name)
-            for st in sm.all_states():
+            for st, _ in _walk_with_parents(sm.states):
                 enabled = enabled_transitions(sm, st.name)
                 assert len(enabled) == len({id(t) for t in enabled})
 
@@ -232,7 +233,7 @@ class TestQueries:
 
     def test_initial_entry_path_ends_at_leaf(self):
         h3 = builtin_machine("h3")
-        for st in h3.all_states():
+        for st, _ in _walk_with_parents(h3.states):
             leaf = initial_entry_path(h3, st.name)[-1]
             assert not h3.state(leaf).is_composite
 

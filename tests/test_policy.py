@@ -11,7 +11,6 @@ from machina.policy import (
     CandidateTransition,
     EventSelection,
     LlmPolicy,
-    LlmPolicyConfig,
     MissingArgument,
     NoCandidates,
     PathRef,
@@ -42,7 +41,7 @@ def candidate(event, target="t", passed=True, params=(), trigger="internal", des
 
 
 STATE = State(name="s", description="the current stage")
-CFG = LlmPolicyConfig(task_description="do the thing")
+POLICY = LlmPolicy(task_description="do the thing")
 STRING_PARAM = ParameterSpec("text", "external", "string", "the answer")
 
 
@@ -145,7 +144,7 @@ class TestPrompt:
         ]
 
     def test_sections_and_events(self):
-        prompt = build_policy_prompt(CFG, STATE, self.qc_candidates(), new_belief())
+        prompt = build_policy_prompt(POLICY, STATE, self.qc_candidates(), new_belief())
         for header in (
             "# Task",
             "# Execution history",
@@ -160,22 +159,22 @@ class TestPrompt:
     def test_history_section_nonempty_after_action(self):
         belief = new_belief()
         record_action(belief, ActionRecord(0, "note", {}, "boot", "entry"))
-        prompt = build_policy_prompt(CFG, STATE, self.qc_candidates(), belief)
+        prompt = build_policy_prompt(POLICY, STATE, self.qc_candidates(), belief)
         history = prompt.split("# Execution history\n")[1].split("\n# Current state")[0]
         assert "note" in history
 
     def test_no_candidates(self):
         with pytest.raises(NoCandidates):
-            build_policy_prompt(CFG, STATE, [candidate("go", passed=False)], new_belief())
+            build_policy_prompt(POLICY, STATE, [candidate("go", passed=False)], new_belief())
 
     def test_deterministic(self):
-        a = build_policy_prompt(CFG, STATE, self.qc_candidates(), new_belief())
-        b = build_policy_prompt(CFG, STATE, self.qc_candidates(), new_belief())
+        a = build_policy_prompt(POLICY, STATE, self.qc_candidates(), new_belief())
+        b = build_policy_prompt(POLICY, STATE, self.qc_candidates(), new_belief())
         assert a == b
 
     def test_param_listing(self):
         cands = [candidate("finish", params=[STRING_PARAM])]
-        prompt = build_policy_prompt(CFG, STATE, cands, new_belief())
+        prompt = build_policy_prompt(POLICY, STATE, cands, new_belief())
         assert "params: text: string (the answer)" in prompt
 
 
@@ -223,13 +222,13 @@ class TestParseResponse:
 class TestLlmDecide:
     def test_valid_first_try(self):
         provider = ScriptedProvider.from_replies(['{"event":"go"}'])
-        sel = llm_decide(CFG, provider, STATE, [candidate("go")], new_belief())
+        sel = llm_decide(POLICY, provider, STATE, [candidate("go")], new_belief())
         assert sel.event == "go"
         assert provider.snapshot_stats().calls == 1
 
     def test_retry_then_valid(self):
         provider = ScriptedProvider.from_replies(["garbage", '{"event":"go"}'])
-        sel = llm_decide(CFG, provider, STATE, [candidate("go")], new_belief())
+        sel = llm_decide(POLICY, provider, STATE, [candidate("go")], new_belief())
         assert sel.event == "go"
         assert provider.snapshot_stats().calls == 2
 
@@ -240,29 +239,28 @@ class TestLlmDecide:
             [
                 ScriptStep(reply="garbage"),
                 ScriptStep(reply='{"event":"go"}', match="# Correction"),
-            ],
-            strict=True,
+            ]
         )
-        sel = llm_decide(CFG, provider, STATE, [candidate("go")], new_belief())
+        sel = llm_decide(POLICY, provider, STATE, [candidate("go")], new_belief())
         assert sel.event == "go"
 
     def test_failure_after_retries(self):
         provider = ScriptedProvider.from_replies(["junk", "junk"])
         with pytest.raises(PolicyFailure):
-            llm_decide(CFG, provider, STATE, [candidate("go")], new_belief())
+            llm_decide(POLICY, provider, STATE, [candidate("go")], new_belief())
         assert provider.snapshot_stats().calls == 2
 
 
 class TestDecide:
     def test_fast_forward_consults_nothing(self):
         provider = ScriptedProvider.from_replies([])
-        sel = decide((LlmPolicy(CFG),), STATE, [candidate("go")], new_belief(), provider)
+        sel = decide((POLICY,), STATE, [candidate("go")], new_belief(), provider)
         assert sel.event == "go"
         assert provider.snapshot_stats().calls == 0
 
     def test_rules_miss_llm_hits(self):
         provider = ScriptedProvider.from_replies(['{"event":"b"}'])
-        stack = (RulePolicy((Rule(emit_event="zz", when_state="s"),)), LlmPolicy(CFG))
+        stack = (RulePolicy((Rule(emit_event="zz", when_state="s"),)), POLICY)
         sel = decide(stack, STATE, [candidate("a"), candidate("b")], new_belief(), provider)
         assert sel.event == "b"
 
@@ -274,7 +272,7 @@ class TestDecide:
     def test_external_candidates_never_selected(self):
         provider = ScriptedProvider.from_replies(['{"event":"inner"}'])
         cands = [candidate("outer", trigger="external"), candidate("inner"), candidate("other")]
-        sel = decide((LlmPolicy(CFG),), STATE, cands, new_belief(), provider)
+        sel = decide((POLICY,), STATE, cands, new_belief(), provider)
         assert sel.event == "inner"
 
     def test_never_returns_non_candidate(self):
@@ -289,7 +287,7 @@ class TestDecide:
             reply = json.dumps({"event": rnd.choice(events)})
             provider = ScriptedProvider.from_replies([reply, reply])
             try:
-                sel = decide((LlmPolicy(CFG),), STATE, cands, new_belief(), provider)
+                sel = decide((POLICY,), STATE, cands, new_belief(), provider)
             except (PolicyFailure, PolicyExhausted, NoCandidates):
                 continue
             assert sel.event in passing

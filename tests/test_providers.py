@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import socket
 import threading
@@ -26,14 +27,8 @@ def req(prompt="hello", **kw):
 
 class TestRequest:
     def test_defaults(self):
-        r = req()
-        assert r.temperature == 0.01
-        assert r.max_output_bytes == 16384
-
-    @pytest.mark.parametrize("temperature", [-0.1, 2.5])
-    def test_temperature_range(self, temperature):
-        with pytest.raises(MachinaError):
-            req(temperature=temperature)
+        assert [f.name for f in dataclasses.fields(CompletionRequest)] == ["prompt", "system"]
+        assert req().system is None
 
 
 class TestScripted:
@@ -43,14 +38,10 @@ class TestScripted:
         assert p.snapshot_stats().calls == 1
 
     def test_strict_match(self):
-        p = ScriptedProvider([ScriptStep(reply="ok", match="classify")], strict=True)
+        p = ScriptedProvider([ScriptStep(reply="ok", match="classify")])
         with pytest.raises(ScriptMismatch):
             p.complete(req("a filter prompt"))
         assert p.snapshot_stats().calls == 1  # failed call still counted
-
-    def test_match_ignored_when_not_strict(self):
-        p = ScriptedProvider([ScriptStep(reply="ok", match="classify")], strict=False)
-        assert p.complete(req("a filter prompt")) == "ok"
 
     def test_exhausted_second_call(self):
         p = ScriptedProvider.from_replies(["once"])
@@ -83,8 +74,14 @@ class TestScripted:
         assert before.calls == 0
 
     def test_reply_clipped_to_max_bytes(self):
-        p = ScriptedProvider.from_replies(["x" * 100])
-        assert p.complete(req(max_output_bytes=10)) == "x" * 10
+        p = ScriptedProvider.from_replies(["x" * 20_000])
+        assert p.complete(req()) == "x" * 16384
+        assert p.snapshot_stats().reply_bytes == 16384
+
+    def test_clip_drops_a_split_character(self):
+        p = ScriptedProvider.from_replies(["x" * 16383 + "é"])
+        assert p.complete(req()) == "x" * 16383
+        assert p.snapshot_stats().reply_bytes == 16383
 
     def test_prompt_and_reply_bytes(self):
         p = ScriptedProvider.from_replies(["ab"])
@@ -98,10 +95,16 @@ class TestScriptFile:
     def test_load(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text(
-            json.dumps({"strict": True, "steps": [{"reply": "hi", "match": "q"}]})
+            json.dumps({"steps": [{"reply": "hi", "match": "q"}]})
         )
         p = load_script(path)
-        assert p.strict and p.steps == [ScriptStep(reply="hi", match="q")]
+        assert p.steps == [ScriptStep(reply="hi", match="q")]
+
+    def test_strict_key_is_rejected(self, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"strict": True, "steps": [{"reply": "hi"}]}))
+        with pytest.raises(SchemaError):
+            load_script(path)
 
     @pytest.mark.parametrize(
         "doc",
@@ -214,12 +217,14 @@ class TestHttp:
             provider.complete(req())
         assert provider.snapshot_stats().calls == 1
 
+    def test_clip_drops_a_split_character(self, stub_server):
+        _Handler.plan = [(200, ok_body("x" * 16383 + "é"))]
+        provider = HttpProvider(stub_server, model="m", api_key="k")
+        assert provider.complete(req()) == "x" * 16383
+        assert provider.snapshot_stats().reply_bytes == 16383
+
 
 class TestRequestEdges:
-    def test_max_output_bytes_positive(self):
-        with pytest.raises(MachinaError):
-            req(max_output_bytes=0)
-
     def test_strict_flag_must_be_boolean(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text(json.dumps({"steps": [], "strict": "yes"}))

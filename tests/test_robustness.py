@@ -10,7 +10,7 @@ from machina.belief import NestingTooDeep, belief_to_trace, copy_json, kv_set, n
 from machina.engine import Agent, EventInstance, run
 from machina.errors import MachinaError
 from machina.harness import make_qa_agent
-from machina.policy import DEFAULT_PARSE_RETRIES
+from machina.policy import PARSE_RETRIES
 from machina.providers import ScriptedProvider
 from helpers import h3_agent, machine_from, s1_scene, state
 
@@ -89,7 +89,7 @@ class TestCrashingReplies:
         result = run(agent)
         assert result.status == "failed"
         assert result.reason.startswith("reply contains no usable JSON object")
-        assert result.stats.calls == DEFAULT_PARSE_RETRIES + 1
+        assert result.stats.calls == PARSE_RETRIES + 1
         assert_usable(result)
 
     def test_routing_extract_objects_fails_the_action(self):

@@ -237,7 +237,7 @@ class TestLlmOps:
 
     def test_extract_prompt_contains_scene(self):
         step = ScriptStep(reply='["o2"]', match='"id": "o2"')
-        provider = ScriptedProvider([step], strict=True)
+        provider = ScriptedProvider([step])
         assert extract_objects(provider, s1_scene(), "which sphere?") == ["o2"]
 
     def test_answer_normalized(self):
