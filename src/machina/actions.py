@@ -137,12 +137,14 @@ def _int(name: str, datatype: str, description: str = "", source_key: str | None
     return ParameterSpec(name, SOURCE_INTERNAL, datatype, description, source_key)
 
 
-def _parse_scene(value: JsonValue) -> scene_ops.SceneGraph:
+def parse_scene_input(value: JsonValue) -> scene_ops.SceneGraph:
+    """The parser of the scene actions' ``scene`` parameter; a belief's
+    memo holds its result under this function."""
     # looked up on the module at call time, so a wrapper installed there sees it
     return scene_ops.scene_from_json_value(value)
 
 
-_SCENE_PARSER = {"scene": _parse_scene}
+_SCENE_PARSER = {"scene": parse_scene_input}
 
 
 def _filter_impl(inputs, ctx) -> JsonValue:

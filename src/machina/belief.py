@@ -173,6 +173,13 @@ def parsed_input(belief: Belief, path: str, parse: Callable[[JsonValue], object]
     return value
 
 
+def seed_parsed_input(belief: Belief, path: str, parse: Callable[[JsonValue], object], value) -> None:
+    """Make :func:`parsed_input` return ``value`` for ``path`` and ``parse``
+    without parsing, for a caller that already holds the parsed form.
+    ``value`` must equal ``parse`` of the input and never change."""
+    belief._parsed[(path, parse)] = value
+
+
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 

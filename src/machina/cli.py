@@ -2,7 +2,8 @@
 (single-shot or as an event REPL) and run benchmark evaluations.
 
 Exit codes for ``run``: 0 completed, 2 waiting for input, 3 transition
-budget exhausted, 1 failed (or configuration error).
+budget exhausted, 1 failed (or configuration error). A failed run prints
+nothing on stdout.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ def _emit_result(result: RunResult, trace_path: str | None) -> int:
     click.echo(f"provider calls: {result.stats.calls}", err=True)
     if result.reason:
         click.echo(f"reason: {result.reason}", err=True)
-    output = result.output
-    click.echo(output if isinstance(output, str) else json.dumps(output))
+    # a failed run's output is its last action's, not an answer
+    if result.status != STATUS_FAILED:
+        output = result.output
+        click.echo(output if isinstance(output, str) else json.dumps(output))
     return EXIT_CODES[result.status]
 
 

@@ -19,8 +19,8 @@ from pathlib import Path
 from statistics import fmean
 from typing import Callable, Mapping
 
-from .actions import builtin_registry
-from .belief import Belief, new_belief, kv_set
+from .actions import builtin_registry, parse_scene_input
+from .belief import Belief, kv_set, new_belief, seed_parsed_input
 from .engine import Agent, RunLimits, run
 from .errors import MachinaError, check_keys, require_object, require_string
 from .json_extract import JsonSyntaxError, read_json
@@ -412,9 +412,13 @@ _QA_POLICY = LlmPolicy(
 def qa_belief(question: str | None = None, scene: SceneGraph | None = None) -> Belief:
     """Belief for a question about a scene: the question is the task
     context's ``user`` message and ``kv["question"]``, and the scene is the
-    read-only task input ``scene``. Either may be left out."""
-    inputs = {"scene": scene_to_json_value(scene)} if scene is not None else {}
-    belief = new_belief([("user", question)] if question else [], inputs=inputs)
+    read-only task input ``scene``. Either may be left out. The scene
+    actions get ``scene`` itself, never a parse of its JSON."""
+    belief = new_belief([("user", question)] if question else [])
+    if scene is not None:
+        # a fresh value that nobody else holds, so it needs no copy
+        belief.inputs["scene"] = scene_to_json_value(scene)
+        seed_parsed_input(belief, "scene", parse_scene_input, scene)
     if question:
         kv_set(belief, "question", question)
     return belief

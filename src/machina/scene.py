@@ -4,14 +4,16 @@ A scene is a list of objects, each carrying four attributes drawn from the
 CLEVR vocabulary, plus directed spatial relations. ``relations[r][x]`` is the
 set of objects standing in relation ``r`` to object ``x`` (so
 ``relations["left"][x]`` holds the objects left of ``x``). The left/right
-and front/behind relations are mutual inverses; the parser completes a
-missing side automatically and rejects contradictions.
+and front/behind relations are mutual inverses. A :class:`SceneGraph`
+checks its invariants when it is built and cannot change afterwards; the
+JSON parser completes a missing inverse side before it builds one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
@@ -33,6 +35,7 @@ ATTRIBUTE_VALUES: dict[str, tuple[str, ...]] = {
 }
 
 RELATIONS = ("left", "right", "front", "behind")
+_INVERSE_PAIRS = (("left", "right"), ("front", "behind"))
 
 QUESTION_TYPES = ("counting", "judging", "querying")
 
@@ -70,7 +73,12 @@ class UnknownRelation(MachinaError):
 
 
 class InverseConflict(MachinaError):
-    """Both sides of an inverse relation pair were given and disagree."""
+    """The two sides of an inverse relation pair are not mutual inverses."""
+
+
+class InvalidScene(SchemaError):
+    """A scene breaks one of its invariants. ``pointer`` names the offending
+    element of the scene's JSON form (see :func:`scene_to_json_value`)."""
 
 
 class UnclassifiableReply(MachinaError):
@@ -99,8 +107,65 @@ class SceneObject:
 
 @dataclass(frozen=True)
 class SceneGraph:
+    """A checked, read-only scene.
+
+    Building one checks that object ids are unique strings, that attribute
+    values come from ``ATTRIBUTE_VALUES``, that only ``RELATIONS`` appear,
+    that every key and member of a relation is another object of the scene,
+    that no entry is empty and that left/right and front/behind are mutual
+    inverses; a failed check raises :class:`InvalidScene` or
+    :class:`InverseConflict`. ``relations`` is then a read-only mapping that
+    holds every relation, so a scene can be shared without copies.
+    """
+
     objects: tuple[SceneObject, ...]
     relations: Mapping[str, Mapping[str, frozenset[str]]]
+
+    def __post_init__(self) -> None:
+        objects = tuple(self.objects)
+        ids: set[str] = set()
+        for i, obj in enumerate(objects):
+            pointer = f"/objects/{i}"
+            if not isinstance(obj.id, str):
+                raise InvalidScene(f"{pointer}/id", f"{obj.id!r} is not a string")
+            for attr in ATTRIBUTES:
+                value = getattr(obj, attr)
+                if value not in ATTRIBUTE_VALUES[attr]:
+                    raise InvalidScene(f"{pointer}/{attr}", f"{value!r} is not a valid {attr}")
+            if obj.id in ids:
+                raise InvalidScene(f"{pointer}/id", f"duplicate object id {obj.id!r}")
+            ids.add(obj.id)
+
+        tables: dict[str, dict[str, frozenset[str]]] = {r: {} for r in RELATIONS}
+        for rel, table in self.relations.items():
+            if rel not in RELATIONS:
+                raise InvalidScene(f"/relations/{rel}", f"unknown relation {rel!r}")
+            for key, others in table.items():
+                pointer = f"/relations/{rel}/{key}"
+                if key not in ids:
+                    raise InvalidScene(pointer, f"unknown object {key!r}")
+                members = frozenset(others)
+                if not members:
+                    raise InvalidScene(pointer, "empty entry")
+                for other in others:
+                    if other not in ids or other == key:
+                        raise InvalidScene(pointer, f"{other!r} is not another object of the scene")
+                tables[rel][key] = members
+        for forward, backward in _INVERSE_PAIRS:
+            if _inverse(tables[forward]) != tables[backward]:
+                raise InverseConflict(
+                    f"relations {forward!r} and {backward!r} are not mutual inverses"
+                )
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(
+            self,
+            "relations",
+            MappingProxyType({r: MappingProxyType(tables[r]) for r in RELATIONS}),
+        )
+
+    def __deepcopy__(self, memo) -> "SceneGraph":
+        # read-only once built, so a copy may share it, as with a tuple
+        return self
 
     def object_ids(self) -> tuple[str, ...]:
         return tuple(o.id for o in self.objects)
@@ -128,8 +193,13 @@ def _inverse(table: Mapping[str, Iterable[str]]) -> dict[str, set[str]]:
 def _complete_relations(
     given: dict[str, dict[str, set[str]]]
 ) -> dict[str, dict[str, frozenset[str]]]:
+    """Fill in the missing side of each inverse pair and drop empty entries.
+
+    Relations the file gave come first and unknown ones pass through, so
+    :class:`SceneGraph` reports a fault at an entry the file holds.
+    """
     complete = dict(given)
-    for forward, backward in (("left", "right"), ("front", "behind")):
+    for forward, backward in _INVERSE_PAIRS:
         if forward in given and backward in given:
             if _inverse(given[forward]) != {k: v for k, v in given[backward].items() if v}:
                 raise InverseConflict(
@@ -141,7 +211,7 @@ def _complete_relations(
             complete[forward] = _inverse(given[backward])
     return {
         r: {k: frozenset(v) for k, v in complete.get(r, {}).items() if v}
-        for r in RELATIONS
+        for r in (*complete, *RELATIONS)
     }
 
 
@@ -149,36 +219,29 @@ _OBJECT_KEYS = ("id", "color", "material", "shape", "size")
 
 
 def scene_from_json_value(doc: JsonValue) -> SceneGraph:
-    """Build a scene from a decoded JSON value, checking every invariant."""
+    """Build a scene from a decoded JSON value. The JSON shape is checked
+    here; :class:`SceneGraph` checks the scene itself."""
     obj = require_object(doc, "")
     check_keys(obj, ("objects", "relations"), ("objects",), "")
 
     objects = []
-    ids: set[str] = set()
     for i, raw in enumerate(require_list(obj["objects"], "/objects")):
         pointer = f"/objects/{i}"
         item = require_object(raw, pointer)
         check_keys(item, _OBJECT_KEYS, _OBJECT_KEYS, pointer)
-        object_id, *values = (require_string(item, key, pointer) for key in _OBJECT_KEYS)
-        for attr in ATTRIBUTES:
-            if item[attr] not in ATTRIBUTE_VALUES[attr]:
-                raise SchemaError(f"{pointer}/{attr}", f"{item[attr]!r} is not a valid {attr}")
-        if object_id in ids:
-            raise SchemaError(f"{pointer}/id", f"duplicate object id {object_id!r}")
-        ids.add(object_id)
-        objects.append(SceneObject(object_id, *values))
+        objects.append(SceneObject(*(require_string(item, key, pointer) for key in _OBJECT_KEYS)))
 
+    ids = {o.id for o in objects}
     given: dict[str, dict[str, set[str]]] = {}
     for rel, table in require_object(obj.get("relations", {}), "/relations").items():
-        if rel not in RELATIONS:
-            raise SchemaError(f"/relations/{rel}", f"unknown relation {rel!r}")
         parsed: dict[str, set[str]] = {}
         for key, others in require_object(table, f"/relations/{rel}").items():
             pointer = f"/relations/{rel}/{key}"
+            # an empty entry is dropped before the scene is built, so its key is checked here
             if key not in ids:
                 raise SchemaError(pointer, f"unknown object {key!r}")
             for other in require_list(others, pointer):
-                if not isinstance(other, str) or other not in ids or other == key:
+                if not isinstance(other, str):
                     raise SchemaError(pointer, f"{other!r} is not another object of the scene")
             parsed[key] = set(others)
         given[rel] = parsed
@@ -198,9 +261,9 @@ def scene_to_json_value(scene: SceneGraph) -> dict:
             for o in scene.objects
         ],
         "relations": {
-            rel: {k: sorted(v) for k, v in sorted(scene.relations.get(rel, {}).items())}
+            rel: {k: sorted(v) for k, v in sorted(scene.relations[rel].items())}
             for rel in RELATIONS
-            if scene.relations.get(rel)
+            if scene.relations[rel]
         },
     }
 
@@ -230,7 +293,7 @@ def related_objects(scene: SceneGraph, object_id: str, relation: str) -> list[st
     scene.get(object_id)
     if relation not in RELATIONS:
         raise UnknownRelation(relation)
-    return _scene_order(scene, scene.relations.get(relation, {}).get(object_id, frozenset()))
+    return _scene_order(scene, scene.relations[relation].get(object_id, ()))
 
 
 def same_attribute(scene: SceneGraph, object_id: str, attribute: str) -> list[str]:

@@ -93,6 +93,25 @@ class TestRun:
         assert result.stdout.strip() == "1"
         assert "status: completed" in result.stderr
 
+    def test_failed_run_prints_no_answer(self, runner, tmp_path):
+        # extractObjects fails on the unknown o4; "counting" is not the answer
+        script = write_script(tmp_path, ["counting", '["o1", "o4"]'])
+        result = runner.invoke(
+            main,
+            [
+                "run",
+                "--machine", str(ROUTING_JSON),
+                "--provider", f"scripted:{script}",
+                "--rules", str(RULES_JSON),
+                "--scene", str(S1_JSON),
+                "--question", "How many metal objects are there?",
+            ],
+        )
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "status: failed" in result.stderr
+        assert "reason: " in result.stderr and "o4" in result.stderr
+
     def test_cyclic_machine_budget_exit_code(self, runner, tmp_path):
         path = write_machine(tmp_path, budget_cycle_doc())
         script = write_script(tmp_path, [])

@@ -1,9 +1,11 @@
 """Read-only task inputs: copied once into the belief, shared by snapshots,
 referenced (not copied) by records and the history, and parsed once per
-belief for the scene actions."""
+belief for the scene actions, or not at all when the QA harness hands them
+the SceneGraph."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 
@@ -39,6 +41,14 @@ RULES_JSON = "src/machina/rules/routing.rules.json"
 
 def qa_items(n_scenes=4):
     return generate_mini_clevr(seed=11, n_scenes=n_scenes, questions_per_scene=3).items
+
+
+def json_scene_belief(question, scene):
+    """A QA belief whose scene is only a JSON input, so the scene actions
+    parse it."""
+    belief = new_belief([("user", question)], inputs={"scene": scene_to_json_value(scene)})
+    kv_set(belief, "question", question)
+    return belief
 
 
 class RecordingProvider:
@@ -260,7 +270,8 @@ class TestSceneInput:
             if "scene" in r.inputs
         )
 
-    def test_scene_is_parsed_once_per_run(self, monkeypatch):
+    @pytest.fixture()
+    def parse_calls(self, monkeypatch):
         calls = []
         original = machina.scene.scene_from_json_value
 
@@ -269,18 +280,64 @@ class TestSceneInput:
             return original(value)
 
         monkeypatch.setattr(machina.scene, "scene_from_json_value", counting)
+        return calls
+
+    def test_qa_agents_never_parse_the_scene(self, parse_calls):
+        for variant, script in ORACLE_SCRIPTS.items():
+            for item in qa_items():
+                result = run(make_qa_agent(variant, item.question, item.scene, script(item)))
+                assert result.status == "completed"
+                assert parse_calls == [], (variant, item.index)
+
+    def test_scene_is_parsed_once_per_run(self, parse_calls):
+        """A scene given only as a JSON input is parsed once per belief."""
         most_scene_actions = 0
         for variant, script in ORACLE_SCRIPTS.items():
             for item in qa_items():
-                calls.clear()
-                result = run(make_qa_agent(variant, item.question, item.scene, script(item)))
+                parse_calls.clear()
+                agent = make_qa_agent(variant, item.question, item.scene, script(item))
+                agent.belief = json_scene_belief(item.question, item.scene)
+                result = run(agent)
                 assert result.status == "completed"
-                assert len(calls) == 1, (variant, item.index)
+                assert len(parse_calls) == 1, (variant, item.index)
                 scene_actions = sum(
                     "scene" in r.inputs for r in result.belief_snapshot.execution_log
                 )
                 most_scene_actions = max(most_scene_actions, scene_actions)
         assert most_scene_actions >= 2  # the memo, not the path, kept it at one
+
+    def test_snapshot_with_the_seeded_scene_deep_copies(self):
+        item = qa_items()[0]
+        agent = make_qa_agent("routing", item.question, item.scene, ORACLE_SCRIPTS["routing"](item))
+        result = run(agent)
+        copied = copy.deepcopy(result.belief_snapshot)
+        assert belief_to_trace(copied) == belief_to_trace(result.belief_snapshot)
+
+    @pytest.mark.parametrize("variant", sorted(ORACLE_SCRIPTS))
+    def test_results_match_a_json_scene_input(self, variant):
+        """Handing the scene actions the SceneGraph changes no result, record
+        or prompt against parsing the scene from a JSON input."""
+        for item in generate_mini_clevr(seed=7, n_scenes=20, questions_per_scene=3).items:
+            runs = []
+            for belief in (None, json_scene_belief(item.question, item.scene)):
+                provider = RecordingProvider(ORACLE_SCRIPTS[variant](item))
+                agent = make_qa_agent(variant, item.question, item.scene, provider)
+                if belief is not None:
+                    agent.belief = belief
+                result = run(agent)
+                snap = result.belief_snapshot
+                runs.append(
+                    (
+                        result.status,
+                        result.output,
+                        snap.trajectory,
+                        snap.execution_log,
+                        json.dumps(belief_to_trace(snap)),
+                        provider.prompts,
+                    )
+                )
+            assert runs[0] == runs[1], (variant, item.index)
+            assert runs[0][0] == "completed"
 
     def test_scene_actions_never_get_the_dict(self):
         seen = []

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import random
 
@@ -6,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from machina.errors import SchemaError
+from machina.errors import MachinaError, SchemaError
+from machina.harness import generate_mini_clevr
 from machina.providers import ScriptStep, ScriptedProvider
 from machina.scene import (
     ATTRIBUTE_VALUES,
     ATTRIBUTES,
+    InvalidScene,
     InverseConflict,
+    SceneGraph,
+    SceneObject,
     UnclassifiableReply,
     UnknownAttribute,
     UnknownObject,
@@ -104,6 +109,90 @@ class TestParse:
     def test_json_value_round_trip(self):
         scene = s1_scene()
         assert scene_from_json_value(scene_to_json_value(scene)) == scene
+
+
+A = SceneObject("a", "red", "metal", "cube", "small")
+B = SceneObject("b", "blue", "metal", "cube", "small")
+
+
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "objects,relations,error",
+        [
+            pytest.param((A, A), {}, InvalidScene, id="duplicate-id"),
+            pytest.param(
+                (dataclasses.replace(A, color="pink"),), {}, InvalidScene, id="bad-colour"
+            ),
+            pytest.param(
+                (A, B), {"above": {"a": frozenset({"b"})}}, InvalidScene, id="unknown-relation"
+            ),
+            pytest.param(
+                (A,),
+                {"left": {"a": frozenset({"a"})}, "right": {"a": frozenset({"a"})}},
+                InvalidScene,
+                id="self-relation",
+            ),
+            pytest.param(
+                (A, B),
+                {"left": {"b": frozenset({"o9"})}, "right": {"o9": frozenset({"b"})}},
+                InvalidScene,
+                id="member-not-in-scene",
+            ),
+            pytest.param((A, B), {"left": {"b": frozenset()}}, InvalidScene, id="empty-entry"),
+            pytest.param(
+                (A, B), {"left": {"b": frozenset({"a"})}}, InverseConflict, id="one-sided"
+            ),
+            pytest.param(
+                (A, B),
+                {"left": {"b": frozenset({"a"})}, "right": {"b": frozenset({"a"})}},
+                InverseConflict,
+                id="inconsistent-inverse",
+            ),
+        ],
+    )
+    def test_invalid_scene_fails_when_built(self, objects, relations, error):
+        with pytest.raises(error) as info:
+            SceneGraph(objects, relations)
+        assert isinstance(info.value, MachinaError)
+
+    def test_error_points_into_the_json_form(self):
+        with pytest.raises(InvalidScene) as info:
+            SceneGraph((A, B, A), {})
+        assert info.value.pointer == "/objects/2/id"
+        doc = {
+            "objects": scene_to_json_value(SceneGraph((A, B), {}))["objects"],
+            "relations": {"right": {"a": ["b", "o9"]}},
+        }
+        with pytest.raises(InvalidScene) as info:
+            scene_from_json_value(doc)
+        assert info.value.pointer == "/relations/right/a"
+
+    def test_empty_entry_in_a_file_must_name_an_object(self):
+        doc = {
+            "objects": scene_to_json_value(SceneGraph((A,), {}))["objects"],
+            "relations": {"left": {"o9": []}},
+        }
+        with pytest.raises(SchemaError) as info:
+            scene_from_json_value(doc)
+        assert info.value.pointer == "/relations/left/o9"
+
+    def test_relations_are_read_only(self):
+        scene = s1_scene()
+        with pytest.raises(TypeError):
+            scene.relations["left"]["o1"] = frozenset({"o2"})
+        with pytest.raises(TypeError):
+            scene.relations["left"] = {}
+
+    def test_missing_relations_read_as_empty(self):
+        scene = SceneGraph((A, B), {})
+        assert scene == SceneGraph([A, B], {"left": {}, "front": {}})
+        assert related_objects(scene, "a", "behind") == []
+
+    def test_json_round_trip_of_generated_scenes(self):
+        scenes = {id(i.scene): i.scene for i in generate_mini_clevr(7, 200, 3).items}
+        assert len(scenes) == 200
+        for scene in [*scenes.values(), s1_scene()]:
+            assert scene_from_json_value(scene_to_json_value(scene)) == scene
 
 
 class TestOps:
