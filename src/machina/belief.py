@@ -66,8 +66,9 @@ class ActionRecord:
 @dataclass
 class Belief:
     """The agent's memory. ``inputs`` is read-only: the engine never
-    changes it, snapshots share it, and actions get copies or parsed forms
-    of its values. ``_parsed`` memoizes :func:`parsed_input`."""
+    changes it, snapshots share it, beliefs built from one ``SceneGraph``
+    share its JSON value, and actions get copies or parsed forms of its
+    values. ``_parsed`` memoizes :func:`parsed_input`."""
 
     task_context: list[tuple[str, str]] = field(default_factory=list)
     trajectory: list[TransitionRecord] = field(default_factory=list)
@@ -229,7 +230,9 @@ def snapshot(belief: Belief) -> Belief:
 
 
 def belief_to_trace(belief: Belief) -> dict:
-    """JSON-ready trace document (the CLI ``--trace`` payload)."""
+    """JSON-ready trace document (the CLI ``--trace`` payload). It holds
+    the belief's own values, the shared read-only task inputs among them,
+    so ``copy.deepcopy`` it before editing it."""
     return {
         "task_context": [{"role": r, "text": t} for r, t in belief.task_context],
         "inputs": belief.inputs,

@@ -150,8 +150,10 @@ class RunResult:
     dispatches on the agent, not through actions that edit their inputs in
     place and not through edits to the ``EventInstance`` passed in. Its lists
     share the belief's frozen records, whose values were copied as they were
-    recorded, and its key-value store is a deep copy. Records are read-only;
-    ``copy.deepcopy`` a snapshot before editing it. When the key-value store
+    recorded, and its key-value store is a deep copy. Records and task inputs
+    are read-only, and the inputs may be shared with other beliefs (a QA
+    belief's ``scene`` is its ``SceneGraph``'s JSON value); ``copy.deepcopy``
+    a snapshot before editing its records or inputs. When the key-value store
     holds a value nested too deeply to copy, the run is ``failed`` with a
     reason that says so, and the snapshot's key-value store is empty.
     """
@@ -242,15 +244,17 @@ def eval_guard(
 
 @dataclass(frozen=True)
 class _Step:
-    """What firing ``transition`` from one leaf does; fixed by the machine."""
+    """What firing ``transition`` from one leaf does; fixed by the machine.
+    ``passed`` and ``blocked`` are its candidate with the guard passed and
+    failed: only the guard outcome differs from one evaluation to the next."""
 
     transition: Transition
     exit_states: tuple[State, ...]
     entry_states: tuple[State, ...]
     target_leaf: str
     actions: tuple[tuple[str, ActionSpec], ...]
-    required_external_params: tuple[ParameterSpec, ...]
-    target_description: str
+    passed: CandidateTransition
+    blocked: CandidateTransition
 
 
 def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
@@ -281,14 +285,20 @@ def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
     for _, spec in actions:
         for param in spec.external_params():
             required.setdefault(param.name, param)
+    passed = CandidateTransition(
+        transition=transition,
+        guard_passed=True,
+        required_external_params=tuple(required.values()),
+        target_description=sm.state(transition.target).description,
+    )
     return _Step(
         transition=transition,
         exit_states=tuple(exits),
         entry_states=entries,
         target_leaf=entry_names[-1],
         actions=tuple(actions),
-        required_external_params=tuple(required.values()),
-        target_description=sm.state(transition.target).description,
+        passed=passed,
+        blocked=replace(passed, guard_passed=False),
     )
 
 
@@ -306,18 +316,16 @@ def _step_table(sm: StateMachine, leaf: str) -> tuple[_Step, ...]:
 def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
     """All transitions enabled at the active leaf, each with its guard
     evaluated exactly once and its required external parameters computed
-    from the actions the step would fire."""
+    from the actions the step would fire. The candidates are the step
+    table's own frozen objects, shared by every agent on the machine."""
     leaf = agent.belief.current_state
     if leaf is None:
         raise AgentNotStarted()
     return [
-        CandidateTransition(
-            transition=step.transition,
-            guard_passed=step.transition.guard is None
-            or eval_guard(step.transition.guard, agent.belief, agent.registry, agent.provider),
-            required_external_params=step.required_external_params,
-            target_description=step.target_description,
-        )
+        step.passed
+        if step.transition.guard is None
+        or eval_guard(step.transition.guard, agent.belief, agent.registry, agent.provider)
+        else step.blocked
         for step in _step_table(agent.machine, leaf)
     ]
 

@@ -36,7 +36,6 @@ from .scene import (
     SceneObject,
     normalize_answer,
     parse_scene,
-    scene_to_json_value,
 )
 
 COUNTING, JUDGING, QUERYING = QUESTION_TYPES
@@ -412,12 +411,14 @@ _QA_POLICY = LlmPolicy(
 def qa_belief(question: str | None = None, scene: SceneGraph | None = None) -> Belief:
     """Belief for a question about a scene: the question is the task
     context's ``user`` message and ``kv["question"]``, and the scene is the
-    read-only task input ``scene``. Either may be left out. The scene
-    actions get ``scene`` itself, never a parse of its JSON."""
+    read-only task input ``scene``. Either may be left out. The input is the
+    scene's own ``json_value``, so beliefs built from one ``SceneGraph``
+    share it, read-only, as snapshots share their inputs. The scene actions
+    get ``scene`` itself, never a parse of its JSON."""
     belief = new_belief([("user", question)] if question else [])
     if scene is not None:
-        # a fresh value that nobody else holds, so it needs no copy
-        belief.inputs["scene"] = scene_to_json_value(scene)
+        # shared, not copied: nothing writes to a task input
+        belief.inputs["scene"] = scene.json_value
         seed_parsed_input(belief, "scene", parse_scene_input, scene)
     if question:
         kv_set(belief, "question", question)

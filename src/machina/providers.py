@@ -15,7 +15,7 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -68,7 +68,7 @@ class CallStats:
     reply_bytes: int = 0
 
     def snapshot(self) -> "CallStats":
-        return replace(self)
+        return CallStats(self.calls, self.prompt_bytes, self.reply_bytes)
 
 
 class CompletionProvider(Protocol):

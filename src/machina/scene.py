@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -116,6 +117,11 @@ class SceneGraph:
     inverses; a failed check raises :class:`InvalidScene` or
     :class:`InverseConflict`. ``relations`` is then a read-only mapping that
     holds every relation, so a scene can be shared without copies.
+
+    ``json_value`` and ``json_text`` are the scene's canonical JSON value and
+    its one-line ``json.dumps`` text, built on first use and then kept. Every
+    holder shares them, so they are read-only; :func:`scene_to_json_value`
+    returns a value the caller owns.
     """
 
     objects: tuple[SceneObject, ...]
@@ -166,6 +172,14 @@ class SceneGraph:
     def __deepcopy__(self, memo) -> "SceneGraph":
         # read-only once built, so a copy may share it, as with a tuple
         return self
+
+    @cached_property
+    def json_value(self) -> dict:
+        return scene_to_json_value(self)
+
+    @cached_property
+    def json_text(self) -> str:
+        return json.dumps(self.json_value)
 
     def object_ids(self) -> tuple[str, ...]:
         return tuple(o.id for o in self.objects)
@@ -254,7 +268,8 @@ def parse_scene(text: str | bytes) -> SceneGraph:
 
 
 def scene_to_json_value(scene: SceneGraph) -> dict:
-    """Canonical JSON value for a scene (relations fully closed, ids sorted)."""
+    """Canonical JSON value for a scene (relations fully closed, ids sorted),
+    built afresh for the caller to own."""
     return {
         "objects": [
             {"id": o.id, "color": o.color, "material": o.material, "shape": o.shape, "size": o.size}
@@ -352,7 +367,7 @@ def extract_objects(provider: CompletionProvider, scene: SceneGraph, question: s
     """
     prompt = (
         "Scene graph:\n"
-        f"{json.dumps(scene_to_json_value(scene))}\n\n"
+        f"{scene.json_text}\n\n"
         f"Question: {question}\n"
         "List the ids of the objects the question refers to as a JSON array"
         ' of strings, for example ["o1", "o2"].'
@@ -372,7 +387,7 @@ def answer_question(provider: CompletionProvider, scene: SceneGraph, question: s
     """Ask the provider to answer directly from the scene; normalized reply."""
     prompt = (
         "Scene graph:\n"
-        f"{json.dumps(scene_to_json_value(scene))}\n\n"
+        f"{scene.json_text}\n\n"
         f"Question: {question}\n"
         "Answer with a single word or number."
     )

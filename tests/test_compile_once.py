@@ -46,7 +46,7 @@ from machina.model import (
     initial_entry_path,
     parent_chain,
 )
-from machina.policy import RulePolicy, rules_from_value
+from machina.policy import CandidateTransition, RulePolicy, rules_from_value
 from machina.providers import ScriptedProvider
 from helpers import (
     MINIMAL_DOC,
@@ -273,31 +273,36 @@ def test_step_table_matches_reference(sm):
             specs = reference_step_action_specs(plan, t)
             assert (step.exit_states, step.entry_states, step.target_leaf) == plan
             assert list(step.actions) == specs
-            assert step.required_external_params == reference_required(specs)
-            assert step.target_description == sm.state(t.target).description
+            for candidate, passed in ((step.passed, True), (step.blocked, False)):
+                assert candidate == CandidateTransition(
+                    t, passed, reference_required(specs), sm.state(t.target).description
+                )
 
 
 @pytest.mark.parametrize("sm", all_machines(), ids=lambda sm: sm.name)
 def test_candidates_match_reference(sm):
+    """Candidates equal ones built field by field, and two agents on one
+    machine get the same shared objects."""
     registry = builtin_registry()
     for leaf in leaves(sm):
         for x in (1, 2):
-            agent = make_agent(sm, registry)
-            kv_set(agent.belief, "x", x)
-            kv_set(agent.belief, "ids", ["o1"] * (x - 1))
-            agent.belief.current_state = leaf
+            agents = [make_agent(sm, registry) for _ in range(2)]
+            for agent in agents:
+                kv_set(agent.belief, "x", x)
+                kv_set(agent.belief, "ids", ["o1"] * (x - 1))
+                agent.belief.current_state = leaf
             expected = []
             for t in enabled_transitions(sm, leaf):
                 specs = reference_step_action_specs(reference_step_plan(sm, leaf, t), t)
-                passed = t.guard is None or eval_guard(t.guard, agent.belief, registry, agent.provider)
-                expected.append(
-                    (t, passed, reference_required(specs), sm.state(t.target).description)
+                passed = t.guard is None or eval_guard(
+                    t.guard, agents[0].belief, registry, agents[0].provider
                 )
-            got = [
-                (c.transition, c.guard_passed, c.required_external_params, c.target_description)
-                for c in candidate_transitions(agent)
-            ]
-            assert got == expected
+                expected.append(
+                    CandidateTransition(t, passed, reference_required(specs), sm.state(t.target).description)
+                )
+            first, second = (candidate_transitions(a) for a in agents)
+            assert first == expected
+            assert all(a is b for a, b in zip(first, second, strict=True))
 
 
 def test_guarded_candidates_see_the_belief():
@@ -310,6 +315,48 @@ def test_guarded_candidates_see_the_belief():
         False, True, True, True,
     ]
     assert [p.name for p in by_event["again"].required_external_params] == ["text"]
+
+
+def test_candidate_follows_its_guard_from_step_to_step():
+    doc = {
+        "name": "flip",
+        "states": [state("Loop", tags=["start"]), state("Done", tags=["end"])],
+        "transitions": [
+            {
+                "source": "Loop",
+                "target": "Loop",
+                "event": "set",
+                "trigger": "external",
+                "actions": [
+                    {
+                        "name": "note",
+                        "output_key": "flag",
+                        "params": [{"name": "text", "source": "external", "datatype": "string"}],
+                    }
+                ],
+            },
+            {
+                "source": "Loop",
+                "target": "Done",
+                "event": "leave",
+                "trigger": "external",
+                "guard": {"expr": "flag == 'go'"},
+            },
+        ],
+    }
+    agent = agent_for(doc)
+    kv_set(agent.belief, "flag", "stay")
+    engine.start(agent)
+    leave = engine._step_table(agent.machine, "Loop")[1]
+    seen = []
+    for text in ("go", "stay", "go"):
+        before = candidate_transitions(agent)[1]
+        engine.dispatch(agent, EventInstance("set", {"text": text}))
+        after = candidate_transitions(agent)[1]
+        seen.append((before.guard_passed, after.guard_passed))
+        assert after is (leave.passed if text == "go" else leave.blocked)
+    assert seen == [(False, True), (True, False), (False, True)]
+    assert engine.dispatch(agent, EventInstance("leave")).target_leaf == "Done"
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from machina.belief import (
 from machina.cli import main
 from machina.engine import Agent, EventInstance, run
 from machina.errors import MachinaError
-from machina.harness import ORACLE_SCRIPTS, generate_mini_clevr, make_qa_agent
+from machina.harness import ORACLE_SCRIPTS, generate_mini_clevr, make_qa_agent, qa_belief
 from machina.model import ParameterSpec
 from machina.policy import PathRef, Rule, RulePolicy
 from machina.providers import ScriptedProvider
@@ -381,6 +381,46 @@ class TestSceneInput:
         scene_line = provider.prompts[1].split("\n")[1]
         assert json.loads(scene_line) == scene_to_json_value(scene)
         assert scene_line == json.dumps(scene_to_json_value(scene))
+
+
+class TestSharedSceneJson:
+    """Beliefs built from one SceneGraph share its cached JSON value, so
+    nothing a run or a caller does may change it."""
+
+    def test_runs_and_traces_leave_the_cached_value_alone(self):
+        items = generate_mini_clevr(seed=7, n_scenes=20, questions_per_scene=3).items
+        for variant, script in ORACLE_SCRIPTS.items():
+            for item in items:
+                result = run(make_qa_agent(variant, item.question, item.scene, script(item)))
+                assert result.status == "completed"
+                assert result.belief_snapshot.inputs["scene"] is item.scene.json_value
+                json.dumps(belief_to_trace(result.belief_snapshot))
+        for scene in {id(i.scene): i.scene for i in items}.values():
+            assert scene.json_value == scene_to_json_value(scene)
+            assert scene.json_text == json.dumps(scene_to_json_value(scene))
+
+    def test_beliefs_on_one_scene_share_the_input(self):
+        scene = s1_scene()
+        a = qa_belief("How many cubes are there?", scene)
+        b = qa_belief("Is there a red cube?", scene)
+        assert a.inputs["scene"] is b.inputs["scene"] is scene.json_value
+
+    def test_editing_a_returned_value_reaches_no_prompt_or_belief(self):
+        scene = s1_scene()
+        question, replies = "Is there a metal cube?", ["judging", "yes"]
+        before = RecordingProvider(ScriptedProvider.from_replies(replies))
+        first = run(make_qa_agent("routing", question, scene, before))
+        trace = json.dumps(belief_to_trace(first.belief_snapshot))
+
+        value = scene_to_json_value(scene)
+        value["objects"].clear()
+        value["relations"]["left"] = {"o1": ["nobody"]}
+
+        after = RecordingProvider(ScriptedProvider.from_replies(replies))
+        second = run(make_qa_agent("routing", question, scene, after))
+        assert after.prompts == before.prompts
+        assert json.dumps(belief_to_trace(second.belief_snapshot)) == trace
+        assert qa_belief(question, scene).inputs["scene"] == scene_to_json_value(scene) != value
 
 
 class TestPolicyPrompt:
