@@ -270,8 +270,11 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text.encode("utf-8")) / 4)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def _dump(value: JsonValue) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(value)
 
 
 def _record_lines(belief: Belief) -> list[str]:

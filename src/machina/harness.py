@@ -9,14 +9,16 @@ replies a perfectly behaving model would give, keeping runs hermetic.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
+import math
+import operator
 import random
 import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from statistics import fmean
 from typing import Callable, Mapping
 
 from .actions import builtin_registry, parse_scene_input
@@ -284,19 +286,18 @@ def _random_scene(rnd: random.Random) -> SceneGraph:
 def _query_pairs(scene: SceneGraph) -> list[QuestionSpec]:
     """Every (object, attribute) choice whose identifying predicate (the
     other three attributes) matches exactly one object."""
+    others = {attr: tuple(a for a in ATTRIBUTES if a != attr) for attr in ATTRIBUTES}
+    triples = {attr: operator.attrgetter(*others[attr]) for attr in ATTRIBUTES}
+    counts = {
+        attr: collections.Counter(map(triples[attr], scene.objects)) for attr in ATTRIBUTES
+    }
     pairs = []
     for obj in scene.objects:
         for attr in ATTRIBUTES:
-            predicate = {a: getattr(obj, a) for a in ATTRIBUTES if a != attr}
-            matches = [
-                o
-                for o in scene.objects
-                if all(getattr(o, a) == v for a, v in predicate.items())
-            ]
-            if len(matches) == 1:
-                pairs.append(
-                    QuestionSpec(QUERYING, predicate, query_attribute=attr)
-                )
+            triple = triples[attr](obj)
+            if counts[attr][triple] == 1:
+                predicate = dict(zip(others[attr], triple))
+                pairs.append(QuestionSpec(QUERYING, predicate, query_attribute=attr))
     return pairs
 
 
@@ -578,7 +579,7 @@ def run_eval(
         )
     return EvalReport(
         n=len(results),
-        exact_match_accuracy=fmean(1.0 if r.expected == r.got else 0.0 for r in results),
-        avg_provider_calls=fmean(r.calls for r in results),
+        exact_match_accuracy=sum(r.expected == r.got for r in results) / len(results),
+        avg_provider_calls=math.fsum(r.calls for r in results) / len(results),
         per_item=tuple(results),
     )

@@ -1,4 +1,6 @@
-"""machina runs on the standard library alone; its CLI adds click."""
+"""machina runs on the standard library alone; its CLI adds click. Importing
+it leaves the HTTP stack and ``statistics`` unloaded until an
+``HttpProvider`` is built."""
 
 import json
 import os
@@ -21,16 +23,21 @@ print(json.dumps(sorted(added - set(sys.stdlib_module_names))))
 """
 
 
-def third_party_modules_added_by(modules: str) -> set[str]:
+def run_probe(code: str):
+    """The JSON a fresh interpreter prints after running ``code``."""
     src = str(Path(machina.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", PROBE.format(modules=modules)],
+        [sys.executable, "-c", code],
         capture_output=True,
         check=True,
         env={**os.environ, "PYTHONPATH": src},
         text=True,
     ).stdout
-    return set(json.loads(out))
+    return json.loads(out)
+
+
+def third_party_modules_added_by(modules: str) -> set[str]:
+    return set(run_probe(PROBE.format(modules=modules)))
 
 
 @pytest.mark.parametrize(
@@ -42,3 +49,25 @@ def third_party_modules_added_by(modules: str) -> set[str]:
 )
 def test_imports_pull_in_no_other_package(modules, expected):
     assert third_party_modules_added_by(modules) == expected
+
+
+# Modules the import of machina must leave to the first HttpProvider (the HTTP
+# stack) or not load at all (statistics, which pulls in fractions and decimal).
+DEFERRED = ("http.client", "urllib.request", "ssl", "email", "statistics")
+
+LOAD_PROBE = """
+import json, sys
+before = set(sys.modules)
+import machina, machina.harness, machina.engine
+imported = set(sys.modules) - before
+from machina.providers import HttpProvider
+HttpProvider("http://127.0.0.1:9", model="m")
+built = set(sys.modules) - before
+print(json.dumps({"imported": sorted(imported), "built": sorted(built)}))
+"""
+
+
+def test_http_stack_loads_with_the_first_provider():
+    loaded = run_probe(LOAD_PROBE)
+    assert [name for name in DEFERRED if name in loaded["imported"]] == []
+    assert "urllib.request" in loaded["built"]

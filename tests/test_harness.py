@@ -1,8 +1,12 @@
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from machina.harness import (
+    QUERYING,
     Dataset,
     MinSize,
     QuestionSpec,
@@ -14,10 +18,11 @@ from machina.harness import (
     parse_question,
     read_dataset,
     render_question,
+    _query_pairs,
     run_eval,
 )
 from machina.providers import ScriptedProvider
-from machina.scene import scene_to_json_value
+from machina.scene import ATTRIBUTE_VALUES, ATTRIBUTES, SceneGraph, SceneObject, scene_to_json_value
 from helpers import action_library_answer, s1_scene, write_dataset
 
 
@@ -69,6 +74,71 @@ class TestGenerator:
     def test_unrecognized_question(self):
         with pytest.raises(UnrecognizedQuestion):
             parse_question("What is the meaning of life?")
+
+
+def reference_query_pairs(scene):
+    """The quadratic definition: rescan every object for every (object,
+    attribute) choice."""
+    pairs = []
+    for obj in scene.objects:
+        for attr in ATTRIBUTES:
+            predicate = {a: getattr(obj, a) for a in ATTRIBUTES if a != attr}
+            matches = [
+                o
+                for o in scene.objects
+                if all(getattr(o, a) == v for a, v in predicate.items())
+            ]
+            if len(matches) == 1:
+                pairs.append(QuestionSpec(QUERYING, predicate, query_attribute=attr))
+    return pairs
+
+
+def spelled_out(pairs):
+    """Pairs with their predicate key order, which dict equality ignores."""
+    return [(p, list(p.predicate.items())) for p in pairs]
+
+
+# Two values per attribute, so identifying triples repeat often.
+_few_values = st.tuples(
+    *(st.sampled_from(ATTRIBUTE_VALUES[a][:2]) for a in ("color", "material", "shape", "size"))
+)
+
+
+class TestQueryPairs:
+    @pytest.mark.parametrize("seed", [7, 90731])
+    def test_match_reference_on_generated_scenes(self, seed):
+        for item in generate_mini_clevr(seed, 200, 3).items[::3]:
+            assert spelled_out(_query_pairs(item.scene)) == spelled_out(
+                reference_query_pairs(item.scene)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_few_values, min_size=1, max_size=12))
+    def test_match_reference_when_triples_repeat(self, combos):
+        scene = SceneGraph(
+            tuple(SceneObject(f"o{i}", *combo) for i, combo in enumerate(combos)), {}
+        )
+        assert spelled_out(_query_pairs(scene)) == spelled_out(reference_query_pairs(scene))
+
+    def test_dataset_digest_pinned(self):
+        """sha256 over the canonical items of the seed-7 perfbench dataset, as
+        computed with the quadratic ``_query_pairs``."""
+        digest = hashlib.sha256()
+        for item in generate_mini_clevr(7, 200, 3).items:
+            spec = item.spec
+            canonical = [
+                item.index,
+                item.question,
+                item.qtype,
+                item.answer,
+                scene_to_json_value(item.scene),
+                [spec.kind, list(spec.predicate.items()), spec.exclude_shape, spec.query_attribute],
+            ]
+            digest.update(json.dumps(canonical, sort_keys=True).encode("utf-8"))
+            digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "759a82430fc067d80d41643f65302ca008a95e6f1b99f4c9d5ee4da6aa73e8c1"
+        )
 
 
 class TestOracle:

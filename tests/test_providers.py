@@ -376,13 +376,16 @@ class TestHttpTransportFailures:
 
 
 class _RecordingHandler(BaseHTTPRequestHandler):
-    """Records the method and Authorization header of every request and
-    answers it with a completion."""
+    """Records the server port, method, request target and Authorization
+    header of every request and answers it with a completion, as a server or
+    as a forward proxy."""
 
     seen: list = []
 
     def _answer(self):
-        _RecordingHandler.seen.append((self.command, self.headers.get("Authorization")))
+        _RecordingHandler.seen.append(
+            (self.server.server_port, self.command, self.path, self.headers.get("Authorization"))
+        )
         self.rfile.read(int(self.headers.get("Content-Length") or 0))
         data = json.dumps(ok_body()).encode()
         self.send_response(200)
@@ -433,3 +436,28 @@ class TestHttpBaseUrl:
     def test_host_that_idna_cannot_encode_is_rejected(self):
         with pytest.raises(MachinaError):
             HttpProvider(f"http://{'a' * 70}.example", model="m")
+
+
+class TestHttpProxy:
+    def test_proxy_settings_are_read_when_the_provider_is_built(self, monkeypatch):
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            closed = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        first, first_thread = _serve(_RecordingHandler)
+        second, second_thread = _serve(_RecordingHandler)
+        try:
+            _RecordingHandler.seen = []
+            monkeypatch.delenv("no_proxy", raising=False)
+            monkeypatch.delenv("NO_PROXY", raising=False)
+            monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{first.server_port}")
+            provider = HttpProvider(closed, model="m", api_key="k")
+            monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{second.server_port}")
+            assert provider.complete(req()) == "pong"
+            assert HttpProvider(closed, model="m", api_key="k").complete(req()) == "pong"
+        finally:
+            _stop(first, first_thread)
+            _stop(second, second_thread)
+        target = f"{closed}/chat/completions"
+        assert _RecordingHandler.seen == [
+            (first.server_port, "POST", target, "Bearer k"),
+            (second.server_port, "POST", target, "Bearer k"),
+        ]
