@@ -21,13 +21,11 @@ from .belief import (
 from .dot import export_dot
 from .engine import (
     Agent,
-    EventInstance,
     RunLimits,
     RunResult,
     dispatch,
     eval_guard,
     execute_action,
-    resolve_transition,
     run,
     start,
 )
@@ -43,6 +41,7 @@ from .machine_io import (
 from .model import (
     ActionSpec,
     Condition,
+    EventInstance,
     ParameterSpec,
     State,
     StateMachine,
@@ -57,7 +56,6 @@ from .model import (
 )
 from .policy import (
     CandidateTransition,
-    EventSelection,
     LlmPolicy,
     Rule,
     RulePolicy,

@@ -13,7 +13,7 @@ payload is offered as external arguments to every action the step fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from .actions import (
@@ -52,8 +52,8 @@ from .model import (
     TRIGGER_EXTERNAL,
     ActionSpec,
     Condition,
+    EventInstance,
     ParameterSpec,
-    State,
     StateMachine,
     Transition,
     ValidationReport,
@@ -64,7 +64,7 @@ from .model import (
     start_state,
     validate_machine,
 )
-from .policy import CandidateTransition, EventSelection, PolicyStage, decide
+from .policy import CandidateTransition, PolicyStage, decide
 from .providers import CallStats, CompletionProvider
 
 STATUS_COMPLETED = "completed"
@@ -120,14 +120,6 @@ class InvalidMachine(MachinaError):
 class AgentNotStarted(MachinaError):
     def __init__(self):
         super().__init__("agent has no current state; run it first")
-
-
-@dataclass(frozen=True)
-class EventInstance:
-    """A named trigger with an optional JSON payload."""
-
-    name: str
-    payload: Mapping[str, JsonValue] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -249,8 +241,6 @@ class _Step:
     failed: only the guard outcome differs from one evaluation to the next."""
 
     transition: Transition
-    exit_states: tuple[State, ...]
-    entry_states: tuple[State, ...]
     target_leaf: str
     actions: tuple[tuple[str, ActionSpec], ...]
     passed: CandidateTransition
@@ -293,8 +283,6 @@ def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
     )
     return _Step(
         transition=transition,
-        exit_states=tuple(exits),
-        entry_states=entries,
         target_leaf=entry_names[-1],
         actions=tuple(actions),
         passed=passed,
@@ -328,40 +316,6 @@ def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
         else step.blocked
         for step in _step_table(agent.machine, leaf)
     ]
-
-
-def _resolve(
-    table: Sequence[_Step],
-    event: str,
-    belief: Belief,
-    registry: ActionRegistry,
-    provider: CompletionProvider,
-) -> _Step | None:
-    for step in table:
-        t = step.transition
-        if t.event == event and (
-            t.guard is None or eval_guard(t.guard, belief, registry, provider)
-        ):
-            return step
-    return None
-
-
-def resolve_transition(
-    sm: StateMachine,
-    active_leaf: str,
-    event: str,
-    belief: Belief,
-    registry: ActionRegistry,
-    provider: CompletionProvider,
-) -> Transition:
-    """First enabled transition for ``event`` whose guard passes.
-
-    Guards are evaluated lazily in resolution order, each at most once.
-    """
-    step = _resolve(_step_table(sm, active_leaf), event, belief, registry, provider)
-    if step is None:
-        raise UnhandledEvent(event, active_leaf)
-    return step.transition
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +421,12 @@ def dispatch(
 ) -> StepOutcome | None:
     """Apply one event to the agent's machine.
 
+    The step fired is the first enabled transition for the event, in
+    resolution order, whose guard passes. ``_candidates`` is the run loop's
+    :func:`candidate_transitions` for the active leaf, whose guard outcomes
+    are reused; without it, guards are evaluated lazily in resolution order,
+    each at most once, up to the first that passes.
+
     Returns ``None`` when the event is unhandled and the limits say to
     ignore it. If an action fails mid-step the transition record is still
     appended (the log keeps referencing valid steps) and the failure
@@ -476,16 +436,15 @@ def dispatch(
     if leaf is None:
         raise AgentNotStarted()
 
-    table = _step_table(agent.machine, leaf)
-    if _candidates is not None:
-        fired = next(
-            (c.transition for c in _candidates if c.transition.event == event.name and c.guard_passed),
-            None,
-        )
-        plan = next((s for s in table if s.transition is fired), None)
+    for i, plan in enumerate(_step_table(agent.machine, leaf)):
+        t = plan.transition
+        if t.event == event.name and (
+            _candidates[i] is plan.passed
+            if _candidates is not None
+            else t.guard is None or eval_guard(t.guard, agent.belief, agent.registry, agent.provider)
+        ):
+            break
     else:
-        plan = _resolve(table, event.name, agent.belief, agent.registry, agent.provider)
-    if plan is None:
         if agent.limits.unhandled_event == UNHANDLED_IGNORE:
             return None
         raise UnhandledEvent(event.name, leaf)
@@ -584,24 +543,21 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
             if is_end(agent.machine, leaf):
                 return _result(agent, STATUS_COMPLETED)
             candidates = candidate_transitions(agent)
-            passing = [c for c in candidates if c.guard_passed]
-            if pending is not None:
-                event, pending = pending, None
-                if len(agent.belief.trajectory) >= agent.limits.max_transitions:
-                    return _result(agent, STATUS_BUDGET_EXHAUSTED)
-                dispatch(agent, event, candidates)
-                continue
-            if all(c.transition.trigger == TRIGGER_EXTERNAL for c in passing):
+            event, pending = pending, None
+            if event is None and all(
+                c.transition.trigger == TRIGGER_EXTERNAL for c in candidates if c.guard_passed
+            ):
                 return _result(agent, STATUS_WAITING)
             if len(agent.belief.trajectory) >= agent.limits.max_transitions:
                 return _result(agent, STATUS_BUDGET_EXHAUSTED)
-            selection: EventSelection = decide(
-                agent.policy,
-                agent.machine.state(leaf),
-                candidates,
-                agent.belief,
-                agent.provider,
-            )
-            dispatch(agent, EventInstance(selection.event, dict(selection.arguments)), candidates)
+            if event is None:
+                event = decide(
+                    agent.policy,
+                    agent.machine.state(leaf),
+                    candidates,
+                    agent.belief,
+                    agent.provider,
+                )
+            dispatch(agent, event, candidates)
     except MachinaError as exc:
         return _result(agent, STATUS_FAILED, reason=str(exc))

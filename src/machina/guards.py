@@ -217,8 +217,11 @@ class _Parser:
         if tok is None:
             raise self._error({"operand"})
         if tok.kind == "number":
+            try:
+                value = float(tok.text) if "." in tok.text else int(tok.text)
+            except ValueError:  # more digits than int() converts
+                raise GuardSyntaxError(tok.pos, frozenset({"shorter number"}), tok.text[:20] + "...") from None
             self.pos += 1
-            value = float(tok.text) if "." in tok.text else int(tok.text)
             return Literal(value)
         if tok.kind == "string":
             self.pos += 1

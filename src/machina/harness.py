@@ -16,7 +16,7 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping
@@ -107,22 +107,7 @@ class EvalReport:
     per_item: tuple[ItemResult, ...]
 
     def to_json_value(self) -> dict:
-        return {
-            "n": self.n,
-            "exact_match_accuracy": self.exact_match_accuracy,
-            "avg_provider_calls": self.avg_provider_calls,
-            "per_item": [
-                {
-                    "index": r.index,
-                    "question": r.question,
-                    "expected": r.expected,
-                    "got": r.got,
-                    "calls": r.calls,
-                    "status": r.status,
-                }
-                for r in self.per_item
-            ],
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         failures = sum(1 for r in self.per_item if r.expected != r.got)

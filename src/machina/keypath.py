@@ -56,7 +56,10 @@ def resolve(value: JsonValue, segments: tuple[str, ...]):
                 return ABSENT
             current = current[seg]
         elif isinstance(current, list) and seg.isdigit():
-            index = int(seg)
+            try:
+                index = int(seg)
+            except ValueError:  # '²', or more digits than int() converts
+                return ABSENT
             if index >= len(current):
                 return ABSENT
             current = current[index]

@@ -10,11 +10,12 @@ transitions apply to a state) and are checked for well-formedness by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from .errors import MachinaError
+from .keypath import JsonValue
 
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -116,6 +117,15 @@ class Transition:
     guard: Optional[Condition] = None
     actions: tuple[ActionSpec, ...] = ()
     trigger: str = TRIGGER_INTERNAL
+
+
+@dataclass(frozen=True)
+class EventInstance:
+    """A named trigger with an optional JSON payload: what a policy picks and
+    what the engine dispatches."""
+
+    name: str
+    payload: Mapping[str, JsonValue] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

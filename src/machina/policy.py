@@ -1,9 +1,9 @@
 """Transition selection: fast-forward, rule-based and LLM-based policies.
 
 A policy receives the current state, the candidate transitions (with guards
-already evaluated) and the belief, and yields an :class:`EventSelection`.
-Policies are stacked: the fast-forward shortcut always runs first, then each
-stage in order until one selects.
+already evaluated) and the belief, and yields the :class:`EventInstance` the
+engine dispatches. Policies are stacked: the fast-forward shortcut always
+runs first, then each stage in order until one selects.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import MachinaError, SchemaError, check_keys, require_list, require
 from .guards import GuardExpr, evaluate, parse_guard
 from .json_extract import first_json_object, read_json
 from .keypath import ABSENT, JsonValue
-from .model import TRIGGER_INTERNAL, ParameterSpec, State, Transition
+from .model import TRIGGER_INTERNAL, EventInstance, ParameterSpec, State, Transition
 from .providers import CompletionProvider, CompletionRequest
 
 DEFAULT_HISTORY_BUDGET = 3000
@@ -90,12 +90,6 @@ class CandidateTransition:
 
 
 @dataclass(frozen=True)
-class EventSelection:
-    event: str
-    arguments: Mapping[str, JsonValue] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class PathRef:
     """Marks a rule argument resolved from the belief at selection time."""
 
@@ -141,7 +135,7 @@ def _selectable(candidates: Sequence[CandidateTransition]) -> list[CandidateTran
     ]
 
 
-def fast_forward(candidates: Sequence[CandidateTransition]) -> EventSelection | None:
+def fast_forward(candidates: Sequence[CandidateTransition]) -> EventInstance | None:
     """Skip the policy when the choice is forced.
 
     Fires only when exactly one guard-passed, internally triggered candidate
@@ -150,7 +144,7 @@ def fast_forward(candidates: Sequence[CandidateTransition]) -> EventSelection | 
     """
     eligible = _selectable(candidates)
     if len(eligible) == 1 and not eligible[0].required_external_params:
-        return EventSelection(eligible[0].transition.event, {})
+        return EventInstance(eligible[0].transition.event)
     return None
 
 
@@ -159,7 +153,7 @@ def rule_decide(
     state: State,
     candidates: Sequence[CandidateTransition],
     belief: Belief,
-) -> EventSelection | None:
+) -> EventInstance | None:
     """First rule that matches the state, passes its guard and emits an
     event present among the guard-passed candidates wins.
 
@@ -189,7 +183,7 @@ def rule_decide(
                 arguments[name] = source
         if any(p.name not in arguments for p in candidate.required_external_params):
             continue
-        return EventSelection(rule.emit_event, arguments)
+        return EventInstance(rule.emit_event, arguments)
     return None
 
 
@@ -227,7 +221,7 @@ def build_policy_prompt(
 
 def parse_policy_response(
     text: str, candidates: Sequence[CandidateTransition]
-) -> EventSelection:
+) -> EventInstance:
     """Extract the first JSON object from a reply and validate it.
 
     Expected shape: ``{"event": str, "arguments": {..}?}``. The event must
@@ -254,7 +248,7 @@ def parse_policy_response(
             coerced[param.name] = coerce_argument(arguments[param.name], param.datatype)
         except ArgumentTypeError as exc:
             raise BadArgumentType(param.name, str(exc)) from None
-    return EventSelection(event, coerced)
+    return EventInstance(event, coerced)
 
 
 def llm_decide(
@@ -263,7 +257,7 @@ def llm_decide(
     state: State,
     candidates: Sequence[CandidateTransition],
     belief: Belief,
-) -> EventSelection:
+) -> EventInstance:
     """Prompt, complete, parse; on a bad reply retry with the error appended."""
     prompt = build_policy_prompt(policy, state, candidates, belief)
     last_error: PolicyError | None = None
@@ -287,7 +281,7 @@ def decide(
     candidates: Sequence[CandidateTransition],
     belief: Belief,
     provider: CompletionProvider,
-) -> EventSelection:
+) -> EventInstance:
     """Fast-forward, then each stage in order; the first selection wins.
 
     An empty stack is allowed for machines whose every step fast-forwards;

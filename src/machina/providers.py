@@ -161,9 +161,7 @@ class HttpProvider:
 
     ``import machina`` does not load the HTTP stack (``urllib.request``,
     ``http.client``, ``ssl``, ``email``): building the first provider does,
-    so a process that never makes a live call never loads it. That cut the
-    import from 102 ms to 61 ms with cached bytecode (2-core Linux host,
-    Python 3.11).
+    so a process that never makes a live call never loads it.
     """
 
     def __init__(

@@ -54,6 +54,23 @@ class TestValidate:
         assert result.exit_code == 1
         assert "MultipleStart" in result.output
 
+    def test_overlong_integer_guard_is_a_bad_guard(self, runner, tmp_path):
+        doc = {
+            "name": "m",
+            "states": [
+                {"name": "a", "description": "", "tags": ["start"]},
+                {"name": "b", "description": "", "tags": ["end"]},
+            ],
+            "transitions": [
+                {"source": "a", "target": "b", "event": "go", "guard": {"expr": "x == " + "9" * 5000}}
+            ],
+        }
+        path = write_machine(tmp_path, doc)
+        result = runner.invoke(main, ["validate", "--machine", str(path)])
+        assert result.exit_code == 1
+        assert "BadGuard" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["validate", "--machine", "nowhere.sm.json"])
         assert result.exit_code == 1

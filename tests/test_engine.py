@@ -20,7 +20,6 @@ from machina.engine import (
     dispatch,
     eval_guard,
     execute_action,
-    resolve_transition,
     run,
     start,
 )
@@ -111,26 +110,26 @@ class TestEvalGuard:
 
 
 class TestResolve:
+    """Resolution through ``dispatch``: the first enabled transition for the
+    event, own before inherited, whose guard passes."""
+
     def test_ancestor_transition(self):
         agent = h3_agent()
-        t = resolve_transition(
-            agent.machine, "Leaf", "e2", agent.belief, agent.registry, agent.provider
-        )
+        start(agent)
+        t = dispatch(agent, EventInstance("e2")).transition
         assert (t.source, t.target) == ("Mid", "Done")
 
     def test_own_before_ancestors(self):
         agent = h3_agent()
-        t = resolve_transition(
-            agent.machine, "Leaf", "e1", agent.belief, agent.registry, agent.provider
-        )
+        start(agent)
+        t = dispatch(agent, EventInstance("e1")).transition
         assert (t.source, t.target) == ("Leaf", "Leaf")
 
     def test_unhandled(self):
         agent = h3_agent()
+        start(agent)
         with pytest.raises(UnhandledEvent):
-            resolve_transition(
-                agent.machine, "Leaf", "e9", agent.belief, agent.registry, agent.provider
-            )
+            dispatch(agent, EventInstance("e9"))
 
     def test_guard_selects_among_same_event(self):
         doc = {
@@ -142,11 +141,89 @@ class TestResolve:
             ],
         }
         agent = agent_for(doc)
-        t = resolve_transition(agent.machine, "a", "go", agent.belief, agent.registry, agent.provider)
-        assert t.target == "c"
+        start(agent)
+        assert dispatch(agent, EventInstance("go")).transition.target == "c"
+        agent = agent_for(doc)
         kv_set(agent.belief, "x", 1)
-        t = resolve_transition(agent.machine, "a", "go", agent.belief, agent.registry, agent.provider)
-        assert t.target == "b"
+        start(agent)
+        assert dispatch(agent, EventInstance("go")).transition.target == "b"
+
+
+def same_event_agent(kv: dict, calls: list) -> Agent:
+    """Four ``go`` transitions from ``a``: an expression guard, an action
+    guard that logs its calls, a guard that raises ``GuardTypeError`` when
+    evaluated (``name`` holds a string), and no guard."""
+
+    def spy(inputs, ctx):
+        calls.append(1)
+        return inputs["flag"]
+
+    registry = builtin_registry()
+    registry.register("spy", (ParameterSpec("flag", "internal", "boolean"),), spy, output_datatype="boolean")
+    doc = {
+        "name": "m",
+        "states": [state("a", tags=["start"])] + [state(n, tags=["end"]) for n in "bcde"],
+        "transitions": [
+            {"source": "a", "target": "b", "event": "go", "guard": {"expr": "x == 1"}, "trigger": "external"},
+            {"source": "a", "target": "c", "event": "go", "guard": {"action": "spy"}, "trigger": "external"},
+            {"source": "a", "target": "d", "event": "go", "guard": {"expr": "name < 3"}, "trigger": "external"},
+            {"source": "a", "target": "e", "event": "go", "trigger": "external"},
+        ],
+    }
+    belief = new_belief()
+    kv_set(belief, "name", "abc")
+    for key, value in kv.items():
+        kv_set(belief, key, value)
+    return Agent(
+        machine=machine_from(doc),
+        belief=belief,
+        policy=(),
+        registry=registry,
+        provider=ScriptedProvider.from_replies([]),
+    )
+
+
+class TestDispatchLazyGuards:
+    def test_first_passing_guard_stops_resolution(self):
+        calls = []
+        agent = same_event_agent({"x": 1, "flag": True}, calls)
+        start(agent)
+        assert dispatch(agent, EventInstance("go")).target_leaf == "b"
+        assert calls == []
+
+    def test_later_guards_not_evaluated_after_a_pass(self):
+        calls = []
+        agent = same_event_agent({"x": 0, "flag": True}, calls)
+        start(agent)
+        assert dispatch(agent, EventInstance("go")).target_leaf == "c"
+        assert calls == [1]
+
+    def test_failing_guards_evaluated_in_order(self):
+        calls = []
+        agent = same_event_agent({"x": 0, "flag": False}, calls)
+        start(agent)
+        with pytest.raises(GuardTypeError):
+            dispatch(agent, EventInstance("go"))
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "kv, target",
+        [
+            ({"x": 1, "flag": True, "name": 1}, "b"),
+            ({"x": 0, "flag": True, "name": 1}, "c"),
+            ({"x": 0, "flag": False, "name": 1}, "d"),
+            ({"x": 0, "flag": False, "name": 5}, "e"),
+        ],
+    )
+    def test_run_and_dispatch_fire_the_same_step(self, kv, target):
+        """``run`` evaluates every guard up front, so ``name`` is a number."""
+        direct = same_event_agent(kv, [])
+        start(direct)
+        outcome = dispatch(direct, EventInstance("go"))
+        result = run(same_event_agent(kv, []), EventInstance("go"))
+        assert result.status == "completed"
+        assert result.belief_snapshot.trajectory == direct.belief.trajectory
+        assert result.belief_snapshot.current_state == outcome.target_leaf == target
 
 
 class TestExecuteAction:

@@ -96,6 +96,12 @@ class TestParse:
         with pytest.raises(GuardSyntaxError):
             parse_guard("not " * 50_000 + "x")
 
+    def test_integer_longer_than_int_converts_rejected_at_its_offset(self):
+        with pytest.raises(GuardSyntaxError) as err:
+            parse_guard("x == " + "9" * 5000)
+        assert err.value.position == 5
+        assert len(str(err.value)) < 200
+
 
 class TestRender:
     @pytest.mark.parametrize(

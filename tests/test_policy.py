@@ -5,11 +5,10 @@ import pytest
 
 from machina.belief import kv_set, new_belief, record_action, ActionRecord
 from machina.guards import parse_guard
-from machina.model import ParameterSpec, State, Transition
+from machina.model import EventInstance, ParameterSpec, State, Transition
 from machina.policy import (
     BadArgumentType,
     CandidateTransition,
-    EventSelection,
     LlmPolicy,
     MissingArgument,
     NoCandidates,
@@ -48,7 +47,7 @@ STRING_PARAM = ParameterSpec("text", "external", "string", "the answer")
 class TestFastForward:
     def test_single_passing_no_params(self):
         sel = fast_forward([candidate("go")])
-        assert sel == EventSelection("go", {})
+        assert sel == EventInstance("go", {})
 
     def test_two_passing(self):
         assert fast_forward([candidate("a"), candidate("b")]) is None
@@ -58,7 +57,7 @@ class TestFastForward:
 
     def test_failed_guard_not_counted(self):
         sel = fast_forward([candidate("a", passed=False), candidate("b")])
-        assert sel == EventSelection("b", {})
+        assert sel == EventInstance("b", {})
 
     def test_external_trigger_not_fast_forwarded(self):
         assert fast_forward([candidate("go", trigger="external")]) is None
@@ -77,7 +76,7 @@ class TestRuleDecide:
         )
         state = State(name="QuestionClassification", description="")
         sel = rule_decide(rules, state, [candidate("count"), candidate("judge")], belief)
-        assert sel == EventSelection("count", {})
+        assert sel == EventInstance("count", {})
 
     def test_no_rule_matches(self):
         belief = new_belief()
@@ -91,7 +90,7 @@ class TestRuleDecide:
             Rule(emit_event="go", when_state="s"),
         )
         sel = rule_decide(rules, STATE, [candidate("go")], belief)
-        assert sel == EventSelection("go", {})
+        assert sel == EventInstance("go", {})
 
     def test_path_ref_arguments(self):
         belief = new_belief()
@@ -104,7 +103,7 @@ class TestRuleDecide:
             ),
         )
         sel = rule_decide(rules, STATE, [candidate("go", params=[STRING_PARAM])], belief)
-        assert sel.arguments == {"text": "red", "fixed": 3}
+        assert sel.payload == {"text": "red", "fixed": 3}
 
     def test_unresolvable_path_ref(self):
         from machina.policy import RuleArgumentUnresolvable
@@ -181,11 +180,11 @@ class TestPrompt:
 class TestParseResponse:
     def test_plain_object(self):
         sel = parse_policy_response('{"event":"count","arguments":{}}', [candidate("count")])
-        assert sel == EventSelection("count", {})
+        assert sel == EventInstance("count", {})
 
     def test_chatty_reply(self):
         sel = parse_policy_response('Sure! {"event":"judge"}', [candidate("judge")])
-        assert sel.event == "judge"
+        assert sel.name == "judge"
 
     def test_unknown_event(self):
         with pytest.raises(UnknownEvent):
@@ -211,25 +210,25 @@ class TestParseResponse:
         sel = parse_policy_response(
             '{"event":"go","arguments":{"n":"4"}}', [candidate("go", params=[param])]
         )
-        assert sel.arguments["n"] == 4
+        assert sel.payload["n"] == 4
 
     def test_first_json_object_wins(self):
         text = 'bad {not json} then {"event":"go"} and {"event":"other"}'
         sel = parse_policy_response(text, [candidate("go"), candidate("other")])
-        assert sel.event == "go"
+        assert sel.name == "go"
 
 
 class TestLlmDecide:
     def test_valid_first_try(self):
         provider = ScriptedProvider.from_replies(['{"event":"go"}'])
         sel = llm_decide(POLICY, provider, STATE, [candidate("go")], new_belief())
-        assert sel.event == "go"
+        assert sel.name == "go"
         assert provider.snapshot_stats().calls == 1
 
     def test_retry_then_valid(self):
         provider = ScriptedProvider.from_replies(["garbage", '{"event":"go"}'])
         sel = llm_decide(POLICY, provider, STATE, [candidate("go")], new_belief())
-        assert sel.event == "go"
+        assert sel.name == "go"
         assert provider.snapshot_stats().calls == 2
 
     def test_retry_prompt_carries_error(self):
@@ -242,7 +241,7 @@ class TestLlmDecide:
             ]
         )
         sel = llm_decide(POLICY, provider, STATE, [candidate("go")], new_belief())
-        assert sel.event == "go"
+        assert sel.name == "go"
 
     def test_failure_after_retries(self):
         provider = ScriptedProvider.from_replies(["junk", "junk"])
@@ -255,14 +254,14 @@ class TestDecide:
     def test_fast_forward_consults_nothing(self):
         provider = ScriptedProvider.from_replies([])
         sel = decide((POLICY,), STATE, [candidate("go")], new_belief(), provider)
-        assert sel.event == "go"
+        assert sel.name == "go"
         assert provider.snapshot_stats().calls == 0
 
     def test_rules_miss_llm_hits(self):
         provider = ScriptedProvider.from_replies(['{"event":"b"}'])
         stack = (RulePolicy((Rule(emit_event="zz", when_state="s"),)), POLICY)
         sel = decide(stack, STATE, [candidate("a"), candidate("b")], new_belief(), provider)
-        assert sel.event == "b"
+        assert sel.name == "b"
 
     def test_exhausted(self):
         stack = (RulePolicy((Rule(emit_event="zz", when_state="s"),)),)
@@ -273,7 +272,7 @@ class TestDecide:
         provider = ScriptedProvider.from_replies(['{"event":"inner"}'])
         cands = [candidate("outer", trigger="external"), candidate("inner"), candidate("other")]
         sel = decide((POLICY,), STATE, cands, new_belief(), provider)
-        assert sel.event == "inner"
+        assert sel.name == "inner"
 
     def test_never_returns_non_candidate(self):
         rnd = random.Random(5)
@@ -290,7 +289,7 @@ class TestDecide:
                 sel = decide((POLICY,), STATE, cands, new_belief(), provider)
             except (PolicyFailure, PolicyExhausted, NoCandidates):
                 continue
-            assert sel.event in passing
+            assert sel.name in passing
 
 
 class TestRuleFileEdges:

@@ -6,13 +6,14 @@ import json
 import pytest
 
 from machina.actions import builtin_registry
-from machina.belief import NestingTooDeep, belief_to_trace, copy_json, kv_set, new_belief, snapshot
+from machina.belief import NestingTooDeep, belief_to_trace, copy_json, kv_get, kv_set, new_belief, snapshot
 from machina.engine import Agent, EventInstance, run
 from machina.errors import MachinaError
 from machina.harness import make_qa_agent
-from machina.policy import PARSE_RETRIES
+from machina.keypath import ABSENT
+from machina.policy import PARSE_RETRIES, RulePolicy, rules_from_value
 from machina.providers import ScriptedProvider
-from helpers import h3_agent, machine_from, s1_scene, state
+from helpers import agent_for, h3_agent, machine_from, s1_scene, state
 
 DEEP_ARRAY_TEXT = "[" * 3000 + "]" * 3000
 LONG_INTEGER_TEXT = "1" * 5000
@@ -98,4 +99,49 @@ class TestCrashingReplies:
         result = run(agent)
         assert result.status == "failed"
         assert result.reason.startswith("action 'extractObjects' failed")
+        assert_usable(result)
+
+
+def items_belief():
+    belief = new_belief()
+    kv_set(belief, "items", ["x"])
+    return belief
+
+
+class TestNumericSegmentsIntCannotRead:
+    """A digit segment that ``int()`` rejects (``'²'``, or more digits than it
+    converts) indexes no list: the path reads absent."""
+
+    @pytest.mark.parametrize("segment", ["\u00b2", LONG_INTEGER_TEXT], ids=["superscript-two", "long-integer"])
+    def test_kv_get_reads_absent(self, segment):
+        assert kv_get(items_belief(), f"items.{segment}") is ABSENT
+
+    def test_guard_reads_false(self):
+        doc = {
+            "name": "m",
+            "states": [state("a", tags=["start"]), state("b", tags=["end"]), state("c", tags=["end"])],
+            "transitions": [
+                {"source": "a", "target": "b", "event": "go", "guard": {"expr": f"items.{LONG_INTEGER_TEXT} == 1"}},
+                {"source": "a", "target": "c", "event": "skip"},
+            ],
+        }
+        result = run(agent_for(doc, belief=items_belief()))
+        assert result.status == "completed"
+        assert result.belief_snapshot.current_state == "c"
+
+    def test_rule_argument_fails_typed(self):
+        doc = {
+            "name": "m",
+            "states": [state("a", tags=["start"]), state("b", tags=["end"]), state("c", tags=["end"])],
+            "transitions": [
+                {"source": "a", "target": "b", "event": "go"},
+                {"source": "a", "target": "c", "event": "skip"},
+            ],
+        }
+        rules = rules_from_value(
+            [{"emit_event": "go", "when_state": "a", "emit_arguments": {"item": {"$ref": "items.\u00b2"}}}]
+        )
+        result = run(agent_for(doc, policy=[RulePolicy(rules)], belief=items_belief()))
+        assert result.status == "failed"
+        assert result.reason == "rule argument references absent belief path 'items.\u00b2'"
         assert_usable(result)
