@@ -15,9 +15,11 @@ import json
 import math
 from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from json.encoder import c_make_encoder, encode_basestring
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import MachinaError
+from .errors import MachinaError, utf8
 from .keypath import JsonValue, resolve, split_path
 from .model import is_identifier
 
@@ -267,41 +269,71 @@ def belief_to_trace(belief: Belief) -> dict:
 
 def estimate_tokens(text: str) -> int:
     """Provider-agnostic token estimate: one token per four UTF-8 bytes."""
-    return math.ceil(len(text.encode("utf-8")) / 4)
+    return math.ceil(len(utf8(text)) / 4)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+# Records hold JSON values: the engine stores copy_json copies, which cannot
+# hold a cycle.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
+)
+
+
+# JSONEncoder.encode builds a C encoder for every list or dict it dumps,
+# which costs as much as dumping a record's small values; build one here,
+# with the arguments JSONEncoder.iterencode gives it.
+_C_ENCODE = c_make_encoder and c_make_encoder(
+    None,
+    _ENCODER.default,
+    encode_basestring,
+    None,
+    _ENCODER.key_separator,
+    _ENCODER.item_separator,
+    _ENCODER.sort_keys,
+    _ENCODER.skipkeys,
+    _ENCODER.allow_nan,
+)
 
 
 def _dump(value: JsonValue) -> str:
-    return _ENCODER.encode(value)
+    if _C_ENCODE is None:  # an interpreter without json's C accelerator
+        return _ENCODER.encode(value)
+    return "".join(_C_ENCODE(value, 0))
 
 
-def _record_lines(belief: Belief) -> list[str]:
-    """All records interleaved in step order, oldest first.
+def _action_line(rec: ActionRecord) -> str:
+    return (
+        f"[step {rec.step}] {rec.phase} action {rec.action}"
+        f" inputs={_dump(rec.inputs)} output={_dump(rec.output)}"
+    )
 
-    Within a step the transition line leads and its action records follow;
-    step 0 actions (initial entry) come before everything else.
+
+def _transition_line(rec: TransitionRecord) -> str:
+    line = f"[step {rec.step}] transition {rec.source} --{rec.event}--> {rec.target}"
+    if rec.event_payload:
+        line += f" payload={_dump(rec.event_payload)}"
+    return line
+
+
+def _lines_newest_first(belief: Belief) -> Iterator[str]:
+    """The history's lines, newest first, each formatted only when reached.
+
+    Oldest first, the history reads: step 0 actions (initial entry), then
+    each transition followed by its step's actions, then the actions of a
+    step still in flight. Within a step, actions keep their log order; a
+    stable sort by step puts an action recorded late for an earlier step in
+    its place, and costs one pass when the log is already in step order.
     """
-    by_step: dict[int, list[str]] = {}
-    for rec in belief.execution_log:
-        line = (
-            f"[step {rec.step}] {rec.phase} action {rec.action}"
-            f" inputs={_dump(rec.inputs)} output={_dump(rec.output)}"
-        )
-        by_step.setdefault(rec.step, []).append(line)
-
-    lines = list(by_step.get(0, []))
-    for rec in belief.trajectory:
-        line = f"[step {rec.step}] transition {rec.source} --{rec.event}--> {rec.target}"
-        if rec.event_payload:
-            line += f" payload={_dump(rec.event_payload)}"
-        lines.append(line)
-        lines.extend(by_step.get(rec.step, []))
-    max_step = len(belief.trajectory)
-    for step in sorted(s for s in by_step if s > max_step):
-        lines.extend(by_step[step])
-    return lines
+    actions = sorted(belief.execution_log, key=attrgetter("step"))
+    i = len(actions) - 1
+    for rec in reversed(belief.trajectory):
+        while i >= 0 and actions[i].step >= rec.step:
+            yield _action_line(actions[i])
+            i -= 1
+        yield _transition_line(rec)
+    while i >= 0:
+        yield _action_line(actions[i])
+        i -= 1
 
 
 def _truncate_tail(line: str, budget: int) -> str:
@@ -320,16 +352,15 @@ def render_history(belief: Belief, token_budget: int) -> str:
 
     Includes the maximal chronological suffix of records whose estimated
     size fits ``token_budget``; when even the newest record alone exceeds
-    the budget, that record is included truncated head-first.
+    the budget, that record is included truncated head-first. Records are
+    walked newest first and formatted only up to the first that does not
+    fit, so the cost follows the window, not the length of the run.
     """
     if token_budget < 1:
         raise MachinaError("token budget must be at least 1")
-    lines = _record_lines(belief)
-    if not lines:
-        return ""
     selected: list[str] = []
     total = 0
-    for line in reversed(lines):
+    for line in _lines_newest_first(belief):
         cost = estimate_tokens(line + "\n")
         if not selected and cost > token_budget:
             return _truncate_tail(line, token_budget)

@@ -50,3 +50,20 @@ def require_string(obj: dict, key: str, pointer: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{pointer}/{key}", "expected a string")
     return value
+
+
+class UnencodableText(MachinaError):
+    """Text holds a lone surrogate, which has no UTF-8 encoding."""
+
+
+def utf8(text: str) -> bytes:
+    """``text`` encoded as UTF-8; a lone surrogate (which the Python API
+    accepts in messages, payloads and outputs) raises
+    :class:`UnencodableText`."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise UnencodableText(
+            f"text holds {exc.object[exc.start:exc.end]!r} at character {exc.start},"
+            " which UTF-8 cannot encode"
+        ) from None

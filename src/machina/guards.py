@@ -18,6 +18,7 @@ explicit alias for that root.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -217,10 +218,9 @@ class _Parser:
         if tok is None:
             raise self._error({"operand"})
         if tok.kind == "number":
-            try:
-                value = float(tok.text) if "." in tok.text else int(tok.text)
-            except ValueError:  # more digits than int() converts
-                raise GuardSyntaxError(tok.pos, frozenset({"shorter number"}), tok.text[:20] + "...") from None
+            value = _number(tok.text)
+            if value is None:
+                raise GuardSyntaxError(tok.pos, frozenset({"shorter number"}), tok.text[:20] + "...")
             self.pos += 1
             return Literal(value)
         if tok.kind == "string":
@@ -235,6 +235,19 @@ class _Parser:
             self.pos += 1
             return Path(tuple(tok.text.split(".")))
         raise self._error({"operand"})
+
+
+def _number(text: str) -> int | float | None:
+    """A number token's value; ``None`` for an integer with more digits than
+    ``int()`` converts or a decimal past the float range, whose ``inf``
+    would render as the path ``inf``."""
+    if "." in text:
+        value = float(text)
+        return value if math.isfinite(value) else None
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def parse_guard(text: str) -> GuardExpr:
@@ -271,9 +284,26 @@ def _operand_text(op: Operand) -> str:
         return "true"
     if v is False:
         return "false"
-    if isinstance(v, (int, float)):
+    if isinstance(v, float):
+        return _float_text(v)
+    if isinstance(v, int):
         return repr(v)
     return _escape(str(v))
+
+
+def _float_text(v: float) -> str:
+    """``repr``'s shortest round-trip digits in positional notation, since
+    the grammar has no exponent: ``1e-07`` renders as ``0.0000001``."""
+    if not math.isfinite(v):
+        raise MachinaError(f"guard literal {v!r} has no DSL text")
+    text = repr(v)
+    if "e" in text:
+        from decimal import Decimal  # here, not at import: it slows start-up
+
+        text = format(Decimal(text), "f")
+        if "." not in text:
+            text += ".0"
+    return text
 
 
 def _render(expr: GuardExpr, minimum: int) -> str:

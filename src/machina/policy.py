@@ -9,6 +9,7 @@ runs first, then each stage in order until one selects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -87,6 +88,21 @@ class CandidateTransition:
     guard_passed: bool
     required_external_params: tuple[ParameterSpec, ...] = ()
     target_description: str = ""
+
+    @cached_property
+    def prompt_line(self) -> str:
+        """This candidate's line under ``# Available transitions``. The step
+        table's candidates are shared by every agent, so each line is
+        formatted once per process."""
+        t = self.transition
+        if self.required_external_params:
+            params = ", ".join(
+                f"{p.name}: {p.datatype}" + (f" ({p.description})" if p.description else "")
+                for p in self.required_external_params
+            )
+        else:
+            params = "none"
+        return f"- {t.event} -> {t.target}: {self.target_description} | params: {params}"
 
 
 @dataclass(frozen=True)
@@ -205,16 +221,7 @@ def build_policy_prompt(
     lines += ["# Execution history", render_history(belief, policy.history_token_budget), ""]
     lines += ["# Current state", f"{state.name}: {state.description}", ""]
     lines.append("# Available transitions")
-    for c in passing:
-        t = c.transition
-        if c.required_external_params:
-            params = ", ".join(
-                f"{p.name}: {p.datatype}" + (f" ({p.description})" if p.description else "")
-                for p in c.required_external_params
-            )
-        else:
-            params = "none"
-        lines.append(f"- {t.event} -> {t.target}: {c.target_description} | params: {params}")
+    lines += [c.prompt_line for c in passing]
     lines += ["", "# Output instruction", OUTPUT_INSTRUCTION]
     return "\n".join(lines)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-from .errors import MachinaError, check_keys, require_list, require_object, require_string
+from .errors import MachinaError, check_keys, require_list, require_object, require_string, utf8
 from .json_extract import JsonSyntaxError, read_json
 
 API_KEY_ENV = "SHERPA_API_KEY"
@@ -75,17 +75,18 @@ class CompletionProvider(Protocol):
 
 
 def _prompt_bytes(request: CompletionRequest) -> int:
-    """UTF-8 bytes a request sends: the prompt plus the system text, if any."""
-    size = len(request.prompt.encode("utf-8"))
+    """UTF-8 bytes a request sends: the prompt plus the system text, if any.
+    Text UTF-8 cannot encode raises :class:`~machina.errors.UnencodableText`."""
+    size = len(utf8(request.prompt))
     if request.system:
-        size += len(request.system.encode("utf-8"))
+        size += len(utf8(request.system))
     return size
 
 
 def _clip_reply(text: str) -> str:
     """The reply cut to its first ``MAX_REPLY_BYTES`` UTF-8 bytes, dropping a
     character the cut splits."""
-    encoded = text.encode("utf-8")
+    encoded = utf8(text)
     if len(encoded) <= MAX_REPLY_BYTES:
         return text
     return encoded[:MAX_REPLY_BYTES].decode("utf-8", errors="ignore")
@@ -115,8 +116,8 @@ class ScriptedProvider:
         return cls([ScriptStep(reply=r) for r in replies])
 
     def complete(self, request: CompletionRequest) -> str:
-        self._stats.calls += 1
         self._stats.prompt_bytes += _prompt_bytes(request)
+        self._stats.calls += 1
         if self._cursor >= len(self.steps):
             raise ScriptExhausted()
         step = self.steps[self._cursor]
@@ -239,13 +240,14 @@ class HttpProvider:
             "temperature": TEMPERATURE,
         }
         data = json.dumps(body).encode("utf-8")
+        prompt_bytes = _prompt_bytes(request)
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         for backoff in (*RETRY_BACKOFF_SECONDS, None):
             self._stats.calls += 1
-            self._stats.prompt_bytes += _prompt_bytes(request)
+            self._stats.prompt_bytes += prompt_bytes
             status, raw = self._post(data, headers)
             if status == 200:
                 break

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import machina.belief as belief_module
 from machina.belief import (
     ActionRecord,
     StepOutOfOrder,
@@ -25,6 +26,7 @@ from machina.errors import MachinaError
 from machina.keypath import ABSENT
 from machina.scene import scene_to_json_value
 from helpers import s1_scene
+from history_reference import reference_render_history
 
 
 def transition(step, source="a", target="b", event="go", payload=None):
@@ -188,6 +190,109 @@ class TestRenderHistory:
         assert "boot" in lines[0]
         assert "transition" in lines[1]
         assert "after" in lines[2]
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=12),  # multi-byte characters included
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+# ("transition", payload) appends the next step; ("action", step, output)
+# records an action at ``step`` clamped to what record_action accepts: step 0,
+# an earlier step (out of order), the newest step, or the step in flight.
+HISTORY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("transition"), st.one_of(st.none(), st.just({}), JSON_VALUES)),
+        st.tuples(st.just("action"), st.integers(0, 12), JSON_VALUES),
+    ),
+    max_size=24,
+)
+
+
+def belief_from_ops(ops) -> "Belief":
+    b = new_belief()
+    for op in ops:
+        n = len(b.trajectory)
+        if op[0] == "transition":
+            record_transition(b, transition(n + 1, source=f"s{n}", target=f"s{n + 1}", payload=op[1]))
+        else:
+            step = min(op[1], n + 1)
+            record_action(b, ActionRecord(step, f"a{len(b.execution_log)}", {"k": op[2]}, op[2], "transition"))
+    return b
+
+
+def counting_formatters(monkeypatch) -> list:
+    """Count the records render_history formats."""
+    formatted = []
+    for name in ("_action_line", "_transition_line"):
+        original = getattr(belief_module, name)
+        monkeypatch.setattr(
+            belief_module, name, lambda rec, original=original: formatted.append(rec) or original(rec)
+        )
+    return formatted
+
+
+class TestNewestFirstHistory:
+    """render_history walks the records newest first; its text must equal the
+    oldest-first reference that formats every record."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(HISTORY_OPS, st.data())
+    def test_matches_the_reference(self, ops, data):
+        b = belief_from_ops(ops)
+        full = reference_render_history(b, 10**9)
+        full_tokens = sum(estimate_tokens(line + "\n") for line in full.split("\n")) if full else 0
+        budget = data.draw(st.integers(1, full_tokens + 20), label="budget")
+        assert render_history(b, budget) == reference_render_history(b, budget)
+
+    def test_out_of_order_and_in_flight_steps(self):
+        b = new_belief()
+        record_action(b, action(0, output="boot"))
+        record_action(b, action(1, output="in-flight-1"))
+        record_transition(b, transition(1))
+        record_action(b, action(2, output="in-flight-2"))
+        record_transition(b, transition(2, payload={"p": "é"}))
+        record_action(b, action(1, output="late-for-1"))
+        record_action(b, action(0, output="late-boot"))
+        record_action(b, action(3, output="in-flight-3"))
+        for budget in range(1, 200):
+            assert render_history(b, budget) == reference_render_history(b, budget)
+        outputs = [line.rsplit("output=", 1)[-1] for line in render_history(b, 10**6).split("\n")]
+        assert outputs[:2] == ['"boot"', '"late-boot"']
+        assert outputs[3:5] == ['"in-flight-1"', '"late-for-1"']
+
+    def test_without_the_c_encoder(self, monkeypatch):
+        b = filled_belief(3, with_payloads=True)
+        record_action(b, action(3, output={"é": [1.5, None, True, "a\nb"], "a": -0.0}))
+        expected = reference_render_history(b, 10**6)
+        assert render_history(b, 10**6) == expected
+        monkeypatch.setattr(belief_module, "_C_ENCODE", None)
+        assert render_history(b, 10**6) == expected
+
+    def test_truncated_newest_record(self):
+        b = filled_belief(3)
+        record_action(b, action(3, output="é" * 500))
+        for budget in (1, 2, 7, 100):
+            out = render_history(b, budget)
+            assert out.startswith("...")
+            assert out == reference_render_history(b, budget)
+
+    def test_records_formatted_stop_growing_once_the_window_is_full(self, monkeypatch):
+        formatted = counting_formatters(monkeypatch)
+        for steps in (100, 1000, 5000):
+            formatted.clear()
+            out = render_history(filled_belief(steps, with_payloads=True), 300)
+            # the lines shown, plus the one that did not fit
+            assert len(formatted) == out.count("\n") + 2 < 40
 
 
 class TestTrace:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from machina.errors import MachinaError
 from machina.guards import (
     And,
     Compare,
@@ -102,6 +103,14 @@ class TestParse:
         assert err.value.position == 5
         assert len(str(err.value)) < 200
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_decimal_past_the_float_range_rejected_at_its_offset(self, sign):
+        # float() would give inf, which renders as the path ``inf``
+        with pytest.raises(GuardSyntaxError) as err:
+            parse_guard("x < " + sign + "9" * 400 + ".5")
+        assert err.value.position == 4
+        assert len(str(err.value)) < 200
+
 
 class TestRender:
     @pytest.mark.parametrize(
@@ -120,6 +129,29 @@ class TestRender:
     def test_round_trip(self, text):
         ast = parse_guard(text)
         assert parse_guard(guard_to_text(ast)) == ast
+
+    @pytest.mark.parametrize(
+        "text, rendered",
+        [
+            ("x < 0.0000001", "x < 0.0000001"),
+            ("x < 100000000000000000000.5", "x < 100000000000000000000.0"),
+            ("x < -0.00000123", "x < -0.00000123"),
+            ("x < 12345678901234567.25", "x < 12345678901234568.0"),
+        ],
+    )
+    def test_float_renders_without_exponent(self, text, rendered):
+        assert guard_to_text(parse_guard(text)) == rendered
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_finite_float_literal_round_trips(self, value):
+        for ast in (Literal(value), Compare(Path(("x",)), "<", Literal(value))):
+            assert parse_guard(guard_to_text(ast)) == ast
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_literal_has_no_text(self, value):
+        with pytest.raises(MachinaError):
+            guard_to_text(Compare(Path(("x",)), "<", Literal(value)))
 
 
 class TestEvaluate:

@@ -176,6 +176,14 @@ class TestPrompt:
         prompt = build_policy_prompt(POLICY, STATE, cands, new_belief())
         assert "params: text: string (the answer)" in prompt
 
+    def test_transition_line_is_formatted_once_per_candidate(self):
+        cands = self.qc_candidates() + [candidate("finish", params=[STRING_PARAM])]
+        first = build_policy_prompt(POLICY, STATE, cands, new_belief())
+        kept = [vars(c)["prompt_line"] for c in cands]  # cached on the candidate
+        assert build_policy_prompt(POLICY, STATE, cands, new_belief()) == first
+        assert all(c.prompt_line is line for c, line in zip(cands, kept))
+        assert "\n".join(kept) in first
+
 
 class TestParseResponse:
     def test_plain_object(self):

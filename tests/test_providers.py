@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from machina.errors import MachinaError, SchemaError
+from machina.errors import MachinaError, SchemaError, UnencodableText
 from machina.providers import (
     CompletionRequest,
     HttpError,
@@ -216,6 +216,19 @@ class TestHttp:
         with pytest.raises(HttpError):
             provider.complete(req())
         assert provider.snapshot_stats().calls == 1
+
+    def test_lone_surrogate_in_the_prompt_is_not_sent(self, stub_server):
+        provider = HttpProvider(stub_server, model="m", api_key="k")
+        with pytest.raises(UnencodableText):
+            provider.complete(req("how many \ud800 objects?"))
+        assert _Handler.seen == []
+        assert provider.snapshot_stats().calls == 0
+
+    def test_lone_surrogate_escape_in_the_reply_is_malformed(self, stub_server):
+        _Handler.plan = [(200, ok_body("\ud800"))]  # sent as the JSON escape
+        provider = HttpProvider(stub_server, model="m", api_key="k")
+        with pytest.raises(HttpError, match="malformed completion body"):
+            provider.complete(req())
 
     def test_clip_drops_a_split_character(self, stub_server):
         _Handler.plan = [(200, ok_body("x" * 16383 + "é"))]

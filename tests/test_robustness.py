@@ -8,7 +8,7 @@ import pytest
 from machina.actions import builtin_registry
 from machina.belief import NestingTooDeep, belief_to_trace, copy_json, kv_get, kv_set, new_belief, snapshot
 from machina.engine import Agent, EventInstance, run
-from machina.errors import MachinaError
+from machina.errors import MachinaError, UnencodableText, utf8
 from machina.harness import make_qa_agent
 from machina.keypath import ABSENT
 from machina.policy import PARSE_RETRIES, RulePolicy, rules_from_value
@@ -145,3 +145,39 @@ class TestNumericSegmentsIntCannotRead:
         assert result.status == "failed"
         assert result.reason == "rule argument references absent belief path 'items.\u00b2'"
         assert_usable(result)
+
+
+class TestLoneSurrogate:
+    """A lone surrogate, which the Python API accepts but UTF-8 cannot
+    encode, fails the run with a typed error at the next LLM decision."""
+
+    def react(self, question, replies=()):
+        provider = ScriptedProvider.from_replies(list(replies))
+        return make_qa_agent("react", question, s1_scene(), provider)
+
+    def test_in_an_event_payload(self):
+        agent = self.react("How many red objects are there?")
+        result = run(agent, EventInstance("filter", {"predicate": {"color": "\ud800"}}))
+        assert result.status == "failed"
+        assert "UTF-8 cannot encode" in result.reason
+        assert result.stats.calls == 0
+        assert_usable(result)
+
+    def test_in_the_question(self):
+        result = run(self.react("how many \ud800 objects?"))
+        assert result.status == "failed"
+        assert "UTF-8 cannot encode" in result.reason
+        assert result.stats.calls == 0
+        assert_usable(result)
+
+    def test_in_a_reply(self):
+        result = run(self.react("How many red objects are there?", ['{"event": "\ud800"}']))
+        assert result.status == "failed"
+        assert "UTF-8 cannot encode" in result.reason
+        assert_usable(result)
+
+    def test_utf8_raises_a_typed_error(self):
+        with pytest.raises(UnencodableText) as info:
+            utf8("ab\udfffc")
+        assert isinstance(info.value, MachinaError)
+        assert "at character 2" in str(info.value)

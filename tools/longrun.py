@@ -1,0 +1,131 @@
+"""Cost of one history render and one resume event as a run grows long.
+
+    python3 tools/longrun.py --before OLD/src --after src --pairs 5 > BENCH_longrun.json
+
+Drives the bundled ``h3`` machine with ``e1`` events, each carrying a
+code-like payload of 0 to 2048 bytes (as perfbench's resume-loop does), up to
+100, 1,000 and 5,000 steps. At each length it times ``render_history`` at the
+LLM policy's default budget and ``run`` for the next events. Each side runs
+in a fresh interpreter, the two sides alternating pair by pair; the report
+keeps the minimum over the pairs, and ``same_text`` says whether every run
+rendered the same history. ``--worker SRC`` runs one side and prints its
+timings as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import subprocess
+import sys
+import time
+
+LENGTHS = (100, 1000, 5000)
+EVENTS_TIMED = 20  # run() calls timed after reaching each length
+RENDER_REPEATS = 5
+SEED = 7
+MAX_PAYLOAD_BYTES = 2048
+WORDS = ("def", "return", "assert", "class", "value", "result", "items", "self", "case", "None")
+
+
+def payloads(count: int) -> list[dict]:
+    rnd = random.Random(SEED)
+    pool = [" ".join(rnd.choice(WORDS) for _ in range(rnd.randint(2, 8))) for _ in range(256)]
+    out = []
+    for _ in range(count):
+        target, lines, size = rnd.randint(0, MAX_PAYLOAD_BYTES), [], 0
+        while size < target:
+            lines.append(rnd.choice(pool))
+            size += len(lines[-1]) + 4
+        out.append({"author": rnd.choice(("model", "user", "ci")), "lines": lines} if lines else {})
+    return out
+
+
+def worker(src: str) -> dict:
+    sys.path.insert(0, src)
+    from machina.actions import builtin_registry
+    from machina.belief import new_belief, render_history
+    from machina.engine import Agent, EventInstance, RunLimits, run
+    from machina.harness import builtin_machine
+    from machina.policy import DEFAULT_HISTORY_BUDGET
+    from machina.providers import ScriptedProvider
+
+    events = [EventInstance("e1", p) for p in payloads(max(LENGTHS) + EVENTS_TIMED)]
+    agent = Agent(
+        machine=builtin_machine("h3"),
+        belief=new_belief(),
+        policy=(),
+        registry=builtin_registry(),
+        provider=ScriptedProvider.from_replies([]),
+        limits=RunLimits(max_transitions=len(events) + 1),
+    )
+    report: dict = {}
+    done = 0
+    for length in LENGTHS:
+        while done < length:
+            run(agent, events[done])
+            done += 1
+        renders = []
+        for _ in range(RENDER_REPEATS):
+            begin = time.perf_counter()
+            text = render_history(agent.belief, DEFAULT_HISTORY_BUDGET)
+            renders.append(time.perf_counter() - begin)
+        begin = time.perf_counter()
+        for event in events[done:done + EVENTS_TIMED]:
+            result = run(agent, event)
+            assert result.status == "waiting", result.reason
+        per_event = (time.perf_counter() - begin) / EVENTS_TIMED
+        done += EVENTS_TIMED
+        report[str(length)] = {
+            "render_history_ms": round(min(renders) * 1e3, 4),
+            "render_bytes": len(text.encode("utf-8")),
+            "render_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "h3_event_us": round(per_event * 1e6, 2),
+        }
+    return report
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--worker", metavar="SRC", help="measure the machina package under SRC")
+    parser.add_argument("--before", metavar="SRC", help="source tree of the parent commit")
+    parser.add_argument("--after", metavar="SRC", default="src", help="source tree of the change")
+    parser.add_argument("--pairs", type=int, default=5)
+    args = parser.parse_args()
+    if args.worker:
+        print(json.dumps(worker(args.worker)))
+        return
+    if not args.before:
+        parser.error("--before is required")
+    runs: dict[str, list[dict]] = {"before": [], "after": []}
+    for pair in range(args.pairs):
+        order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+        for side in order:
+            src = args.before if side == "before" else args.after
+            done = subprocess.run(
+                [sys.executable, __file__, "--worker", src], capture_output=True, text=True, check=True
+            )
+            runs[side].append(json.loads(done.stdout))
+    best = {
+        side: {
+            length: {key: min(r[length][key] for r in reports) for key in reports[0][length]}
+            for length in reports[0]
+        }
+        for side, reports in runs.items()
+    }
+    same_text = all(
+        len({r[length]["render_sha256"] for reports in runs.values() for r in reports}) == 1
+        for length in best["after"]
+    )
+    speedup = {
+        length: round(best["before"][length]["render_history_ms"] / best["after"][length]["render_history_ms"], 1)
+        for length in best["after"]
+    }
+    report = {"pairs": args.pairs, "same_text": same_text, "min": best, "render_speedup": speedup, "runs": runs}
+    print(json.dumps(report, indent=1))
+
+
+if __name__ == "__main__":
+    main()
