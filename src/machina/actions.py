@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import scene as scene_ops
 from .errors import MachinaError, require_object
@@ -39,8 +39,7 @@ class ArgumentTypeError(MachinaError):
     """A supplied argument does not fit the declared datatype."""
 
 
-@dataclass(frozen=True)
-class ActionContext:
+class ActionContext(NamedTuple):
     """Runtime handles passed to every action implementation."""
 
     provider: CompletionProvider

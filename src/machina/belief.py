@@ -17,7 +17,7 @@ from collections import ChainMap
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import MachinaError, utf8
 from .keypath import JsonValue, resolve, split_path
@@ -39,8 +39,7 @@ class StepOutOfOrder(MachinaError):
     """A record's step number does not fit the current trajectory length."""
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     """One fired transition. ``source`` and ``target`` are the active leaf
     states before and after the step (self-transitions repeat the name)."""
 
@@ -51,8 +50,7 @@ class TransitionRecord:
     event_payload: JsonValue = None
 
 
-@dataclass(frozen=True)
-class ActionRecord:
+class ActionRecord(NamedTuple):
     """One executed action. ``step`` is the trajectory step it belongs to;
     step 0 marks actions that ran while entering the initial state. An
     input bound to a task input is recorded as the reference
@@ -215,19 +213,19 @@ def copy_json(value: JsonValue) -> JsonValue:
 def snapshot(belief: Belief) -> Belief:
     """A copy of ``belief`` that later changes to it cannot reach.
 
-    Records are frozen and hold values copied when they were made, and the
-    task inputs are read-only, so the copy shares them; only the key-value
-    store, whose values actions receive by reference, is copied. Edit a
-    snapshot's records only after ``copy.deepcopy``.
+    Records are immutable named tuples holding values copied when they were
+    made, and the task inputs are read-only, so the copy shares them; only
+    the key-value store, whose values actions receive by reference, is
+    copied. Edit a snapshot's records only after ``copy.deepcopy``.
     """
     return Belief(
-        task_context=list(belief.task_context),
-        trajectory=list(belief.trajectory),
-        execution_log=list(belief.execution_log),
-        kv=copy_json(belief.kv),
-        current_state=belief.current_state,
-        inputs=belief.inputs,
-        _parsed=belief._parsed,
+        list(belief.task_context),
+        list(belief.trajectory),
+        list(belief.execution_log),
+        copy_json(belief.kv),
+        belief.current_state,
+        belief.inputs,
+        belief._parsed,
     )
 
 

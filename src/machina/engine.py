@@ -13,8 +13,9 @@ payload is offered as external arguments to every action the step fires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .actions import (
     ActionContext,
@@ -34,7 +35,6 @@ from .belief import (
     TransitionRecord,
     copy_json,
     kv_get,
-    kv_set,
     lookup_scope,
     parsed_input,
     record_action,
@@ -59,7 +59,7 @@ from .model import (
     ValidationReport,
     enabled_transitions,
     initial_entry_path,
-    is_end,
+    is_identifier,
     parent_chain,
     start_state,
     validate_machine,
@@ -122,6 +122,13 @@ class AgentNotStarted(MachinaError):
         super().__init__("agent has no current state; run it first")
 
 
+class InvalidEventPayload(MachinaError):
+    """An event payload is not a JSON object of plain JSON values: it is not
+    a mapping, or it holds a non-string key, a value of another type (a
+    set, bytes, a tuple) or a float that strict JSON cannot write (NaN or an
+    infinity)."""
+
+
 @dataclass(frozen=True)
 class RunLimits:
     max_transitions: int = DEFAULT_MAX_TRANSITIONS
@@ -134,9 +141,14 @@ class RunLimits:
             raise MachinaError("unhandled_event must be 'error' or 'ignore'")
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """How a run ended, with a snapshot of the belief at that point.
+
+    A result is a named tuple, as are the records in its snapshot and a
+    :class:`StepOutcome`: immutable, indexable and iterable, equal to a
+    plain tuple of the same values, and copied with a change by
+    ``_replace`` (they are not dataclasses, so ``dataclasses.replace`` does
+    not apply).
 
     ``belief_snapshot`` does not change afterwards: not through later runs or
     dispatches on the agent, not through actions that edit their inputs in
@@ -157,8 +169,7 @@ class RunResult:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     event: EventInstance
     transition: Transition
     source_leaf: str
@@ -292,12 +303,12 @@ def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
 
 def _step_table(sm: StateMachine, leaf: str) -> tuple[_Step, ...]:
     """The steps enabled at ``leaf`` in resolution order, planned once per
-    machine instance."""
-    key = ("steps", leaf)
-    table = sm._memo.get(key)
+    machine instance and memoized under the leaf's name (the memo's other
+    keys are tuples)."""
+    table = sm._memo.get(leaf)
     if table is None:
         table = tuple(_plan_step(sm, leaf, t) for t in enabled_transitions(sm, leaf))
-        sm._memo[key] = table
+        sm._memo[leaf] = table
     return table
 
 
@@ -383,35 +394,77 @@ def execute_action(
     step does to those values reaches the record. An input bound to a task
     input is recorded as ``"<input:key>"``; the action gets its own copy of
     the value, or, for a parameter the action parses (the scene actions'
-    ``scene``), the parse memoized per belief.
+    ``scene``), the parse memoized per belief. An output key that is not an
+    identifier, or that names a task input, fails before the action runs.
     """
     registered = registry.lookup(spec.name)
     if registered is None:
         raise ActionFailure(spec.name, "not registered")
-    if spec.resolved_output_key in belief.inputs:
-        raise ReadOnlyInput(spec.resolved_output_key)
-    inputs, recorded_inputs = _bind(registered, spec.params, external_args, belief)
-    context = ActionContext(provider=provider, spec=spec)
+    key = spec.resolved_output_key
+    if not is_identifier(key):
+        raise MachinaError(f"output key of action {spec.name!r} must be an identifier, got {key!r}")
+    if key in belief.inputs:
+        raise ReadOnlyInput(key)
+    if spec.params:
+        inputs, recorded_inputs = _bind(registered, spec.params, external_args, belief)
+    else:
+        inputs, recorded_inputs = {}, {}
     try:
-        output = registered.impl(inputs, context)
+        output = registered.impl(inputs, ActionContext(provider, spec))
     except Exception as exc:
         raise ActionFailure(spec.name, str(exc)) from exc
     # copy first: a value too deep to copy must not reach the key-value store
     recorded_output = copy_json(output)
-    kv_set(belief, spec.resolved_output_key, output)
-    record = ActionRecord(
-        step=step,
-        action=spec.name,
-        inputs=recorded_inputs,
-        output=recorded_output,
-        phase=phase,
-    )
+    belief.kv[key] = output
+    record = ActionRecord(step, spec.name, recorded_inputs, recorded_output, phase)
     record_action(belief, record)
     return record
 
 
 # ---------------------------------------------------------------------------
 # Dispatch and run
+
+# Payload values shared as they are; a float is checked on its own, since NaN
+# and the infinities have no strict JSON form.
+_PAYLOAD_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def _payload_value(value: object) -> JsonValue:
+    kind = type(value)
+    if kind is dict:
+        copied = {
+            k: v if type(v) in _PAYLOAD_SCALARS else _payload_value(v)
+            for k, v in value.items()
+            if type(k) is str
+        }
+        if len(copied) != len(value):
+            key = next(k for k in value if type(k) is not str)
+            raise InvalidEventPayload(f"event payload key {key!r} is not a string")
+        return copied
+    if kind is list:
+        return [v if type(v) in _PAYLOAD_SCALARS else _payload_value(v) for v in value]
+    if kind is float:
+        if math.isfinite(value):
+            return value
+        raise InvalidEventPayload(f"event payload holds {value!r}, which strict JSON cannot represent")
+    raise InvalidEventPayload(f"event payload holds a {kind.__name__}, which is not a JSON value")
+
+
+def _copy_payload(payload: object) -> dict[str, JsonValue]:
+    """The agent's own copy of an event payload, checked in the same pass:
+    a payload that is not a mapping of plain JSON values raises
+    :class:`InvalidEventPayload`, and one nested too deeply to copy
+    :class:`NestingTooDeep`."""
+    if type(payload) is not dict:
+        if not isinstance(payload, Mapping):
+            raise InvalidEventPayload(
+                f"event payload must be a mapping, got {type(payload).__name__}"
+            )
+        payload = dict(payload)
+    try:
+        return _payload_value(payload)
+    except RecursionError:
+        raise NestingTooDeep("value is nested too deeply to copy") from None
 
 
 def dispatch(
@@ -428,9 +481,10 @@ def dispatch(
     each at most once, up to the first that passes.
 
     Returns ``None`` when the event is unhandled and the limits say to
-    ignore it. If an action fails mid-step the transition record is still
-    appended (the log keeps referencing valid steps) and the failure
-    propagates.
+    ignore it. A payload that is not a mapping of plain JSON values raises
+    :class:`InvalidEventPayload` before any action runs or record lands.
+    If an action fails mid-step the transition record is still appended
+    (the log keeps referencing valid steps) and the failure propagates.
     """
     leaf = agent.belief.current_state
     if leaf is None:
@@ -450,7 +504,7 @@ def dispatch(
         raise UnhandledEvent(event.name, leaf)
 
     step = len(agent.belief.trajectory) + 1
-    payload = copy_json(dict(event.payload))
+    payload = _copy_payload(event.payload)
     records: list[ActionRecord] = []
     try:
         for phase, spec in plan.actions:
@@ -468,13 +522,7 @@ def dispatch(
     finally:
         record_transition(
             agent.belief,
-            TransitionRecord(
-                step=step,
-                source=leaf,
-                target=plan.target_leaf,
-                event=event.name,
-                event_payload=payload or None,
-            ),
+            TransitionRecord(step, leaf, plan.target_leaf, event.name, payload or None),
         )
     return StepOutcome(event, plan.transition, leaf, plan.target_leaf, tuple(records))
 
@@ -515,11 +563,7 @@ def _result(agent: Agent, status: str, reason: str | None = None) -> RunResult:
         reason = f"{reason}; key-value store: {exc}" if reason else f"key-value store: {exc}"
         belief = snapshot(replace(agent.belief, kv={}))
     return RunResult(
-        status=status,
-        output=_last_output(agent.belief),
-        belief_snapshot=belief,
-        stats=agent.provider.snapshot_stats(),
-        reason=reason,
+        status, _last_output(agent.belief), belief, agent.provider.snapshot_stats(), reason
     )
 
 
@@ -535,12 +579,13 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
     result carries the output of the last executed action.
     """
     try:
-        start(agent)
+        if agent.belief.current_state is None:
+            start(agent)
         pending = initial_event
         while True:
             leaf = agent.belief.current_state
-            assert leaf is not None
-            if is_end(agent.machine, leaf):
+            state = agent.machine.state(leaf)
+            if state.is_end:
                 return _result(agent, STATUS_COMPLETED)
             candidates = candidate_transitions(agent)
             event, pending = pending, None
@@ -551,13 +596,7 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
             if len(agent.belief.trajectory) >= agent.limits.max_transitions:
                 return _result(agent, STATUS_BUDGET_EXHAUSTED)
             if event is None:
-                event = decide(
-                    agent.policy,
-                    agent.machine.state(leaf),
-                    candidates,
-                    agent.belief,
-                    agent.provider,
-                )
+                event = decide(agent.policy, state, candidates, agent.belief, agent.provider)
             dispatch(agent, event, candidates)
     except MachinaError as exc:
         return _result(agent, STATUS_FAILED, reason=str(exc))

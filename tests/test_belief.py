@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import machina.belief as belief_module
+from machina.actions import ActionContext
 from machina.belief import (
     ActionRecord,
     StepOutOfOrder,
@@ -22,8 +22,11 @@ from machina.belief import (
     render_history,
     snapshot,
 )
+from machina.engine import RunResult, StepOutcome
 from machina.errors import MachinaError
 from machina.keypath import ABSENT
+from machina.model import ActionSpec, EventInstance, Transition
+from machina.providers import CallStats, ScriptedProvider
 from machina.scene import scene_to_json_value
 from helpers import s1_scene
 from history_reference import reference_render_history
@@ -313,12 +316,44 @@ class TestTrace:
         assert trace["current_state"] == "s2"
 
 
+def hot_records():
+    """One of each named-tuple type the engine builds per step or run."""
+    snap = snapshot(new_belief())
+    return [
+        transition(1),
+        action(1),
+        ActionContext(ScriptedProvider.from_replies([]), ActionSpec("note")),
+        StepOutcome(EventInstance("go"), Transition("a", "b", "go"), "a", "b", ()),
+        RunResult("completed", None, snap, CallStats()),
+    ]
+
+
 class TestSnapshot:
     def test_records_are_frozen(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            transition(1).event_payload = {"x": 1}
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            action(1).output = "y"
+        for record in hot_records():
+            with pytest.raises(AttributeError):
+                setattr(record, record._fields[0], "changed")
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_field_order_and_defaults_are_pinned(self):
+        # the engine builds these positionally, so a reorder must show here
+        assert {type(r).__name__: (r._fields, r._field_defaults) for r in hot_records()} == {
+            "TransitionRecord": (
+                ("step", "source", "target", "event", "event_payload"),
+                {"event_payload": None},
+            ),
+            "ActionRecord": (("step", "action", "inputs", "output", "phase"), {}),
+            "ActionContext": (("provider", "spec"), {}),
+            "StepOutcome": (
+                ("event", "transition", "source_leaf", "target_leaf", "records"),
+                {},
+            ),
+            "RunResult": (
+                ("status", "output", "belief_snapshot", "stats", "reason"),
+                {"reason": None},
+            ),
+        }
 
     def test_shares_records_and_copies_the_rest(self):
         b = filled_belief(3, with_payloads=True)

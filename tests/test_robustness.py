@@ -1,16 +1,28 @@
-"""No model reply and no deeply nested payload makes ``run`` raise: each ends
-in a ``RunResult``, ``failed`` with a reason where the input is unusable."""
+"""No model reply and no deeply nested or malformed payload makes ``run``
+raise: each ends in a ``RunResult``, ``failed`` with a reason where the input
+is unusable."""
 
 import json
+from types import MappingProxyType
 
 import pytest
 
 from machina.actions import builtin_registry
-from machina.belief import NestingTooDeep, belief_to_trace, copy_json, kv_get, kv_set, new_belief, snapshot
-from machina.engine import Agent, EventInstance, run
+from machina.belief import (
+    NestingTooDeep,
+    belief_to_trace,
+    copy_json,
+    kv_get,
+    kv_set,
+    new_belief,
+    render_history,
+    snapshot,
+)
+from machina.engine import Agent, EventInstance, InvalidEventPayload, dispatch, execute_action, run, start
 from machina.errors import MachinaError, UnencodableText, utf8
 from machina.harness import make_qa_agent
 from machina.keypath import ABSENT
+from machina.model import ActionSpec, ParameterSpec
 from machina.policy import PARSE_RETRIES, RulePolicy, rules_from_value
 from machina.providers import ScriptedProvider
 from helpers import agent_for, h3_agent, machine_from, s1_scene, state
@@ -77,6 +89,72 @@ class TestDeepPayload:
         assert "nested too deeply" in result.reason
         assert "deepen" not in result.belief_snapshot.kv
         assert_usable(result)
+
+
+class TestBadPayload:
+    """A payload that is not a mapping of plain JSON values fails the run
+    typed, before any action runs or any record lands, as a too-deep one
+    does; nothing it holds reaches a later prompt or trace."""
+
+    BAD = [
+        pytest.param(["x"], id="list"),
+        pytest.param("ab", id="str"),
+        pytest.param(None, id="none"),
+        pytest.param([("k", 1)], id="pairs"),
+        pytest.param({"s": {1, 2}}, id="set"),
+        pytest.param({"b": b"x"}, id="bytes"),
+        pytest.param({"t": [(1, 2)]}, id="tuple"),
+        pytest.param({"n": float("nan")}, id="nan"),
+        pytest.param({"i": {"j": [float("-inf")]}}, id="inf"),
+        pytest.param({1: "x"}, id="int-key"),
+        pytest.param({"o": {None: 1}}, id="nested-none-key"),
+    ]
+
+    @pytest.mark.parametrize("payload", BAD)
+    def test_run_fails_and_the_agent_stays_usable(self, payload):
+        agent = h3_agent()
+        result = run(agent, EventInstance("e1", payload))
+        assert result.status == "failed"
+        assert result.reason.startswith("event payload")
+        assert result.belief_snapshot.trajectory == []
+        assert all(r.step == 0 for r in result.belief_snapshot.execution_log)
+        assert_usable(result)
+        done = run(agent, EventInstance("e1", {"ok": [1.5, "x", None, True]}))
+        assert done.status == "waiting"
+        json.dumps(belief_to_trace(done.belief_snapshot), allow_nan=False)
+        assert "payload=" in render_history(done.belief_snapshot, 100)
+
+    @pytest.mark.parametrize("payload", BAD)
+    def test_dispatch_raises_a_typed_error(self, payload):
+        agent = h3_agent()
+        start(agent)
+        with pytest.raises(InvalidEventPayload) as info:
+            dispatch(agent, EventInstance("e1", payload))
+        assert isinstance(info.value, MachinaError)
+
+    def test_any_mapping_is_copied_as_a_dict(self):
+        agent = h3_agent()
+        value = {"lines": ["a"]}
+        result = run(agent, EventInstance("e1", MappingProxyType({"v": value})))
+        value["lines"].append("b")
+        payload = result.belief_snapshot.trajectory[0].event_payload
+        assert type(payload) is dict and payload == {"v": {"lines": ["a"]}}
+
+
+class TestBadOutputKey:
+    def test_fails_before_the_action_runs(self):
+        spec = ActionSpec(
+            "classifyQuestion",
+            output_key="bad key",
+            params=(ParameterSpec("question", "internal", "string"),),
+        )
+        belief = new_belief()
+        kv_set(belief, "question", "How many red objects are there?")
+        provider = ScriptedProvider.from_replies(["counting"])
+        with pytest.raises(MachinaError, match="must be an identifier"):
+            execute_action(builtin_registry(), spec, {}, belief, provider)
+        assert provider.snapshot_stats().calls == 0
+        assert belief.execution_log == [] and "bad key" not in belief.kv
 
 
 class TestCrashingReplies:
