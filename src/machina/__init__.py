@@ -49,7 +49,6 @@ from .model import (
     ValidationReport,
     enabled_transitions,
     initial_entry_path,
-    is_end,
     parent_chain,
     start_state,
     validate_machine,

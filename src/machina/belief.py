@@ -10,7 +10,6 @@ that LLM-facing prompts embed.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from collections import ChainMap
@@ -91,9 +90,10 @@ def new_belief(
 ) -> Belief:
     """Fresh belief with empty stores and no current state.
 
-    ``inputs`` become the read-only task inputs, copied once here. Their
-    keys must be identifiers; internal parameters, guards, rules and
-    :func:`kv_get` read them like key-value entries.
+    ``inputs`` become the read-only task inputs, copied once here by
+    :func:`copy_json`, which raises :class:`NotJsonValue` for a value that
+    is not plain JSON. Their keys must be identifiers; internal parameters,
+    guards, rules and :func:`kv_get` read them like key-value entries.
     """
     context = []
     for role, text in task_context:
@@ -181,33 +181,56 @@ def seed_parsed_input(belief: Belief, path: str, parse: Callable[[JsonValue], ob
     belief._parsed[(path, parse)] = value
 
 
-_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+# JSON scalars shared as they are; a float is checked on its own, since NaN
+# and the infinities have no strict JSON form.
+_JSON_SCALARS = frozenset((str, int, bool, type(None)))
 
 
-class NestingTooDeep(MachinaError):
+class NotJsonValue(MachinaError):
+    """A value is not plain JSON: it holds a key that is not a string, a
+    value of another type (a set, a tuple, bytes, a mapping or sequence
+    that is not a dict or list, a generator) or a float that strict JSON
+    cannot write (NaN or an infinity)."""
+
+
+class NestingTooDeep(NotJsonValue):
     """A value is nested too deeply to copy."""
 
 
-def copy_json(value: JsonValue) -> JsonValue:
-    """Deep copy of a JSON value, a few times faster than ``copy.deepcopy``.
+def copy_json(value: object) -> JsonValue:
+    """Deep copy of a plain JSON value, checked in the same pass.
 
-    Dicts and lists are rebuilt and JSON scalars are shared; any other
-    value is handed to ``copy.deepcopy``. A value nested past the
-    interpreter's recursion limit raises :class:`NestingTooDeep`.
+    Dicts and lists are rebuilt; strings, integers, booleans, ``None`` and
+    finite floats are shared. Anything else raises :class:`NotJsonValue`,
+    and a value nested past the interpreter's recursion limit
+    :class:`NestingTooDeep`. Every value that enters a belief (task
+    inputs, event payloads, bound parameters, action outputs, the
+    key-value store at snapshot) goes through here, so a belief holds
+    only what strict JSON can write.
     """
     kind = type(value)
     try:
         # scalars inline: most members of a JSON document are leaves
         if kind is dict:
-            return {k: v if type(v) in _JSON_SCALARS else copy_json(v) for k, v in value.items()}
+            copied = {
+                k: v if type(v) in _JSON_SCALARS else copy_json(v)
+                for k, v in value.items()
+                if type(k) is str
+            }
+            if len(copied) != len(value):
+                key = next(k for k in value if type(k) is not str)
+                raise NotJsonValue(f"key {key!r} is not a string")
+            return copied
         if kind is list:
             return [v if type(v) in _JSON_SCALARS else copy_json(v) for v in value]
-        if kind in _JSON_SCALARS:
+        if kind in _JSON_SCALARS or (kind is float and math.isfinite(value)):
             return value
-        return copy.deepcopy(value)
     except RecursionError:
         # the innermost level that hit the limit raises; the rest pass it on
         raise NestingTooDeep("value is nested too deeply to copy") from None
+    if kind is float:
+        raise NotJsonValue(f"{value!r} has no strict JSON form")
+    raise NotJsonValue(f"a {kind.__name__} is not a JSON value")
 
 
 def snapshot(belief: Belief) -> Belief:

@@ -13,7 +13,6 @@ payload is offered as external arguments to every action the step fires.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -30,7 +29,7 @@ from .belief import (
     PHASE_TRANSITION,
     ActionRecord,
     Belief,
-    NestingTooDeep,
+    NotJsonValue,
     ReadOnlyInput,
     TransitionRecord,
     copy_json,
@@ -42,7 +41,7 @@ from .belief import (
     snapshot,
 )
 from .errors import MachinaError
-from .guards import evaluate_text, truthy
+from .guards import evaluate, truthy
 from .keypath import ABSENT, JsonValue
 from .model import (
     GUARD_ACTION,
@@ -123,10 +122,8 @@ class AgentNotStarted(MachinaError):
 
 
 class InvalidEventPayload(MachinaError):
-    """An event payload is not a JSON object of plain JSON values: it is not
-    a mapping, or it holds a non-string key, a value of another type (a
-    set, bytes, a tuple) or a float that strict JSON cannot write (NaN or an
-    infinity)."""
+    """An event payload is not a mapping, or is one that
+    :func:`~machina.belief.copy_json` rejects."""
 
 
 @dataclass(frozen=True)
@@ -158,8 +155,10 @@ class RunResult(NamedTuple):
     are read-only, and the inputs may be shared with other beliefs (a QA
     belief's ``scene`` is its ``SceneGraph``'s JSON value); ``copy.deepcopy``
     a snapshot before editing its records or inputs. When the key-value store
-    holds a value nested too deeply to copy, the run is ``failed`` with a
-    reason that says so, and the snapshot's key-value store is empty.
+    holds a value that :func:`~machina.belief.copy_json` rejects (a caller's
+    :func:`~machina.belief.kv_set` stores values unchecked), the run is
+    ``failed`` with a ``key-value store: ...`` reason, and the snapshot's
+    key-value store is empty.
     """
 
     status: str
@@ -222,7 +221,7 @@ def eval_guard(
     it makes still count in the provider's stats.
     """
     if guard.kind == GUARD_EXPRESSION:
-        return evaluate_text(guard.expression or "", lookup_scope(belief))
+        return evaluate(guard.parsed, lookup_scope(belief))
     if guard.kind != GUARD_ACTION:
         raise MachinaError(f"unknown guard kind {guard.kind!r}")
     name = guard.action_name or ""
@@ -362,7 +361,10 @@ def _bind(
             raise MissingInternalValue(key)
         # a task input is read-only: its record names it, its action gets a copy
         shared = bool(belief.inputs) and key.partition(".")[0] in belief.inputs
-        recorded[param.name] = f"<input:{key}>" if shared else copy_json(value)
+        try:
+            recorded[param.name] = f"<input:{key}>" if shared else copy_json(value)
+        except NotJsonValue as exc:
+            raise ActionFailure(action, f"parameter {param.name!r}: {exc}") from None
         parse = registered.parsers.get(param.name)
         if parse is None:
             inputs[param.name] = copy_json(value) if shared else value
@@ -395,7 +397,9 @@ def execute_action(
     input is recorded as ``"<input:key>"``; the action gets its own copy of
     the value, or, for a parameter the action parses (the scene actions'
     ``scene``), the parse memoized per belief. An output key that is not an
-    identifier, or that names a task input, fails before the action runs.
+    identifier, or that names a task input, fails before the action runs; an
+    output that :func:`~machina.belief.copy_json` rejects fails the step with
+    :class:`ActionFailure` and never reaches the store.
     """
     registered = registry.lookup(spec.name)
     if registered is None:
@@ -413,8 +417,11 @@ def execute_action(
         output = registered.impl(inputs, ActionContext(provider, spec))
     except Exception as exc:
         raise ActionFailure(spec.name, str(exc)) from exc
-    # copy first: a value too deep to copy must not reach the key-value store
-    recorded_output = copy_json(output)
+    # copy first: a value that is not JSON must not reach the key-value store
+    try:
+        recorded_output = copy_json(output)
+    except NotJsonValue as exc:
+        raise ActionFailure(spec.name, f"output: {exc}") from None
     belief.kv[key] = output
     record = ActionRecord(step, spec.name, recorded_inputs, recorded_output, phase)
     record_action(belief, record)
@@ -423,48 +430,6 @@ def execute_action(
 
 # ---------------------------------------------------------------------------
 # Dispatch and run
-
-# Payload values shared as they are; a float is checked on its own, since NaN
-# and the infinities have no strict JSON form.
-_PAYLOAD_SCALARS = frozenset((str, int, bool, type(None)))
-
-
-def _payload_value(value: object) -> JsonValue:
-    kind = type(value)
-    if kind is dict:
-        copied = {
-            k: v if type(v) in _PAYLOAD_SCALARS else _payload_value(v)
-            for k, v in value.items()
-            if type(k) is str
-        }
-        if len(copied) != len(value):
-            key = next(k for k in value if type(k) is not str)
-            raise InvalidEventPayload(f"event payload key {key!r} is not a string")
-        return copied
-    if kind is list:
-        return [v if type(v) in _PAYLOAD_SCALARS else _payload_value(v) for v in value]
-    if kind is float:
-        if math.isfinite(value):
-            return value
-        raise InvalidEventPayload(f"event payload holds {value!r}, which strict JSON cannot represent")
-    raise InvalidEventPayload(f"event payload holds a {kind.__name__}, which is not a JSON value")
-
-
-def _copy_payload(payload: object) -> dict[str, JsonValue]:
-    """The agent's own copy of an event payload, checked in the same pass:
-    a payload that is not a mapping of plain JSON values raises
-    :class:`InvalidEventPayload`, and one nested too deeply to copy
-    :class:`NestingTooDeep`."""
-    if type(payload) is not dict:
-        if not isinstance(payload, Mapping):
-            raise InvalidEventPayload(
-                f"event payload must be a mapping, got {type(payload).__name__}"
-            )
-        payload = dict(payload)
-    try:
-        return _payload_value(payload)
-    except RecursionError:
-        raise NestingTooDeep("value is nested too deeply to copy") from None
 
 
 def dispatch(
@@ -503,8 +468,18 @@ def dispatch(
             return None
         raise UnhandledEvent(event.name, leaf)
 
+    payload = event.payload
+    if type(payload) is not dict:
+        if not isinstance(payload, Mapping):
+            raise InvalidEventPayload(
+                f"event payload must be a mapping, got {type(payload).__name__}"
+            )
+        payload = dict(payload)
+    try:
+        payload = copy_json(payload)
+    except NotJsonValue as exc:
+        raise InvalidEventPayload(f"event payload: {exc}") from None
     step = len(agent.belief.trajectory) + 1
-    payload = _copy_payload(event.payload)
     records: list[ActionRecord] = []
     try:
         for phase, spec in plan.actions:
@@ -558,7 +533,7 @@ def _last_output(belief: Belief) -> JsonValue:
 def _result(agent: Agent, status: str, reason: str | None = None) -> RunResult:
     try:
         belief = snapshot(agent.belief)
-    except NestingTooDeep as exc:
+    except NotJsonValue as exc:
         status = STATUS_FAILED
         reason = f"{reason}; key-value store: {exc}" if reason else f"key-value store: {exc}"
         belief = snapshot(replace(agent.belief, kv={}))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Union
 
 from .errors import MachinaError
@@ -260,9 +259,6 @@ def parse_guard(text: str) -> GuardExpr:
         raise GuardSyntaxError(0, frozenset({"shallower nesting"})) from None
 
 
-_parse_cached = lru_cache(maxsize=512)(parse_guard)
-
-
 # ---------------------------------------------------------------------------
 # Rendering (inverse of parsing, up to AST equivalence)
 
@@ -436,8 +432,3 @@ def _operand_value(op: Operand, kv: Mapping[str, JsonValue]):
     if isinstance(op, Literal):
         return op.value
     return resolve_kv_path(kv, op.segments)
-
-
-def evaluate_text(text: str, kv: Mapping[str, JsonValue]) -> bool:
-    """Parse (memoized) and evaluate guard source text."""
-    return evaluate(_parse_cached(text), kv)

@@ -15,9 +15,10 @@ from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 from .errors import MachinaError
+from .guards import GuardExpr, GuardSyntaxError, parse_guard
 from .keypath import JsonValue
 
-IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 TAG_START = "start"
 TAG_END = "end"
@@ -44,7 +45,7 @@ class UnknownState(MachinaError):
 
 
 def is_identifier(text: object) -> bool:
-    return isinstance(text, str) and bool(IDENTIFIER_RE.match(text))
+    return isinstance(text, str) and IDENTIFIER_RE.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,13 @@ class Condition:
     kind: str
     expression: Optional[str] = None
     action_name: Optional[str] = None
+
+    @cached_property
+    def parsed(self) -> GuardExpr:
+        """The expression's AST, parsed once per condition; raises
+        :class:`~machina.guards.GuardSyntaxError` (uncached) when it does
+        not parse."""
+        return parse_guard(self.expression or "")
 
     def describe(self) -> str:
         if self.kind == GUARD_EXPRESSION:
@@ -230,10 +238,6 @@ def initial_entry_path(sm: StateMachine, state: str) -> list[str]:
     return path
 
 
-def is_end(sm: StateMachine, state: str) -> bool:
-    return sm.state(state).is_end
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -313,8 +317,6 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
     Unreachable states are reported as warnings so that machines may ship
     optional externally-triggered branches.
     """
-    from .guards import GuardSyntaxError, parse_guard
-
     violations: list[Violation] = []
 
     seen: dict[str, int] = {}
@@ -460,7 +462,7 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                 )
         elif t.guard.kind == GUARD_EXPRESSION:
             try:
-                parse_guard(t.guard.expression or "")
+                t.guard.parsed  # kept on the condition for eval_guard
             except GuardSyntaxError as exc:
                 violations.append(
                     Violation(

@@ -9,6 +9,7 @@ import machina.belief as belief_module
 from machina.actions import ActionContext
 from machina.belief import (
     ActionRecord,
+    NotJsonValue,
     StepOutOfOrder,
     TransitionRecord,
     belief_to_trace,
@@ -116,6 +117,8 @@ class TestKv:
     def test_key_must_be_identifier(self):
         with pytest.raises(MachinaError):
             kv_set(new_belief(), "bad key", 1)
+        with pytest.raises(MachinaError, match="must be an identifier"):
+            kv_set(new_belief(), "out\n", 1)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -377,10 +380,40 @@ class TestCopyJson:
         assert copied is not value and copied["a"] is not value["a"]
         assert copied["a"][1] is not value["a"][1]
 
-    def test_other_values_are_deep_copied(self):
-        value = {"t": ([1], "x")}
+    def test_other_values_raise_not_json_value(self):
+        with pytest.raises(NotJsonValue, match="a tuple is not a JSON value") as info:
+            copy_json({"t": ([1], "x")})
+        assert isinstance(info.value, MachinaError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.text(),
+            ),
+            lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+        )
+    )
+    def test_copy_is_equal_and_shares_no_container(self, value):
         copied = copy_json(value)
-        assert copied == value and copied["t"][0] is not value["t"][0]
+        assert copied == value
+        assert not containers(copied) & containers(value)
+
+
+def containers(value) -> set[int]:
+    """Identities of every dict and list in a JSON value."""
+    found = set()
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (dict, list)):
+            found.add(id(v))
+            stack.extend(v.values() if isinstance(v, dict) else v)
+    return found
 
 
 class TestEdges:

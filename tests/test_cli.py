@@ -258,6 +258,7 @@ def qa_stub_server():
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     thread.join()
+    server.server_close()
 
 
 class TestBench:

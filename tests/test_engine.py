@@ -629,9 +629,7 @@ class TestRun:
         agent = agent_for(linear_doc(3))
         result = run(agent)
         assert result.status == "completed"
-        from machina.model import is_end
-
-        assert is_end(agent.machine, result.belief_snapshot.current_state)
+        assert agent.machine.state(result.belief_snapshot.current_state).is_end
 
     def test_llm_policy_drives_choice(self):
         doc = {

@@ -14,10 +14,13 @@ from machina.guards import (
     Or,
     Path,
     evaluate,
-    evaluate_text,
     guard_to_text,
     parse_guard,
 )
+
+
+def holds(text, kv):
+    return evaluate(parse_guard(text), kv)
 
 
 class TestParse:
@@ -156,68 +159,68 @@ class TestRender:
 
 class TestEvaluate:
     def test_compare_numbers(self):
-        assert evaluate_text("retries < 2", {"retries": 1})
-        assert not evaluate_text("retries < 2", {"retries": 2})
+        assert holds("retries < 2", {"retries": 1})
+        assert not holds("retries < 2", {"retries": 2})
 
     def test_exists_missing(self):
-        assert not evaluate_text("exists answer", {})
-        assert evaluate_text("exists answer", {"answer": None})
+        assert not holds("exists answer", {})
+        assert holds("exists answer", {"answer": None})
 
     def test_bare_path_truthiness(self):
-        assert evaluate_text("flag", {"flag": True})
-        assert not evaluate_text("flag", {"flag": False})
-        assert not evaluate_text("flag", {"flag": None})
-        assert not evaluate_text("flag", {"flag": ""})
-        assert evaluate_text("flag", {"flag": 0})  # only null/false/"" are falsy
-        assert not evaluate_text("missing", {})
+        assert holds("flag", {"flag": True})
+        assert not holds("flag", {"flag": False})
+        assert not holds("flag", {"flag": None})
+        assert not holds("flag", {"flag": ""})
+        assert holds("flag", {"flag": 0})  # only null/false/"" are falsy
+        assert not holds("missing", {})
 
     def test_absent_comparison_semantics(self):
-        assert not evaluate_text("missing == 1", {})
-        assert not evaluate_text("missing < 1", {})
-        assert evaluate_text("missing != 1", {})
-        assert evaluate_text("missing != other_missing", {})
+        assert not holds("missing == 1", {})
+        assert not holds("missing < 1", {})
+        assert holds("missing != 1", {})
+        assert holds("missing != other_missing", {})
 
     def test_kv_alias_prefix(self):
         kv = {"question_type": "counting"}
-        assert evaluate_text("kv.question_type == 'counting'", kv)
-        assert evaluate_text("question_type == 'counting'", kv)
+        assert holds("kv.question_type == 'counting'", kv)
+        assert holds("question_type == 'counting'", kv)
 
     def test_kv_alias_only_with_more_segments(self):
-        assert evaluate_text("exists kv", {"kv": 1})
-        assert not evaluate_text("exists kv", {})
+        assert holds("exists kv", {"kv": 1})
+        assert not holds("exists kv", {})
 
     def test_nested_path(self):
         kv = {"scene": {"objects": [{"color": "red"}]}}
-        assert evaluate_text("scene.objects.0.color == 'red'", kv)
+        assert holds("scene.objects.0.color == 'red'", kv)
 
     def test_string_number_ordering_is_error(self):
         with pytest.raises(GuardTypeError):
-            evaluate_text("name < 3", {"name": "abc"})
+            holds("name < 3", {"name": "abc"})
 
     def test_string_string_ordering(self):
-        assert evaluate_text("a < b", {"a": "abc", "b": "abd"})
+        assert holds("a < b", {"a": "abc", "b": "abd"})
 
     def test_bool_ordering_is_error(self):
         with pytest.raises(GuardTypeError):
-            evaluate_text("a < 1", {"a": True})
+            holds("a < 1", {"a": True})
 
     def test_equality_across_types_is_false_not_error(self):
-        assert not evaluate_text("a == 3", {"a": "3"})
-        assert evaluate_text("a != 3", {"a": "3"})
-        assert not evaluate_text("a == true", {"a": 1})
+        assert not holds("a == 3", {"a": "3"})
+        assert holds("a != 3", {"a": "3"})
+        assert not holds("a == true", {"a": 1})
 
     def test_contains(self):
-        assert evaluate_text("text contains 'bc'", {"text": "abcd"})
-        assert evaluate_text("items contains 2", {"items": [1, 2]})
-        assert evaluate_text("obj contains 'k'", {"obj": {"k": 1}})
-        assert not evaluate_text("items contains 5", {"items": [1, 2]})
+        assert holds("text contains 'bc'", {"text": "abcd"})
+        assert holds("items contains 2", {"items": [1, 2]})
+        assert holds("obj contains 'k'", {"obj": {"k": 1}})
+        assert not holds("items contains 5", {"items": [1, 2]})
         with pytest.raises(GuardTypeError):
-            evaluate_text("n contains 1", {"n": 4})
+            holds("n contains 1", {"n": 4})
 
     def test_not_and_or(self):
         kv = {"a": 1, "b": 0}
-        assert evaluate_text("a == 1 and not b == 1", kv)
-        assert evaluate_text("a == 2 or b == 0", kv)
+        assert holds("a == 1 and not b == 1", kv)
+        assert holds("a == 2 or b == 0", kv)
 
 
 class TestFuzz:

@@ -76,6 +76,8 @@ class TestNewBelief:
     def test_key_must_be_identifier(self):
         with pytest.raises(MachinaError):
             new_belief(inputs={"bad key": 1})
+        with pytest.raises(MachinaError, match="must be an identifier"):
+            new_belief(inputs={"scene\n": 1})
 
     def test_too_deep_input_is_typed(self):
         deep = []

@@ -147,6 +147,19 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_machine(json.dumps(doc))
 
+    def test_name_with_a_trailing_newline_is_not_an_identifier(self):
+        doc = {
+            "name": "m",
+            "states": [state("a\n", tags=["start", "end"])],
+            "transitions": [],
+        }
+        with pytest.raises(SchemaError, match="is not an identifier"):
+            parse_machine(json.dumps(doc))
+        entry = {"name": "x", "output_key": "out\n"}
+        doc["states"] = [{**state("a", tags=["start", "end"]), "entry": entry}]
+        with pytest.raises(SchemaError, match="is not an identifier"):
+            parse_machine(json.dumps(doc))
+
 
 class TestRoundTrip:
     def test_minimal_fixpoint(self):

@@ -10,7 +10,7 @@ from machina.model import (
     _walk_with_parents,
     enabled_transitions,
     initial_entry_path,
-    is_end,
+    is_identifier,
     parent_chain,
     start_state,
     validate_machine,
@@ -237,8 +237,16 @@ class TestQueries:
             leaf = initial_entry_path(h3, st.name)[-1]
             assert not h3.state(leaf).is_composite
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("abc", True), ("_a1", True), ("abc\n", False), ("\nabc", False), ("a b", False),
+         ("", False), ("1a", False), ("a.b", False)],
+    )
+    def test_is_identifier_matches_the_whole_text(self, text, expected):
+        assert is_identifier(text) is expected
+
     def test_is_end(self):
         routing = builtin_machine("routing")
-        assert is_end(routing, "End")
-        assert not is_end(routing, "Start")
-        assert not is_end(builtin_machine("h3"), "Mid")
+        assert routing.state("End").is_end
+        assert not routing.state("Start").is_end
+        assert not builtin_machine("h3").state("Mid").is_end

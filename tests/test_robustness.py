@@ -10,6 +10,7 @@ import pytest
 from machina.actions import builtin_registry
 from machina.belief import (
     NestingTooDeep,
+    NotJsonValue,
     belief_to_trace,
     copy_json,
     kv_get,
@@ -23,7 +24,7 @@ from machina.errors import MachinaError, UnencodableText, utf8
 from machina.harness import make_qa_agent
 from machina.keypath import ABSENT
 from machina.model import ActionSpec, ParameterSpec
-from machina.policy import PARSE_RETRIES, RulePolicy, rules_from_value
+from machina.policy import PARSE_RETRIES, LlmPolicy, RulePolicy, rules_from_value
 from machina.providers import ScriptedProvider
 from helpers import agent_for, h3_agent, machine_from, s1_scene, state
 
@@ -139,6 +140,97 @@ class TestBadPayload:
         value["lines"].append("b")
         payload = result.belief_snapshot.trajectory[0].event_payload
         assert type(payload) is dict and payload == {"v": {"lines": ["a"]}}
+
+
+# TestBadPayload's values that are not JSON values (a list, a string and None
+# are, as an action output or a task input), plus two that pickle cannot copy.
+NOT_JSON = [p for p in TestBadPayload.BAD if p.id not in ("list", "str", "none")] + [
+    pytest.param(MappingProxyType({"k": 1}), id="mappingproxy"),
+    pytest.param((i for i in range(3)), id="generator"),
+]
+
+
+def emitting_agent(value) -> Agent:
+    """An agent whose custom action ``emit`` returns ``value`` on entering
+    ``b``, where the model then picks between two end states."""
+    registry = builtin_registry().register("emit", (), lambda inputs, ctx: value)
+    doc = {
+        "name": "m",
+        "states": [
+            state("a", tags=["start"]),
+            {**state("b"), "entry": {"name": "emit"}},
+            state("c", tags=["end"]),
+            state("d", tags=["end"]),
+        ],
+        "transitions": [
+            {"source": "a", "target": "b", "event": "go"},
+            {"source": "b", "target": "c", "event": "left"},
+            {"source": "b", "target": "d", "event": "right"},
+        ],
+    }
+    return Agent(
+        machine=machine_from(doc),
+        belief=new_belief(),
+        policy=(LlmPolicy(task_description="pick"),),
+        registry=registry,
+        provider=ScriptedProvider.from_replies(['{"event": "right"}']),
+    )
+
+
+def assert_strict_trace(result):
+    json.dumps(belief_to_trace(result.belief_snapshot), allow_nan=False)
+
+
+class TestNotJsonValue:
+    """A value that is not plain JSON never enters a belief: as an action's
+    output it fails the step, as a task input it raises, and in the caller's
+    key-value store it fails the run; no case raises out of ``run``."""
+
+    @pytest.mark.parametrize("value", NOT_JSON)
+    def test_action_output_fails_the_step(self, value):
+        agent = emitting_agent(value)
+        result = run(agent)
+        assert result.status == "failed"
+        assert result.reason.startswith("action 'emit' failed: output: ")
+        assert "emit" not in result.belief_snapshot.kv
+        assert result.belief_snapshot.execution_log == []
+        assert result.stats.calls == 0
+        assert_strict_trace(result)
+        done = run(agent)
+        assert done.status == "completed" and done.belief_snapshot.current_state == "d"
+        assert_strict_trace(done)
+
+    @pytest.mark.parametrize("value", NOT_JSON)
+    def test_task_input_raises_a_typed_error(self, value):
+        with pytest.raises(NotJsonValue) as info:
+            new_belief(inputs={"doc": value})
+        assert isinstance(info.value, MachinaError)
+
+    @pytest.mark.parametrize("value", NOT_JSON)
+    def test_caller_store_value_fails_the_run(self, value):
+        agent = h3_agent()
+        kv_set(agent.belief, "x", value)
+        result = run(agent)
+        assert result.status == "failed"
+        assert result.reason.startswith("key-value store: ")
+        assert result.belief_snapshot.kv == {}
+        assert_strict_trace(result)
+        del agent.belief.kv["x"]
+        done = run(agent, EventInstance("e2"))
+        assert done.status == "completed"
+        assert_strict_trace(done)
+
+    def test_caller_store_value_bound_to_a_parameter_fails_the_action(self):
+        provider = ScriptedProvider.from_replies(["counting"])
+        agent = make_qa_agent("routing", "How many red objects are there?", s1_scene(), provider)
+        kv_set(agent.belief, "question", {"a set"})
+        result = run(agent)
+        assert result.status == "failed"
+        assert result.reason.startswith(
+            "action 'classifyQuestion' failed: parameter 'question': a set is not a JSON value;"
+        )
+        assert result.stats.calls == 0
+        assert_strict_trace(result)
 
 
 class TestBadOutputKey:
