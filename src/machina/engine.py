@@ -132,8 +132,9 @@ class RunLimits:
     unhandled_event: str = UNHANDLED_ERROR
 
     def __post_init__(self) -> None:
-        if self.max_transitions < 1:
-            raise MachinaError("max_transitions must be at least 1")
+        limit = self.max_transitions
+        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
+            raise MachinaError(f"max_transitions must be an integer >= 1, got {limit!r}")
         if self.unhandled_event not in (UNHANDLED_ERROR, UNHANDLED_IGNORE):
             raise MachinaError("unhandled_event must be 'error' or 'ignore'")
 

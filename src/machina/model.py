@@ -164,14 +164,22 @@ class StateMachine:
     transitions: tuple[Transition, ...]
 
     @cached_property
-    def _index(self) -> tuple[dict[str, State], dict[str, Optional[str]]]:
+    def _index(
+        self,
+    ) -> tuple[dict[str, State], dict[str, Optional[str]], dict[str, list[Transition]]]:
+        """States by name and each state's parent (the first of a repeated
+        name wins), and the transitions leaving each state in declaration
+        order: everything structural is read from here."""
         by_name: dict[str, State] = {}
         parents: dict[str, Optional[str]] = {}
         for st, parent in _walk_with_parents(self.states):
             if st.name not in by_name:
                 by_name[st.name] = st
                 parents[st.name] = parent.name if parent else None
-        return by_name, parents
+        outgoing: dict[str, list[Transition]] = {}
+        for t in self.transitions:
+            outgoing.setdefault(t.source, []).append(t)
+        return by_name, parents, outgoing
 
     @cached_property
     def _memo(self) -> dict:
@@ -221,19 +229,28 @@ def enabled_transitions(sm: StateMachine, state: str) -> list[Transition]:
     order), then each ancestor's, innermost ancestor first. Guards are not
     evaluated here."""
     sm.state(state)
-    scope = [state] + parent_chain(sm, state)
-    result = []
-    for owner in scope:
-        result.extend(t for t in sm.transitions if t.source == owner)
+    outgoing = sm._index[2]
+    result = list(outgoing.get(state, ()))
+    for owner in parent_chain(sm, state):
+        result.extend(outgoing.get(owner, ()))
     return result
 
 
 def initial_entry_path(sm: StateMachine, state: str) -> list[str]:
-    """Path from ``state`` down its ``initial`` links to a simple leaf."""
+    """Path from ``state`` down its ``initial`` links to a simple leaf.
+
+    Raises :class:`MachinaError` at a composite whose ``initial`` is not one
+    of its children, so the walk only descends and always ends."""
+    by_name, parents, _ = sm._index
     current = sm.state(state)
     path = [current.name]
     while current.is_composite:
-        current = sm.state(current.initial)  # validated: initial is a child
+        if parents.get(current.initial) != current.name:
+            raise MachinaError(
+                f"initial substate {current.initial!r} of {current.name!r} "
+                "is not among its children"
+            )
+        current = by_name[current.initial]
         path.append(current.name)
     return path
 
@@ -293,9 +310,12 @@ class ValidationReport:
 def _walk_with_parents(
     states: tuple[State, ...], parent: Optional[State] = None
 ) -> Iterator[tuple[State, Optional[State]]]:
-    for st in states:
+    """Every state with its parent, depth first in declaration order."""
+    stack = [(st, parent) for st in reversed(states)]
+    while stack:
+        st, parent = stack.pop()
         yield st, parent
-        yield from _walk_with_parents(st.substates, st)
+        stack.extend((sub, st) for sub in reversed(st.substates))
 
 
 def _iter_action_specs(sm: StateMachine) -> Iterator[tuple[str, ActionSpec]]:
@@ -386,8 +406,9 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                     )
                 )
 
+    outgoing = sm._index[2]
     for st, _ in _walk_with_parents(sm.states):
-        if TAG_END in st.tags and any(t.source == st.name for t in sm.transitions):
+        if TAG_END in st.tags and st.name in outgoing:
             violations.append(
                 Violation(
                     END_HAS_OUTGOING,
@@ -479,54 +500,29 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                 )
             )
 
-    violations.extend(_reachability_warnings(sm, seen, top_starts))
+    if len(top_starts) == 1:
+        violations.extend(_reachability_warnings(sm, top_starts[0]))
     return ValidationReport(tuple(violations))
 
 
-def _reachability_warnings(
-    sm: StateMachine, all_names: dict[str, int], top_starts: list[str]
-) -> list[Violation]:
-    if len(top_starts) != 1:
-        return []
-    by_name = {st.name: st for st, _ in _walk_with_parents(sm.states)}
-    parents: dict[str, Optional[str]] = {}
-    for st, parent in _walk_with_parents(sm.states):
-        parents.setdefault(st.name, parent.name if parent else None)
-
-    def expand(name: str, reached: set[str]) -> None:
-        """Entering a state activates its ancestors and its initial chain."""
-        stack = [name]
-        while stack:
-            n = stack.pop()
-            if n in reached or n not in by_name:
-                continue
-            reached.add(n)
-            p = parents.get(n)
-            if p is not None:
-                stack.append(p)
-            st = by_name[n]
-            if st.is_composite and st.initial in by_name:
-                stack.append(st.initial)
-
+def _reachability_warnings(sm: StateMachine, start: str) -> list[Violation]:
+    """One work-list pass from ``start``: entering a state enters its parent
+    and its ``initial`` child, and enables the transitions it is the source
+    of. Since every ancestor of an entered state is entered too, a
+    transition whose source is entered applies, as it does while any
+    descendant is active."""
+    by_name, parents, outgoing = sm._index
     reached: set[str] = set()
-    expand(top_starts[0], reached)
-    changed = True
-    while changed:
-        changed = False
-        for t in sm.transitions:
-            if t.target in reached or t.target not in by_name:
-                continue
-            src = by_name.get(t.source)
-            if src is None:
-                continue
-            # A transition applies while its source or any descendant is active.
-            active = t.source in reached or any(
-                d.name in reached for d, _ in _walk_with_parents(src.substates)
-            )
-            if active:
-                expand(t.target, reached)
-                changed = True
-
+    work: list[Optional[str]] = [start]
+    while work:
+        name = work.pop()
+        if name in reached or name not in by_name:
+            continue
+        reached.add(name)
+        work.append(parents[name])
+        if by_name[name].is_composite:
+            work.append(by_name[name].initial)
+        work.extend(t.target for t in outgoing.get(name, ()))
     return [
         Violation(
             UNREACHABLE_STATE,
@@ -534,6 +530,6 @@ def _reachability_warnings(
             name,
             f"state {name!r} cannot be reached from the start state",
         )
-        for name in sorted(all_names)
+        for name in sorted(by_name)
         if name not in reached
     ]

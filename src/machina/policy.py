@@ -135,8 +135,9 @@ class LlmPolicy:
     history_token_budget: int = DEFAULT_HISTORY_BUDGET
 
     def __post_init__(self) -> None:
-        if self.history_token_budget < 1:
-            raise MachinaError("history_token_budget must be at least 1")
+        budget = self.history_token_budget
+        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+            raise MachinaError(f"history_token_budget must be an integer >= 1, got {budget!r}")
 
 
 PolicyStage = Union[RulePolicy, LlmPolicy]

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from machina.cli import main
 from machina.harness import generate_mini_clevr
 from machina.machine_io import serialize_machine
-from helpers import MINIMAL_DOC, budget_cycle_doc, machine_from, write_dataset
+from helpers import MINIMAL_DOC, budget_cycle_doc, machine_from, state, write_dataset
 
 S1_JSON = Path("src/machina/scenes/s1.scene.json")
 ROUTING_JSON = Path("src/machina/machines/routing.sm.json")
@@ -89,6 +89,26 @@ class TestDot:
         assert result.exit_code == 0
         assert result.output.startswith("digraph")
         assert "cluster_Top" in result.output
+
+    @pytest.mark.parametrize("initial", ["A", "B"], ids=["itself", "its-parent"])
+    def test_initial_that_is_not_a_child_exits_1(self, runner, tmp_path, initial):
+        doc = {
+            "name": "m",
+            "states": [
+                state(
+                    "A",
+                    tags=["start"],
+                    substates=[state("B", substates=[state("C", tags=["end"])], initial=initial)],
+                    initial="B",
+                )
+            ],
+            "transitions": [],
+        }
+        result = runner.invoke(main, ["dot", "--machine", str(write_machine(tmp_path, doc))])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: initial substate {initial!r} of 'B' is not among its children\n"
+        )
 
 
 class TestRun:

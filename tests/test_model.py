@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from machina.actions import builtin_registry
+from machina.errors import MachinaError
 from machina.harness import builtin_machine
 from machina.model import (
     UnknownState,
@@ -236,6 +237,27 @@ class TestQueries:
         for st, _ in _walk_with_parents(h3.states):
             leaf = initial_entry_path(h3, st.name)[-1]
             assert not h3.state(leaf).is_composite
+
+    @pytest.mark.parametrize("initial", ["A", "B"], ids=["itself", "its-parent"])
+    def test_initial_entry_path_refuses_an_initial_that_is_not_a_child(self, initial):
+        """An ``initial`` naming the composite itself or an ancestor would walk
+        a cycle; the walk stops there with a typed error instead."""
+        sm = machine_from(
+            {
+                "name": "m",
+                "states": [
+                    state(
+                        "A",
+                        tags=["start"],
+                        substates=[state("B", substates=[state("C", tags=["end"])], initial=initial)],
+                        initial="B",
+                    )
+                ],
+                "transitions": [],
+            }
+        )
+        with pytest.raises(MachinaError, match="is not among its children"):
+            initial_entry_path(sm, "A")
 
     @pytest.mark.parametrize(
         "text, expected",

@@ -19,7 +19,16 @@ from machina.belief import (
     render_history,
     snapshot,
 )
-from machina.engine import Agent, EventInstance, InvalidEventPayload, dispatch, execute_action, run, start
+from machina.engine import (
+    Agent,
+    EventInstance,
+    InvalidEventPayload,
+    RunLimits,
+    dispatch,
+    execute_action,
+    run,
+    start,
+)
 from machina.errors import MachinaError, UnencodableText, utf8
 from machina.harness import make_qa_agent
 from machina.keypath import ABSENT
@@ -351,3 +360,26 @@ class TestLoneSurrogate:
             utf8("ab\udfffc")
         assert isinstance(info.value, MachinaError)
         assert "at character 2" in str(info.value)
+
+
+BAD_COUNTS = [0, -1, 1.5, 3.0, "3", True, None]
+
+
+class TestBadBudgets:
+    """A budget or limit that is not an integer of at least 1 is refused when
+    it is set; a float budget used to pass and then fail a run that had to
+    truncate its history with a bare ``TypeError`` from slicing."""
+
+    @pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+    def test_history_token_budget(self, value):
+        with pytest.raises(MachinaError, match="history_token_budget"):
+            LlmPolicy(task_description="pick", history_token_budget=value)
+
+    @pytest.mark.parametrize("value", BAD_COUNTS, ids=repr)
+    def test_max_transitions(self, value):
+        with pytest.raises(MachinaError, match="max_transitions"):
+            RunLimits(max_transitions=value)
+
+    def test_an_integer_of_at_least_1_is_kept(self):
+        assert LlmPolicy(task_description="pick", history_token_budget=1).history_token_budget == 1
+        assert RunLimits(max_transitions=1).max_transitions == 1
