@@ -253,32 +253,16 @@ def snapshot(belief: Belief) -> Belief:
 
 
 def belief_to_trace(belief: Belief) -> dict:
-    """JSON-ready trace document (the CLI ``--trace`` payload). It holds
-    the belief's own values, the shared read-only task inputs among them,
-    so ``copy.deepcopy`` it before editing it."""
+    """JSON-ready trace document (the CLI ``--trace`` payload). Each
+    trajectory and execution-log entry is its record's fields in order
+    (:class:`TransitionRecord`, :class:`ActionRecord`). It holds the
+    belief's own values, the shared read-only task inputs among them, so
+    ``copy.deepcopy`` it before editing it."""
     return {
         "task_context": [{"role": r, "text": t} for r, t in belief.task_context],
         "inputs": belief.inputs,
-        "trajectory": [
-            {
-                "step": r.step,
-                "source": r.source,
-                "target": r.target,
-                "event": r.event,
-                "event_payload": r.event_payload,
-            }
-            for r in belief.trajectory
-        ],
-        "execution_log": [
-            {
-                "step": r.step,
-                "action": r.action,
-                "inputs": r.inputs,
-                "output": r.output,
-                "phase": r.phase,
-            }
-            for r in belief.execution_log
-        ],
+        "trajectory": [r._asdict() for r in belief.trajectory],
+        "execution_log": [r._asdict() for r in belief.execution_log],
         "kv": belief.kv,
         "current_state": belief.current_state,
     }

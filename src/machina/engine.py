@@ -217,9 +217,10 @@ def eval_guard(
 
     Expression guards run over the key-value store and the task inputs.
     Action guards invoke the named registered action, binding its internal
-    parameters from the belief, and coerce the output by guard truthiness.
-    Guard evaluation is not logged as an executed action; any provider calls
-    it makes still count in the provider's stats.
+    parameters from the belief, and coerce the output by guard truthiness;
+    anything the action raises is an :class:`ActionFailure` naming it, as
+    for a transition action. Guard evaluation is not logged as an executed
+    action; any provider calls it makes still count in the provider's stats.
     """
     if guard.kind == GUARD_EXPRESSION:
         return evaluate(guard.parsed, lookup_scope(belief))
@@ -234,8 +235,6 @@ def eval_guard(
     context = ActionContext(provider=provider, spec=ActionSpec(name))
     try:
         output = registered.impl(inputs, context)
-    except MachinaError:
-        raise
     except Exception as exc:
         raise ActionFailure(name, str(exc)) from exc
     return truthy(output)

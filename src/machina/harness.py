@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 from .actions import builtin_registry, parse_scene_input
 from .belief import Belief, kv_set, new_belief, seed_parsed_input
 from .engine import Agent, RunLimits, run
-from .errors import MachinaError, check_keys, require_object, require_string
+from .errors import MachinaError, SchemaError, check_keys, require_object, require_string
 from .json_extract import JsonSyntaxError, read_json
 from .machine_io import parse_machine
 from .model import StateMachine
@@ -354,6 +354,11 @@ def read_dataset(jsonl_path: str | Path) -> Dataset:
         check_keys(doc, keys, keys[:2], pointer)
         question = require_string(doc, "question", pointer)
         scene_file = require_string(doc, "scene_file", pointer)
+        for key in ("answer", "type"):
+            if doc.get(key) is not None:
+                require_string(doc, key, pointer)
+        if doc.get("type") not in (None, *QUESTION_TYPES):
+            raise SchemaError(f"{pointer}/type", f"expected one of {', '.join(QUESTION_TYPES)}")
         if scene_file not in scenes:
             try:
                 scenes[scene_file] = parse_scene((path.parent / scene_file).read_bytes())

@@ -318,17 +318,6 @@ def _walk_with_parents(
         stack.extend((sub, st) for sub in reversed(st.substates))
 
 
-def _iter_action_specs(sm: StateMachine) -> Iterator[tuple[str, ActionSpec]]:
-    for st, _ in _walk_with_parents(sm.states):
-        if st.entry_action:
-            yield f"state {st.name} entry", st.entry_action
-        if st.exit_action:
-            yield f"state {st.name} exit", st.exit_action
-    for t in sm.transitions:
-        for spec in t.actions:
-            yield f"transition {t.source}--{t.event}-->{t.target}", spec
-
-
 def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str]) -> ValidationReport:
     """Check every structural rule; violations are data, not exceptions.
 
@@ -338,169 +327,97 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
     optional externally-triggered branches.
     """
     violations: list[Violation] = []
+    known = frozenset(known_actions)
+    outgoing = sm._index[2]
+
+    def error(cls: str, subject: str, message: str) -> None:
+        violations.append(Violation(cls, SEVERITY_ERROR, subject, message))
+
+    def check_action(where: str, spec: Optional[ActionSpec]) -> None:
+        if spec is not None and spec.name not in known:
+            error(UNKNOWN_ACTION, where, f"action {spec.name!r} ({where}) is not registered")
 
     seen: dict[str, int] = {}
-    for st, _ in _walk_with_parents(sm.states):
+    any_end = False
+    for st, parent in _walk_with_parents(sm.states):
         seen[st.name] = seen.get(st.name, 0) + 1
+        if parent is not None and TAG_START in st.tags:
+            error(
+                MULTIPLE_START,
+                st.name,
+                f"nested state {st.name!r} carries the 'start' tag; "
+                "composites designate their entry substate via 'initial'",
+            )
+        if TAG_END in st.tags:
+            any_end = True
+            if st.name in outgoing:
+                error(END_HAS_OUTGOING, st.name, f"end state {st.name!r} has outgoing transitions")
+        if not st.is_composite:
+            if st.initial is not None:
+                error(
+                    COMPOSITE_WITHOUT_INITIAL,
+                    st.name,
+                    f"state {st.name!r} designates an initial substate but has no substates",
+                )
+        elif st.initial is None:
+            error(
+                COMPOSITE_WITHOUT_INITIAL,
+                st.name,
+                f"composite state {st.name!r} has no initial substate",
+            )
+        elif all(c.name != st.initial for c in st.substates):
+            error(
+                COMPOSITE_WITHOUT_INITIAL,
+                st.name,
+                f"initial substate {st.initial!r} of {st.name!r} is not among its children",
+            )
+        check_action(f"state {st.name} entry", st.entry_action)
+        check_action(f"state {st.name} exit", st.exit_action)
     for name, count in seen.items():
         if count > 1:
-            violations.append(
-                Violation(
-                    DUPLICATE_STATE,
-                    SEVERITY_ERROR,
-                    name,
-                    f"state name {name!r} defined {count} times",
+            error(DUPLICATE_STATE, name, f"state name {name!r} defined {count} times")
+    if not any_end:
+        error(MISSING_END, sm.name, "no state anywhere is tagged 'end'")
+
+    for t in sm.transitions:
+        subject = f"{t.source}--{t.event}-->{t.target}"
+        for endpoint, name in (("source", t.source), ("target", t.target)):
+            if name not in seen:
+                error(
+                    DANGLING_TRANSITION, subject, f"transition {endpoint} {name!r} is not a state"
                 )
-            )
+        for spec in t.actions:
+            check_action(f"transition {subject}", spec)
+        guard = t.guard
+        if guard is None:
+            continue
+        if guard.kind == GUARD_ACTION:
+            if not guard.action_name:
+                error(BAD_GUARD, subject, "guard action has no name")
+            elif guard.action_name not in known:
+                error(
+                    UNKNOWN_ACTION,
+                    subject,
+                    f"guard action {guard.action_name!r} is not registered",
+                )
+        elif guard.kind == GUARD_EXPRESSION:
+            try:
+                guard.parsed  # kept on the condition for eval_guard
+            except GuardSyntaxError as exc:
+                error(BAD_GUARD, subject, f"guard does not parse: {exc}")
+        else:
+            error(BAD_GUARD, subject, f"unknown guard kind {guard.kind!r}")
 
     top_starts = [s.name for s in sm.states if TAG_START in s.tags]
     if not top_starts:
-        violations.append(
-            Violation(
-                MISSING_START,
-                SEVERITY_ERROR,
-                sm.name,
-                "no top-level state is tagged 'start'",
-            )
-        )
+        error(MISSING_START, sm.name, "no top-level state is tagged 'start'")
     elif len(top_starts) > 1:
-        violations.append(
-            Violation(
-                MULTIPLE_START,
-                SEVERITY_ERROR,
-                sm.name,
-                f"multiple top-level start states: {', '.join(top_starts)}",
-            )
+        error(
+            MULTIPLE_START,
+            sm.name,
+            f"multiple top-level start states: {', '.join(top_starts)}",
         )
-    for st, parent in _walk_with_parents(sm.states):
-        if parent is not None and TAG_START in st.tags:
-            violations.append(
-                Violation(
-                    MULTIPLE_START,
-                    SEVERITY_ERROR,
-                    st.name,
-                    f"nested state {st.name!r} carries the 'start' tag; "
-                    "composites designate their entry substate via 'initial'",
-                )
-            )
-
-    if not any(TAG_END in st.tags for st, _ in _walk_with_parents(sm.states)):
-        violations.append(
-            Violation(
-                MISSING_END,
-                SEVERITY_ERROR,
-                sm.name,
-                "no state anywhere is tagged 'end'",
-            )
-        )
-
-    for t in sm.transitions:
-        for endpoint, name in (("source", t.source), ("target", t.target)):
-            if name not in seen:
-                violations.append(
-                    Violation(
-                        DANGLING_TRANSITION,
-                        SEVERITY_ERROR,
-                        f"{t.source}--{t.event}-->{t.target}",
-                        f"transition {endpoint} {name!r} is not a state",
-                    )
-                )
-
-    outgoing = sm._index[2]
-    for st, _ in _walk_with_parents(sm.states):
-        if TAG_END in st.tags and st.name in outgoing:
-            violations.append(
-                Violation(
-                    END_HAS_OUTGOING,
-                    SEVERITY_ERROR,
-                    st.name,
-                    f"end state {st.name!r} has outgoing transitions",
-                )
-            )
-
-    for st, _ in _walk_with_parents(sm.states):
-        child_names = {c.name for c in st.substates}
-        if st.is_composite:
-            if st.initial is None:
-                violations.append(
-                    Violation(
-                        COMPOSITE_WITHOUT_INITIAL,
-                        SEVERITY_ERROR,
-                        st.name,
-                        f"composite state {st.name!r} has no initial substate",
-                    )
-                )
-            elif st.initial not in child_names:
-                violations.append(
-                    Violation(
-                        COMPOSITE_WITHOUT_INITIAL,
-                        SEVERITY_ERROR,
-                        st.name,
-                        f"initial substate {st.initial!r} of {st.name!r} "
-                        "is not among its children",
-                    )
-                )
-        elif st.initial is not None:
-            violations.append(
-                Violation(
-                    COMPOSITE_WITHOUT_INITIAL,
-                    SEVERITY_ERROR,
-                    st.name,
-                    f"state {st.name!r} designates an initial substate "
-                    "but has no substates",
-                )
-            )
-
-    known = frozenset(known_actions)
-    for where, spec in _iter_action_specs(sm):
-        if spec.name not in known:
-            violations.append(
-                Violation(
-                    UNKNOWN_ACTION,
-                    SEVERITY_ERROR,
-                    where,
-                    f"action {spec.name!r} ({where}) is not registered",
-                )
-            )
-
-    for t in sm.transitions:
-        if t.guard is None:
-            continue
-        subject = f"{t.source}--{t.event}-->{t.target}"
-        if t.guard.kind == GUARD_ACTION:
-            if not t.guard.action_name:
-                violations.append(
-                    Violation(BAD_GUARD, SEVERITY_ERROR, subject, "guard action has no name")
-                )
-            elif t.guard.action_name not in known:
-                violations.append(
-                    Violation(
-                        UNKNOWN_ACTION,
-                        SEVERITY_ERROR,
-                        subject,
-                        f"guard action {t.guard.action_name!r} is not registered",
-                    )
-                )
-        elif t.guard.kind == GUARD_EXPRESSION:
-            try:
-                t.guard.parsed  # kept on the condition for eval_guard
-            except GuardSyntaxError as exc:
-                violations.append(
-                    Violation(
-                        BAD_GUARD,
-                        SEVERITY_ERROR,
-                        subject,
-                        f"guard does not parse: {exc}",
-                    )
-                )
-        else:
-            violations.append(
-                Violation(
-                    BAD_GUARD, SEVERITY_ERROR, subject, f"unknown guard kind {t.guard.kind!r}"
-                )
-            )
-
-    if len(top_starts) == 1:
+    else:
         violations.extend(_reachability_warnings(sm, top_starts[0]))
     return ValidationReport(tuple(violations))
 

@@ -14,11 +14,11 @@ from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from .actions import ArgumentTypeError, coerce_argument
-from .belief import Belief, kv_get, lookup_scope, render_history
+from .belief import Belief, lookup_scope, render_history
 from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
-from .guards import GuardExpr, evaluate, parse_guard
+from .guards import GuardExpr, evaluate, parse_guard, resolve_kv_path
 from .json_extract import first_json_object, read_json
-from .keypath import ABSENT, JsonValue
+from .keypath import ABSENT, BadPath, JsonValue, split_path
 from .model import TRIGGER_INTERNAL, EventInstance, ParameterSpec, State, Transition
 from .providers import CompletionProvider, CompletionRequest
 
@@ -192,7 +192,7 @@ def rule_decide(
         arguments: dict[str, JsonValue] = {}
         for name, source in rule.emit_arguments.items():
             if isinstance(source, PathRef):
-                value = kv_get(belief, source.path)
+                value = resolve_kv_path(lookup_scope(belief), split_path(source.path))
                 if value is ABSENT:
                     raise RuleArgumentUnresolvable(source.path)
                 arguments[name] = value
@@ -322,7 +322,9 @@ def rules_from_value(doc: JsonValue) -> tuple[Rule, ...]:
     Each entry is ``{"emit_event": str, "when_state": str?, "when_guard":
     <DSL text>?, "emit_arguments": {name: value}?}``; an argument value of
     the form ``{"$ref": "<dotted path>"}`` is resolved from the belief when
-    the rule fires, anything else is a literal.
+    the rule fires, anything else is a literal. A ``$ref`` path is checked
+    here (an empty path or segment is a :class:`SchemaError`) and read as a
+    guard path is, so a leading ``kv.`` names the store root.
     """
     rules = []
     for i, raw in enumerate(require_list(doc, "")):
@@ -341,6 +343,10 @@ def rules_from_value(doc: JsonValue) -> tuple[Rule, ...]:
         raw_args = require_object(obj.get("emit_arguments", {}), f"{pointer}/emit_arguments")
         for name, value in raw_args.items():
             if isinstance(value, dict) and set(value) == {"$ref"} and isinstance(value["$ref"], str):
+                try:
+                    split_path(value["$ref"])
+                except BadPath as exc:
+                    raise SchemaError(f"{pointer}/emit_arguments/{name}/$ref", str(exc)) from None
                 arguments[name] = PathRef(value["$ref"])
             else:
                 arguments[name] = value

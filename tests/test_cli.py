@@ -318,3 +318,11 @@ class TestBench:
         )
         assert result.exit_code == 0, result.output
         assert "variant: planning" in result.output
+
+    def test_dataset_with_a_mistyped_field_exits_1(self, runner, tmp_path):
+        path = write_dataset(generate_mini_clevr(3, 1, 3), tmp_path)
+        doc = json.loads(path.read_text().splitlines()[0])
+        path.write_text(json.dumps({**doc, "type": 3}) + "\n")
+        result = runner.invoke(main, ["bench", "--dataset", str(path), "--variant", "routing"])
+        assert result.exit_code == 1
+        assert "error: /0/type: expected a string" in result.output

@@ -23,6 +23,7 @@ from machina.engine import (
     run,
     start,
 )
+from machina.errors import MachinaError
 from machina.guards import GuardTypeError
 from machina.harness import builtin_machine, make_qa_agent
 from machina.model import (
@@ -107,6 +108,39 @@ class TestEvalGuard:
         eval_guard(belief=belief, guard=guard, registry=scene_registry_with_guard(),
                    provider=ScriptedProvider.from_replies([]))
         assert belief.execution_log == []
+
+
+@pytest.mark.parametrize("raised", [MachinaError("boom"), ValueError("boom")], ids=["machina", "value"])
+@pytest.mark.parametrize("place", ["guard", "transition"])
+def test_a_raising_guard_fails_the_run_as_a_raising_action_does(raised, place):
+    """Whatever a guard's action raises ends the run with an
+    ``ActionFailure`` that names it, as for a transition action."""
+
+    def explode(inputs, ctx):
+        raise raised
+
+    registry = builtin_registry()
+    registry.register("explode", (), explode, output_datatype="boolean")
+    go = {"source": "a", "target": "b", "event": "go"}
+    if place == "guard":
+        go["guard"] = {"action": "explode"}
+    else:
+        go["actions"] = [{"name": "explode"}]
+    doc = {
+        "name": "m",
+        "states": [state("a", tags=["start"]), state("b", tags=["end"])],
+        "transitions": [go],
+    }
+    agent = Agent(
+        machine=machine_from(doc),
+        belief=new_belief(),
+        policy=(),
+        registry=registry,
+        provider=ScriptedProvider.from_replies([]),
+    )
+    result = run(agent)
+    assert result.status == "failed"
+    assert result.reason == "action 'explode' failed: boom"
 
 
 class TestResolve:

@@ -259,3 +259,31 @@ class TestReadDatasetEdges:
         path.write_text("\n")
         with pytest.raises(MinSize):
             read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("type", 3), ("type", "sorting"), ("type", ""), ("type", ["counting"]), ("answer", 2),
+         ("answer", True), ("answer", {"text": "2"})],
+    )
+    def test_answer_and_type_are_typed(self, tmp_path, key, value):
+        path = write_dataset(generate_mini_clevr(13, 1, 3), tmp_path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc[key] = value
+        lines[1] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        from machina.errors import SchemaError
+
+        with pytest.raises(SchemaError) as info:
+            read_dataset(path)
+        assert info.value.pointer == f"/1/{key}"
+
+    def test_null_answer_and_type_fall_back_to_the_question(self, tmp_path):
+        dataset = generate_mini_clevr(13, 1, 3)
+        path = write_dataset(dataset, tmp_path)
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(json.dumps({**d, "answer": None, "type": None}) + "\n" for d in docs))
+        loaded = read_dataset(path)
+        assert [(i.answer, i.qtype) for i in loaded.items] == [
+            (i.answer, i.qtype) for i in dataset.items
+        ]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from machina.belief import kv_set, new_belief, record_action, ActionRecord
+from machina.errors import SchemaError
 from machina.guards import parse_guard
 from machina.model import EventInstance, ParameterSpec, State, Transition
 from machina.policy import (
@@ -132,6 +133,38 @@ class TestRuleDecide:
         assert rule.when_state == "s"
         assert rule.emit_arguments["text"] == PathRef("answer")
         assert rule.emit_arguments["n"] == 2
+
+    @pytest.mark.parametrize("ref", ["", "a..b", ".a", "a."])
+    def test_bad_ref_path_is_rejected_at_load(self, ref):
+        doc = [
+            {"emit_event": "go", "when_state": "s"},
+            {"emit_event": "go", "when_state": "A", "emit_arguments": {"n": {"$ref": ref}}},
+        ]
+        with pytest.raises(SchemaError) as info:
+            rules_from_value(doc)
+        assert info.value.pointer == "/1/emit_arguments/n/$ref"
+
+    def test_ref_reads_the_store_as_a_guard_does(self):
+        belief = new_belief(inputs={"scene": {"objects": ["o1", "o2"]}})
+        kv_set(belief, "x", 5)
+        kv_set(belief, "kv", {"x": "shadowed"})
+        (rule,) = rules_from_value(
+            [
+                {
+                    "emit_event": "go",
+                    "when_state": "s",
+                    "when_guard": "kv.x == 5",
+                    "emit_arguments": {
+                        "alias": {"$ref": "kv.x"},
+                        "plain": {"$ref": "x"},
+                        "input": {"$ref": "scene.objects.1"},
+                        "whole": {"$ref": "kv"},
+                    },
+                }
+            ]
+        )
+        sel = rule_decide((rule,), STATE, [candidate("go")], belief)
+        assert sel.payload == {"alias": 5, "plain": 5, "input": "o2", "whole": {"x": "shadowed"}}
 
 
 class TestPrompt:
