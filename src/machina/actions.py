@@ -11,7 +11,6 @@ receive their ``scene`` parameter parsed, as a :class:`~machina.scene.SceneGraph
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 from . import scene as scene_ops
@@ -24,6 +23,7 @@ from .model import (
     ParameterSpec,
 )
 from .providers import CompletionProvider
+from .values import EMPTY_MAPPING, FrozenValue, Value
 
 # Built-in actions that send a prompt to the provider (one call each).
 LLM_ACTION_NAMES = frozenset({"classifyQuestion", "extractObjects", "answerQuestion"})
@@ -49,24 +49,31 @@ class ActionContext(NamedTuple):
 ActionImpl = Callable[[dict[str, JsonValue], ActionContext], JsonValue]
 
 
-@dataclass(frozen=True)
-class RegisteredAction:
+class RegisteredAction(FrozenValue):
     """A registered action. ``parsers`` maps a parameter name to the
     function that turns its bound JSON value into what ``impl`` receives;
-    a value read from a task input is parsed once per belief."""
+    a value read from a task input is parsed once per belief. Equality,
+    hashing and ``repr`` leave ``parsers`` out."""
 
-    name: str
-    params: tuple[ParameterSpec, ...]
-    impl: ActionImpl
-    output_datatype: str = "json"
-    parsers: Mapping[str, Callable[[JsonValue], object]] = field(
-        default_factory=dict, compare=False
-    )
+    __slots__ = ("name", "params", "impl", "output_datatype", "parsers")
+    _uncompared = ("parsers",)
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[ParameterSpec, ...],
+        impl: ActionImpl,
+        output_datatype: str = "json",
+        parsers: Mapping[str, Callable[[JsonValue], object]] = EMPTY_MAPPING,
+    ):
+        self._set(name, params, impl, output_datatype, parsers)
 
 
-@dataclass
-class ActionRegistry:
-    _actions: dict[str, RegisteredAction] = field(default_factory=dict)
+class ActionRegistry(Value):
+    __slots__ = ("_actions",)
+
+    def __init__(self, _actions: dict[str, RegisteredAction] | None = None):
+        self._actions = {} if _actions is None else _actions
 
     def register(
         self,

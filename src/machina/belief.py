@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from collections import ChainMap
-from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -21,6 +20,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 from .errors import MachinaError, utf8
 from .keypath import JsonValue, resolve, split_path
 from .model import is_identifier
+from .values import Value
 
 ROLE_USER = "user"
 ROLE_SYSTEM = "system"
@@ -62,20 +62,42 @@ class ActionRecord(NamedTuple):
     phase: str
 
 
-@dataclass
-class Belief:
+class Belief(Value):
     """The agent's memory. ``inputs`` is read-only: the engine never
     changes it, snapshots share it, beliefs built from one ``SceneGraph``
     share its JSON value, and actions get copies or parsed forms of its
-    values. ``_parsed`` memoizes :func:`parsed_input`."""
+    values. ``_parsed`` memoizes :func:`parsed_input`; equality and
+    ``repr`` leave it out. A store left out or given as ``None`` starts
+    empty."""
 
-    task_context: list[tuple[str, str]] = field(default_factory=list)
-    trajectory: list[TransitionRecord] = field(default_factory=list)
-    execution_log: list[ActionRecord] = field(default_factory=list)
-    kv: dict[str, JsonValue] = field(default_factory=dict)
-    current_state: str | None = None
-    inputs: dict[str, JsonValue] = field(default_factory=dict)
-    _parsed: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = (
+        "task_context",
+        "trajectory",
+        "execution_log",
+        "kv",
+        "current_state",
+        "inputs",
+        "_parsed",
+    )
+    _uncompared = ("_parsed",)
+
+    def __init__(
+        self,
+        task_context: list[tuple[str, str]] | None = None,
+        trajectory: list[TransitionRecord] | None = None,
+        execution_log: list[ActionRecord] | None = None,
+        kv: dict[str, JsonValue] | None = None,
+        current_state: str | None = None,
+        inputs: dict[str, JsonValue] | None = None,
+        _parsed: dict | None = None,
+    ):
+        self.task_context = [] if task_context is None else task_context
+        self.trajectory = [] if trajectory is None else trajectory
+        self.execution_log = [] if execution_log is None else execution_log
+        self.kv = {} if kv is None else kv
+        self.current_state = current_state
+        self.inputs = {} if inputs is None else inputs
+        self._parsed = {} if _parsed is None else _parsed
 
 
 class ReadOnlyInput(MachinaError):

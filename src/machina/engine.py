@@ -13,7 +13,6 @@ payload is offered as external arguments to every action the step fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .actions import (
@@ -65,6 +64,7 @@ from .model import (
 )
 from .policy import CandidateTransition, PolicyStage, decide
 from .providers import CallStats, CompletionProvider
+from .values import EMPTY_MAPPING, FrozenValue, Value
 
 STATUS_COMPLETED = "completed"
 STATUS_WAITING = "waiting"
@@ -126,17 +126,18 @@ class InvalidEventPayload(MachinaError):
     :func:`~machina.belief.copy_json` rejects."""
 
 
-@dataclass(frozen=True)
-class RunLimits:
-    max_transitions: int = DEFAULT_MAX_TRANSITIONS
-    unhandled_event: str = UNHANDLED_ERROR
+class RunLimits(FrozenValue):
+    __slots__ = ("max_transitions", "unhandled_event")
 
-    def __post_init__(self) -> None:
-        limit = self.max_transitions
+    def __init__(
+        self, max_transitions: int = DEFAULT_MAX_TRANSITIONS, unhandled_event: str = UNHANDLED_ERROR
+    ):
+        limit = max_transitions
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise MachinaError(f"max_transitions must be an integer >= 1, got {limit!r}")
-        if self.unhandled_event not in (UNHANDLED_ERROR, UNHANDLED_IGNORE):
+        if unhandled_event not in (UNHANDLED_ERROR, UNHANDLED_IGNORE):
             raise MachinaError("unhandled_event must be 'error' or 'ignore'")
+        self._set(max_transitions, unhandled_event)
 
 
 class RunResult(NamedTuple):
@@ -145,8 +146,7 @@ class RunResult(NamedTuple):
     A result is a named tuple, as are the records in its snapshot and a
     :class:`StepOutcome`: immutable, indexable and iterable, equal to a
     plain tuple of the same values, and copied with a change by
-    ``_replace`` (they are not dataclasses, so ``dataclasses.replace`` does
-    not apply).
+    ``_replace``.
 
     ``belief_snapshot`` does not change afterwards: not through later runs or
     dispatches on the agent, not through actions that edit their inputs in
@@ -177,26 +177,36 @@ class StepOutcome(NamedTuple):
     records: tuple[ActionRecord, ...]
 
 
-@dataclass
-class Agent:
-    """A machine bound to a belief, a policy stack, actions and a provider."""
+class Agent(Value):
+    """A machine bound to a belief, a policy stack, actions and a provider.
+    Building one, ``_replace`` included, validates the machine against the
+    registry's action names."""
 
-    machine: StateMachine
-    belief: Belief
-    policy: tuple[PolicyStage, ...]
-    registry: ActionRegistry
-    provider: CompletionProvider
-    limits: RunLimits = RunLimits()
+    __slots__ = ("machine", "belief", "policy", "registry", "provider", "limits")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        machine: StateMachine,
+        belief: Belief,
+        policy: tuple[PolicyStage, ...],
+        registry: ActionRegistry,
+        provider: CompletionProvider,
+        limits: RunLimits = RunLimits(),
+    ):
         # A machine instance is validated once per set of registered names.
-        names = self.registry.names()
-        report = self.machine._memo.get(("report", names))
+        names = registry.names()
+        report = machine._memo.get(("report", names))
         if report is None:
-            report = validate_machine(self.machine, names)
-            self.machine._memo[("report", names)] = report
+            report = validate_machine(machine, names)
+            machine._memo[("report", names)] = report
         if not report.ok:
             raise InvalidMachine(report)
+        self.machine = machine
+        self.belief = belief
+        self.policy = policy
+        self.registry = registry
+        self.provider = provider
+        self.limits = limits
 
     @property
     def started(self) -> bool:
@@ -244,17 +254,22 @@ def eval_guard(
 # Step planning
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(FrozenValue):
     """What firing ``transition`` from one leaf does; fixed by the machine.
     ``passed`` and ``blocked`` are its candidate with the guard passed and
     failed: only the guard outcome differs from one evaluation to the next."""
 
-    transition: Transition
-    target_leaf: str
-    actions: tuple[tuple[str, ActionSpec], ...]
-    passed: CandidateTransition
-    blocked: CandidateTransition
+    __slots__ = ("transition", "target_leaf", "actions", "passed", "blocked")
+
+    def __init__(
+        self,
+        transition: Transition,
+        target_leaf: str,
+        actions: tuple[tuple[str, ActionSpec], ...],
+        passed: CandidateTransition,
+        blocked: CandidateTransition,
+    ):
+        self._set(transition, target_leaf, actions, passed, blocked)
 
 
 def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
@@ -296,7 +311,7 @@ def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
         target_leaf=entry_names[-1],
         actions=tuple(actions),
         passed=passed,
-        blocked=replace(passed, guard_passed=False),
+        blocked=passed._replace(guard_passed=False),
     )
 
 
@@ -468,7 +483,8 @@ def dispatch(
             return None
         raise UnhandledEvent(event.name, leaf)
 
-    payload = event.payload
+    # the shared default payload skips the slower mapping check below
+    payload = {} if event.payload is EMPTY_MAPPING else event.payload
     if type(payload) is not dict:
         if not isinstance(payload, Mapping):
             raise InvalidEventPayload(
@@ -536,7 +552,7 @@ def _result(agent: Agent, status: str, reason: str | None = None) -> RunResult:
     except NotJsonValue as exc:
         status = STATUS_FAILED
         reason = f"{reason}; key-value store: {exc}" if reason else f"key-value store: {exc}"
-        belief = snapshot(replace(agent.belief, kv={}))
+        belief = snapshot(agent.belief._replace(kv={}))
     return RunResult(
         status, _last_output(agent.belief), belief, agent.provider.snapshot_stats(), reason
     )

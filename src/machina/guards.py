@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .errors import MachinaError
 from .keypath import ABSENT, JsonValue, resolve
+from .values import distinct
 
 class GuardSyntaxError(MachinaError):
     def __init__(self, position: int, expected: frozenset[str], found: str = ""):
@@ -41,46 +41,46 @@ class GuardTypeError(MachinaError):
     """Operand types do not support the requested comparison."""
 
 
-@dataclass(frozen=True)
-class Path:
+@distinct
+class Path(NamedTuple):
     segments: tuple[str, ...]
 
     def dotted(self) -> str:
         return ".".join(self.segments)
 
 
-@dataclass(frozen=True)
-class Literal:
+@distinct
+class Literal(NamedTuple):
     value: JsonValue
 
 
 Operand = Union[Path, Literal]
 
 
-@dataclass(frozen=True)
-class Compare:
+@distinct
+class Compare(NamedTuple):
     lhs: Operand
     op: str
     rhs: Operand
 
 
-@dataclass(frozen=True)
-class Exists:
+@distinct
+class Exists(NamedTuple):
     path: Path
 
 
-@dataclass(frozen=True)
-class Not:
+@distinct
+class Not(NamedTuple):
     operand: "GuardExpr"
 
 
-@dataclass(frozen=True)
-class And:
+@distinct
+class And(NamedTuple):
     operands: tuple["GuardExpr", ...]
 
 
-@dataclass(frozen=True)
-class Or:
+@distinct
+class Or(NamedTuple):
     operands: tuple["GuardExpr", ...]
 
 
@@ -103,8 +103,8 @@ _TOKEN_RE = re.compile(
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class _Token:
+@distinct
+class _Token(NamedTuple):
     kind: str
     text: str
     pos: int

@@ -16,10 +16,9 @@ import math
 import operator
 import random
 import re
-from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .actions import builtin_registry, parse_scene_input
 from .belief import Belief, kv_set, new_belief, seed_parsed_input
@@ -39,6 +38,7 @@ from .scene import (
     normalize_answer,
     parse_scene,
 )
+from .values import distinct
 
 COUNTING, JUDGING, QUERYING = QUESTION_TYPES
 
@@ -63,8 +63,8 @@ class UnrecognizedQuestion(MachinaError):
         super().__init__(f"question does not match a known template: {question!r}")
 
 
-@dataclass(frozen=True)
-class QuestionSpec:
+@distinct
+class QuestionSpec(NamedTuple):
     """Structured template instance behind a generated question."""
 
     kind: str
@@ -73,8 +73,8 @@ class QuestionSpec:
     query_attribute: str | None = None
 
 
-@dataclass(frozen=True)
-class DatasetItem:
+@distinct
+class DatasetItem(NamedTuple):
     index: int
     question: str
     scene: SceneGraph
@@ -83,14 +83,14 @@ class DatasetItem:
     spec: QuestionSpec
 
 
-@dataclass(frozen=True)
-class Dataset:
+@distinct
+class Dataset(NamedTuple):
     seed: int
     items: tuple[DatasetItem, ...]
 
 
-@dataclass(frozen=True)
-class ItemResult:
+@distinct
+class ItemResult(NamedTuple):
     index: int
     question: str
     expected: str
@@ -99,15 +99,17 @@ class ItemResult:
     status: str
 
 
-@dataclass(frozen=True)
-class EvalReport:
+@distinct
+class EvalReport(NamedTuple):
     n: int
     exact_match_accuracy: float
     avg_provider_calls: float
     per_item: tuple[ItemResult, ...]
 
     def to_json_value(self) -> dict:
-        return asdict(self)
+        """The report's fields by name, each item's result a dict of its own
+        (``json.dumps`` would write a bare named tuple as an array)."""
+        return {**self._asdict(), "per_item": tuple(r._asdict() for r in self.per_item)}
 
     def summary(self) -> str:
         failures = sum(1 for r in self.per_item if r.expected != r.got)

@@ -10,13 +10,13 @@ transitions apply to a state) and are checked for well-formedness by
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .errors import MachinaError
 from .guards import GuardExpr, GuardSyntaxError, parse_guard
 from .keypath import JsonValue
+from .values import EMPTY_MAPPING, FrozenValue, distinct
 
 IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -48,8 +48,7 @@ def is_identifier(text: object) -> bool:
     return isinstance(text, str) and IDENTIFIER_RE.fullmatch(text) is not None
 
 
-@dataclass(frozen=True)
-class ParameterSpec:
+class ParameterSpec(FrozenValue):
     """Declared action parameter.
 
     External parameters are supplied by the caller of the action (an event
@@ -58,28 +57,36 @@ class ParameterSpec:
     parameter name).
     """
 
-    name: str
-    source: str
-    datatype: str
-    description: str = ""
-    source_key: Optional[str] = None
+    __slots__ = ("name", "source", "datatype", "description", "source_key")
+
+    def __init__(
+        self,
+        name: str,
+        source: str,
+        datatype: str,
+        description: str = "",
+        source_key: Optional[str] = None,
+    ):
+        self._set(name, source, datatype, description, source_key)
 
     @property
     def resolved_source_key(self) -> str:
         return self.source_key if self.source_key is not None else self.name
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(FrozenValue):
     """Reference to a named action with its per-usage parameter bindings.
 
     ``output_key`` names the key-value slot that receives the action's
     output; it defaults to the action name.
     """
 
-    name: str
-    output_key: Optional[str] = None
-    params: tuple[ParameterSpec, ...] = ()
+    __slots__ = ("name", "output_key", "params")
+
+    def __init__(
+        self, name: str, output_key: Optional[str] = None, params: tuple[ParameterSpec, ...] = ()
+    ):
+        self._set(name, output_key, params)
 
     @property
     def resolved_output_key(self) -> str:
@@ -89,13 +96,15 @@ class ActionSpec:
         return tuple(p for p in self.params if p.source == SOURCE_EXTERNAL)
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(FrozenValue):
     """Transition guard: a DSL expression over the belief, or an action name."""
 
-    kind: str
-    expression: Optional[str] = None
-    action_name: Optional[str] = None
+    __slots__ = ("kind", "expression", "action_name", "__dict__")
+
+    def __init__(
+        self, kind: str, expression: Optional[str] = None, action_name: Optional[str] = None
+    ):
+        self._set(kind, expression, action_name)
 
     @cached_property
     def parsed(self) -> GuardExpr:
@@ -110,8 +119,7 @@ class Condition:
         return f"action:{self.action_name}"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(FrozenValue):
     """Directed edge between states, fired by an event.
 
     ``trigger`` records whether the event may be produced internally by a
@@ -119,34 +127,54 @@ class Transition:
     transitions are all external leaves the run loop waiting for input.
     """
 
-    source: str
-    target: str
-    event: str
-    guard: Optional[Condition] = None
-    actions: tuple[ActionSpec, ...] = ()
-    trigger: str = TRIGGER_INTERNAL
+    __slots__ = ("source", "target", "event", "guard", "actions", "trigger")
+
+    def __init__(
+        self,
+        source: str,
+        target: str,
+        event: str,
+        guard: Optional[Condition] = None,
+        actions: tuple[ActionSpec, ...] = (),
+        trigger: str = TRIGGER_INTERNAL,
+    ):
+        self._set(source, target, event, guard, actions, trigger)
 
 
-@dataclass(frozen=True)
-class EventInstance:
+@distinct
+class EventInstance(NamedTuple):
     """A named trigger with an optional JSON payload: what a policy picks and
-    what the engine dispatches."""
+    what the engine dispatches. The default payload is a shared, read-only
+    empty mapping."""
 
     name: str
-    payload: Mapping[str, JsonValue] = field(default_factory=dict)
+    payload: Mapping[str, JsonValue] = EMPTY_MAPPING
 
 
-@dataclass(frozen=True)
-class State:
+class State(FrozenValue):
     """Simple or composite state. Composite iff ``substates`` is nonempty."""
 
-    name: str
-    description: str = ""
-    tags: frozenset[str] = frozenset()
-    entry_action: Optional[ActionSpec] = None
-    exit_action: Optional[ActionSpec] = None
-    substates: tuple["State", ...] = ()
-    initial: Optional[str] = None
+    __slots__ = (
+        "name",
+        "description",
+        "tags",
+        "entry_action",
+        "exit_action",
+        "substates",
+        "initial",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        description: str = "",
+        tags: frozenset[str] = frozenset(),
+        entry_action: Optional[ActionSpec] = None,
+        exit_action: Optional[ActionSpec] = None,
+        substates: tuple["State", ...] = (),
+        initial: Optional[str] = None,
+    ):
+        self._set(name, description, tags, entry_action, exit_action, substates, initial)
 
     @property
     def is_composite(self) -> bool:
@@ -157,11 +185,11 @@ class State:
         return TAG_END in self.tags
 
 
-@dataclass(frozen=True)
-class StateMachine:
-    name: str
-    states: tuple[State, ...]
-    transitions: tuple[Transition, ...]
+class StateMachine(FrozenValue):
+    __slots__ = ("name", "states", "transitions", "__dict__")
+
+    def __init__(self, name: str, states: tuple[State, ...], transitions: tuple[Transition, ...]):
+        self._set(name, states, transitions)
 
     @cached_property
     def _index(
@@ -185,7 +213,7 @@ class StateMachine:
     def _memo(self) -> dict:
         """What the engine derives from this instance (validation reports,
         step tables), kept per instance: a frozen tree is too slow to hash
-        on every lookup. A ``dataclasses.replace`` copy starts empty."""
+        on every lookup. A ``_replace`` copy starts empty."""
         return {}
 
     def state(self, name: str) -> State:
@@ -273,8 +301,8 @@ SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Violation:
+@distinct
+class Violation(NamedTuple):
     cls: str
     severity: str
     subject: str
@@ -284,9 +312,14 @@ class Violation:
         return f"[{self.severity}] {self.cls}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(FrozenValue):
+    """Iterating a report yields its violations, and a report is true when
+    it holds no error (a named tuple's iteration and truth are its fields')."""
+
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        self._set(violations)
 
     @property
     def errors(self) -> tuple[Violation, ...]:

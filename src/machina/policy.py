@@ -8,10 +8,9 @@ runs first, then each stage in order until one selects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .actions import ArgumentTypeError, coerce_argument
 from .belief import Belief, lookup_scope, render_history
@@ -21,6 +20,7 @@ from .json_extract import first_json_object, read_json
 from .keypath import ABSENT, BadPath, JsonValue, split_path
 from .model import TRIGGER_INTERNAL, EventInstance, ParameterSpec, State, Transition
 from .providers import CompletionProvider, CompletionRequest
+from .values import EMPTY_MAPPING, FrozenValue, distinct
 
 DEFAULT_HISTORY_BUDGET = 3000
 PARSE_RETRIES = 1
@@ -77,17 +77,28 @@ class PolicyExhausted(PolicyError):
         super().__init__("no policy stage produced a selection")
 
 
-@dataclass(frozen=True)
-class CandidateTransition:
+class CandidateTransition(FrozenValue):
     """One enabled transition with its evaluated guard and the external
     parameters that would have to be supplied to select it (union over the
     transition's actions and the exit/entry actions the step would run).
     ``target_description`` feeds the policy prompt."""
 
-    transition: Transition
-    guard_passed: bool
-    required_external_params: tuple[ParameterSpec, ...] = ()
-    target_description: str = ""
+    __slots__ = (
+        "transition",
+        "guard_passed",
+        "required_external_params",
+        "target_description",
+        "__dict__",
+    )
+
+    def __init__(
+        self,
+        transition: Transition,
+        guard_passed: bool,
+        required_external_params: tuple[ParameterSpec, ...] = (),
+        target_description: str = "",
+    ):
+        self._set(transition, guard_passed, required_external_params, target_description)
 
     @cached_property
     def prompt_line(self) -> str:
@@ -105,39 +116,43 @@ class CandidateTransition:
         return f"- {t.event} -> {t.target}: {self.target_description} | params: {params}"
 
 
-@dataclass(frozen=True)
-class PathRef:
+@distinct
+class PathRef(NamedTuple):
     """Marks a rule argument resolved from the belief at selection time."""
 
     path: str
 
 
-@dataclass(frozen=True)
-class Rule:
-    emit_event: str
-    when_state: str | None = None
-    when_guard: GuardExpr | None = None
-    emit_arguments: Mapping[str, Union[PathRef, JsonValue]] = field(default_factory=dict)
+class Rule(FrozenValue):
+    """The default ``emit_arguments`` is a shared, read-only empty mapping."""
 
-    def __post_init__(self) -> None:
-        if self.when_state is None and self.when_guard is None:
+    __slots__ = ("emit_event", "when_state", "when_guard", "emit_arguments")
+
+    def __init__(
+        self,
+        emit_event: str,
+        when_state: str | None = None,
+        when_guard: GuardExpr | None = None,
+        emit_arguments: Mapping[str, Union[PathRef, JsonValue]] = EMPTY_MAPPING,
+    ):
+        if when_state is None and when_guard is None:
             raise MachinaError("a rule needs when_state and/or when_guard")
+        self._set(emit_event, when_state, when_guard, emit_arguments)
 
 
-@dataclass(frozen=True)
-class RulePolicy:
+@distinct
+class RulePolicy(NamedTuple):
     rules: tuple[Rule, ...]
 
 
-@dataclass(frozen=True)
-class LlmPolicy:
-    task_description: str
-    history_token_budget: int = DEFAULT_HISTORY_BUDGET
+class LlmPolicy(FrozenValue):
+    __slots__ = ("task_description", "history_token_budget")
 
-    def __post_init__(self) -> None:
-        budget = self.history_token_budget
+    def __init__(self, task_description: str, history_token_budget: int = DEFAULT_HISTORY_BUDGET):
+        budget = history_token_budget
         if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
             raise MachinaError(f"history_token_budget must be an integer >= 1, got {budget!r}")
+        self._set(task_description, history_token_budget)
 
 
 PolicyStage = Union[RulePolicy, LlmPolicy]

@@ -12,12 +12,12 @@ import json
 import os
 import time
 import urllib.parse
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 from .errors import MachinaError, check_keys, require_list, require_object, require_string, utf8
 from .json_extract import JsonSyntaxError, read_json
+from .values import Value, distinct
 
 API_KEY_ENV = "SHERPA_API_KEY"
 TEMPERATURE = 0.01
@@ -52,17 +52,19 @@ class Timeout(ProviderError):
         super().__init__(detail)
 
 
-@dataclass
-class CompletionRequest:
+@distinct
+class CompletionRequest(NamedTuple):
     prompt: str
     system: str | None = None
 
 
-@dataclass
-class CallStats:
-    calls: int = 0
-    prompt_bytes: int = 0
-    reply_bytes: int = 0
+class CallStats(Value):
+    __slots__ = ("calls", "prompt_bytes", "reply_bytes")
+
+    def __init__(self, calls: int = 0, prompt_bytes: int = 0, reply_bytes: int = 0):
+        self.calls = calls
+        self.prompt_bytes = prompt_bytes
+        self.reply_bytes = reply_bytes
 
     def snapshot(self) -> "CallStats":
         return CallStats(self.calls, self.prompt_bytes, self.reply_bytes)
@@ -92,8 +94,8 @@ def _clip_reply(text: str) -> str:
     return encoded[:MAX_REPLY_BYTES].decode("utf-8", errors="ignore")
 
 
-@dataclass(frozen=True)
-class ScriptStep:
+@distinct
+class ScriptStep(NamedTuple):
     reply: str
     match: str | None = None
 

@@ -12,15 +12,15 @@ JSON parser completes a missing inverse side before it builds one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
 from .json_extract import first_json_array, read_json
 from .keypath import JsonValue
 from .providers import CompletionProvider, CompletionRequest
+from .values import FrozenValue, distinct
 
 COLORS = ("gray", "red", "blue", "green", "brown", "purple", "cyan", "yellow")
 MATERIALS = ("metal", "rubber")
@@ -92,8 +92,8 @@ class UnparseableReply(MachinaError):
         super().__init__(f"reply contains no JSON array of ids: {reply[:120]!r}")
 
 
-@dataclass(frozen=True)
-class SceneObject:
+@distinct
+class SceneObject(NamedTuple):
     id: str
     color: str
     material: str
@@ -106,8 +106,7 @@ class SceneObject:
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
-class SceneGraph:
+class SceneGraph(FrozenValue):
     """A checked, read-only scene.
 
     Building one checks that object ids are unique strings, that attribute
@@ -124,11 +123,14 @@ class SceneGraph:
     returns a value the caller owns.
     """
 
-    objects: tuple[SceneObject, ...]
-    relations: Mapping[str, Mapping[str, frozenset[str]]]
+    __slots__ = ("objects", "relations", "__dict__")
 
-    def __post_init__(self) -> None:
-        objects = tuple(self.objects)
+    def __init__(
+        self,
+        objects: tuple[SceneObject, ...],
+        relations: Mapping[str, Mapping[str, frozenset[str]]],
+    ):
+        objects = tuple(objects)
         ids: set[str] = set()
         for i, obj in enumerate(objects):
             pointer = f"/objects/{i}"
@@ -143,7 +145,7 @@ class SceneGraph:
             ids.add(obj.id)
 
         tables: dict[str, dict[str, frozenset[str]]] = {r: {} for r in RELATIONS}
-        for rel, table in self.relations.items():
+        for rel, table in relations.items():
             if rel not in RELATIONS:
                 raise InvalidScene(f"/relations/{rel}", f"unknown relation {rel!r}")
             for key, others in table.items():
@@ -162,12 +164,7 @@ class SceneGraph:
                 raise InverseConflict(
                     f"relations {forward!r} and {backward!r} are not mutual inverses"
                 )
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(
-            self,
-            "relations",
-            MappingProxyType({r: MappingProxyType(tables[r]) for r in RELATIONS}),
-        )
+        self._set(objects, MappingProxyType({r: MappingProxyType(tables[r]) for r in RELATIONS}))
 
     def __deepcopy__(self, memo) -> "SceneGraph":
         # read-only once built, so a copy may share it, as with a tuple

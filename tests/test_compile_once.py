@@ -3,7 +3,6 @@ machine (validation reports, step plans) is computed once per machine
 instance. These tests pin that the shared results are the same objects, that
 they equal a fresh computation, and that nothing a run does reaches them."""
 
-import dataclasses
 import json
 import os
 import random
@@ -243,7 +242,7 @@ def test_validation_runs_once_per_instance_and_registry(monkeypatch):
     assert len(calls) == 1
     make_agent(machine, registry_without("filter"))
     assert len(calls) == 2
-    copy = dataclasses.replace(machine)
+    copy = machine._replace()
     assert copy == machine
     make_agent(copy, builtin_registry())
     assert len(calls) == 3 and calls[-1] is copy
@@ -252,7 +251,7 @@ def test_validation_runs_once_per_instance_and_registry(monkeypatch):
 def test_replaced_machine_is_validated_afresh():
     machine = machine_from(linear_doc())
     make_agent(machine, builtin_registry())
-    broken = dataclasses.replace(machine, states=machine.states[:-1])
+    broken = machine._replace(states=machine.states[:-1])
     with pytest.raises(InvalidMachine):
         make_agent(broken, builtin_registry())
 

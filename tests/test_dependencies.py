@@ -1,6 +1,6 @@
 """machina runs on the standard library alone; its CLI adds click. Importing
 it leaves the HTTP stack and ``statistics`` unloaded until an
-``HttpProvider`` is built."""
+``HttpProvider`` is built, and never loads ``dataclasses`` or ``inspect``."""
 
 import json
 import os
@@ -52,8 +52,17 @@ def test_imports_pull_in_no_other_package(modules, expected):
 
 
 # Modules the import of machina must leave to the first HttpProvider (the HTTP
-# stack) or not load at all (statistics, which pulls in fractions and decimal).
-DEFERRED = ("http.client", "urllib.request", "ssl", "email", "statistics")
+# stack) or not load at all: statistics, which pulls in fractions and decimal,
+# and dataclasses, which pulls in inspect, ast, dis and tokenize.
+DEFERRED = (
+    "http.client",
+    "urllib.request",
+    "ssl",
+    "email",
+    "statistics",
+    "dataclasses",
+    "inspect",
+)
 
 LOAD_PROBE = """
 import json, sys

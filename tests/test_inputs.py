@@ -6,7 +6,6 @@ the SceneGraph."""
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 
 import pytest
@@ -351,7 +350,7 @@ class TestSceneInput:
             return filter_action.impl(inputs, ctx)
 
         actions = {name: builtin.lookup(name) for name in builtin.names()}
-        actions["filter"] = dataclasses.replace(filter_action, impl=spy)
+        actions["filter"] = filter_action._replace(impl=spy)
         registry = ActionRegistry(actions)
         item = next(i for i in qa_items() if i.qtype == "counting")
         agent = make_qa_agent("react", item.question, item.scene, ORACLE_SCRIPTS["react"](item))

@@ -5,7 +5,6 @@ that validating and running a machine make a fixed number of passes over its
 transitions, however many states it has, and that no depth of nesting makes
 the structure work recurse."""
 
-import dataclasses
 import itertools
 import random
 import sys
@@ -56,7 +55,7 @@ def random_nested_machine(rnd: random.Random, index: int, reverse: bool) -> Stat
     tops = [build(0) for _ in range(rnd.randint(1, 5))]
     starts = rnd.choices([1, 0, 2], weights=[8, 1, 1])[0]
     for i in rnd.sample(range(len(tops)), min(starts, len(tops))):
-        tops[i] = dataclasses.replace(tops[i], tags=tops[i].tags | {TAG_START})
+        tops[i] = tops[i]._replace(tags=tops[i].tags | {TAG_START})
 
     def endpoint() -> str:
         return GHOST if rnd.random() < 0.1 else rnd.choice(names)
@@ -106,7 +105,7 @@ def test_transition_passes_do_not_grow_with_the_machine(reverse):
             doc["transitions"].reverse()
         sm = machine_from(doc)
         counted = CountingTuple(sm.transitions)
-        sm = dataclasses.replace(sm, transitions=counted)
+        sm = sm._replace(transitions=counted)
         assert validate_machine(sm, BUILTINS).ok
         result = run(agent_for(sm, limits=RunLimits(max_transitions=n)))
         assert result.status == STATUS_COMPLETED

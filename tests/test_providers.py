@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import socket
 import threading
@@ -27,7 +26,7 @@ def req(prompt="hello", **kw):
 
 class TestRequest:
     def test_defaults(self):
-        assert [f.name for f in dataclasses.fields(CompletionRequest)] == ["prompt", "system"]
+        assert list(CompletionRequest._fields) == ["prompt", "system"]
         assert req().system is None
 
 

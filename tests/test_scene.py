@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import random
 
@@ -121,7 +120,7 @@ class TestConstruction:
         [
             pytest.param((A, A), {}, InvalidScene, id="duplicate-id"),
             pytest.param(
-                (dataclasses.replace(A, color="pink"),), {}, InvalidScene, id="bad-colour"
+                (A._replace(color="pink"),), {}, InvalidScene, id="bad-colour"
             ),
             pytest.param(
                 (A, B), {"above": {"a": frozenset({"b"})}}, InvalidScene, id="unknown-relation"

@@ -3,7 +3,6 @@ transitions once. These tests pin its reports against the per-rule checker it
 replaced (kept in ``validation_reference.py``) on random machines that break
 every rule, and count the walks and passes one call makes."""
 
-import dataclasses
 import itertools
 import random
 
@@ -105,7 +104,7 @@ def random_machine(rnd: random.Random, index: int, reverse: bool) -> StateMachin
 
 
 def as_sorted(report) -> list:
-    return sorted(report.violations, key=dataclasses.astuple)
+    return sorted(report.violations, key=tuple)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reverse"])
@@ -122,7 +121,7 @@ def test_reports_match_the_per_rule_reference(reverse):
 
 def test_one_walk_over_the_states_and_one_pass_over_the_transitions(monkeypatch):
     sm = builtin_machine("h3")
-    sm = dataclasses.replace(sm, transitions=CountingTuple(sm.transitions))
+    sm = sm._replace(transitions=CountingTuple(sm.transitions))
     sm._index  # built once per machine, outside the check
     walks = []
     walk = model._walk_with_parents
