@@ -52,6 +52,7 @@ from .model import (
     Condition,
     EventInstance,
     ParameterSpec,
+    State,
     StateMachine,
     Transition,
     ValidationReport,
@@ -315,31 +316,64 @@ def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
     )
 
 
+class _LeafPlan(FrozenValue):
+    """What ``run`` reads at one leaf; fixed by the machine. ``candidates``
+    are the steps' ``passed`` candidates and ``waits`` says whether all of
+    them need an external trigger, both only when no step is guarded (else
+    ``None``): a guard is evaluated on every call, its outcome never kept."""
+
+    __slots__ = ("state", "steps", "candidates", "waits")
+
+    def __init__(
+        self,
+        state: State,
+        steps: tuple[_Step, ...],
+        candidates: Optional[tuple[CandidateTransition, ...]],
+        waits: Optional[bool],
+    ):
+        self._set(state, steps, candidates, waits)
+
+
+def _leaf_plan(sm: StateMachine, leaf: str) -> _LeafPlan:
+    """The plan of ``leaf``, built once per machine instance and memoized
+    under the leaf's name (the memo's other keys are tuples). An unknown
+    leaf raises :class:`~machina.model.UnknownState` and is not memoized."""
+    plan = sm._memo.get(leaf)
+    if plan is None:
+        state = sm.state(leaf)
+        steps = tuple(_plan_step(sm, leaf, t) for t in enabled_transitions(sm, leaf))
+        candidates = waits = None
+        if all(step.transition.guard is None for step in steps):
+            candidates = tuple(step.passed for step in steps)
+            waits = all(c.transition.trigger == TRIGGER_EXTERNAL for c in candidates)
+        plan = sm._memo[leaf] = _LeafPlan(state, steps, candidates, waits)
+    return plan
+
+
 def _step_table(sm: StateMachine, leaf: str) -> tuple[_Step, ...]:
-    """The steps enabled at ``leaf`` in resolution order, planned once per
-    machine instance and memoized under the leaf's name (the memo's other
-    keys are tuples)."""
-    table = sm._memo.get(leaf)
-    if table is None:
-        table = tuple(_plan_step(sm, leaf, t) for t in enabled_transitions(sm, leaf))
-        sm._memo[leaf] = table
-    return table
+    """The steps enabled at ``leaf`` in resolution order, from its plan."""
+    return _leaf_plan(sm, leaf).steps
 
 
 def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
-    """All transitions enabled at the active leaf, each with its guard
-    evaluated exactly once and its required external parameters computed
-    from the actions the step would fire. The candidates are the step
-    table's own frozen objects, shared by every agent on the machine."""
+    """All transitions enabled at the active leaf, in a new list, each with
+    its guard evaluated exactly once and its required external parameters
+    computed from the actions the step would fire. The candidates are the
+    leaf plan's own frozen objects, shared by every agent on the machine; at
+    a leaf with no guarded step the list is a copy of the plan's fixed
+    candidates, and at any other leaf every guard is evaluated anew."""
     leaf = agent.belief.current_state
     if leaf is None:
         raise AgentNotStarted()
+    plan = _leaf_plan(agent.machine, leaf)
+    if plan.candidates is not None:
+        return list(plan.candidates)
     return [
         step.passed
         if step.transition.guard is None
         or eval_guard(step.transition.guard, agent.belief, agent.registry, agent.provider)
         else step.blocked
-        for step in _step_table(agent.machine, leaf)
+        for step in plan.steps
     ]
 
 
@@ -455,10 +489,12 @@ def dispatch(
     """Apply one event to the agent's machine.
 
     The step fired is the first enabled transition for the event, in
-    resolution order, whose guard passes. ``_candidates`` is the run loop's
+    resolution order, whose guard passes; the steps and what each fires come
+    from the active leaf's memoized plan. ``_candidates`` is the run loop's
     :func:`candidate_transitions` for the active leaf, whose guard outcomes
     are reused; without it, guards are evaluated lazily in resolution order,
-    each at most once, up to the first that passes.
+    each at most once per call, up to the first that passes. No guard
+    outcome outlives the call that evaluated it.
 
     Returns ``None`` when the event is unhandled and the limits say to
     ignore it. A payload that is not a mapping of plain JSON values raises
@@ -470,10 +506,10 @@ def dispatch(
     if leaf is None:
         raise AgentNotStarted()
 
-    for i, plan in enumerate(_step_table(agent.machine, leaf)):
-        t = plan.transition
+    for i, chosen in enumerate(_leaf_plan(agent.machine, leaf).steps):
+        t = chosen.transition
         if t.event == event.name and (
-            _candidates[i] is plan.passed
+            _candidates[i] is chosen.passed
             if _candidates is not None
             else t.guard is None or eval_guard(t.guard, agent.belief, agent.registry, agent.provider)
         ):
@@ -498,7 +534,7 @@ def dispatch(
     step = len(agent.belief.trajectory) + 1
     records: list[ActionRecord] = []
     try:
-        for phase, spec in plan.actions:
+        for phase, spec in chosen.actions:
             records.append(
                 execute_action(
                     agent.registry,
@@ -513,9 +549,9 @@ def dispatch(
     finally:
         record_transition(
             agent.belief,
-            TransitionRecord(step, leaf, plan.target_leaf, event.name, payload or None),
+            TransitionRecord(step, leaf, chosen.target_leaf, event.name, payload or None),
         )
-    return StepOutcome(event, plan.transition, leaf, plan.target_leaf, tuple(records))
+    return StepOutcome(event, chosen.transition, leaf, chosen.target_leaf, tuple(records))
 
 
 def start(agent: Agent) -> None:
@@ -573,21 +609,31 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
         if agent.belief.current_state is None:
             start(agent)
         pending = initial_event
+        memo = agent.machine._memo
         while True:
             leaf = agent.belief.current_state
-            state = agent.machine.state(leaf)
-            if state.is_end:
+            plan = memo.get(leaf)
+            if plan is None:
+                # an end leaf completes before its steps are planned
+                if agent.machine.state(leaf).is_end:
+                    return _result(agent, STATUS_COMPLETED)
+                plan = _leaf_plan(agent.machine, leaf)
+            elif plan.state.is_end:
                 return _result(agent, STATUS_COMPLETED)
             candidates = candidate_transitions(agent)
             event, pending = pending, None
-            if event is None and all(
-                c.transition.trigger == TRIGGER_EXTERNAL for c in candidates if c.guard_passed
+            if event is None and (
+                plan.waits
+                if plan.waits is not None
+                else all(
+                    c.transition.trigger == TRIGGER_EXTERNAL for c in candidates if c.guard_passed
+                )
             ):
                 return _result(agent, STATUS_WAITING)
             if len(agent.belief.trajectory) >= agent.limits.max_transitions:
                 return _result(agent, STATUS_BUDGET_EXHAUSTED)
             if event is None:
-                event = decide(agent.policy, state, candidates, agent.belief, agent.provider)
+                event = decide(agent.policy, plan.state, candidates, agent.belief, agent.provider)
             dispatch(agent, event, candidates)
     except MachinaError as exc:
         return _result(agent, STATUS_FAILED, reason=str(exc))

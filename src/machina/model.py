@@ -212,7 +212,7 @@ class StateMachine(FrozenValue):
     @cached_property
     def _memo(self) -> dict:
         """What the engine derives from this instance (validation reports,
-        step tables), kept per instance: a frozen tree is too slow to hash
+        leaf plans), kept per instance: a frozen tree is too slow to hash
         on every lookup. A ``_replace`` copy starts empty."""
         return {}
 

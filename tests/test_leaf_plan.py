@@ -1,0 +1,268 @@
+"""Each leaf is planned once per machine instance: its state, its step table,
+and, when no step is guarded, its candidates and its wait test. These tests
+count what runs instead of timing it: guards are evaluated on every call and
+their outcomes never kept, planning happens once per (leaf, transition),
+every call returns a new list equal to a fresh computation, and ``run``
+still reaches the functions a tracer wraps through the module."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from machina import engine
+from machina.belief import kv_set
+from machina.engine import EventInstance, RunLimits, candidate_transitions, run
+from machina.harness import builtin_machine
+from machina.model import UnknownState, enabled_transitions
+from machina.policy import CandidateTransition
+from helpers import agent_for, linear_doc, state
+from test_compile_once import (
+    guarded_doc,
+    reference_required,
+    reference_step_action_specs,
+    reference_step_plan,
+)
+
+
+def fresh_machine(name):
+    """A bundled machine as a new instance, so its memo starts empty."""
+    return builtin_machine(name)._replace()
+
+
+def reference_candidates(sm, leaf):
+    """The candidates at an unguarded leaf, built field by field."""
+    expected = []
+    for t in enabled_transitions(sm, leaf):
+        assert t.guard is None
+        specs = reference_step_action_specs(reference_step_plan(sm, leaf, t), t)
+        expected.append(
+            CandidateTransition(t, True, reference_required(specs), sm.state(t.target).description)
+        )
+    return expected
+
+
+def counting(monkeypatch, name):
+    """Replace ``engine.<name>`` by a wrapper that logs each call's arguments."""
+    original = getattr(engine, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, name, wrapper)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Guard outcomes are never memoized
+
+
+def fork_doc():
+    """``go`` takes Left while ``flag`` is 'left' and Right otherwise; the
+    internal ``tick`` leaves for Done once ``flag`` is 'done'."""
+    return {
+        "name": "fork",
+        "states": [
+            state("Wait", tags=["start"]),
+            state("Left"),
+            state("Right"),
+            state("Done", tags=["end"]),
+        ],
+        "transitions": [
+            {
+                "source": "Wait",
+                "target": "Left",
+                "event": "go",
+                "trigger": "external",
+                "guard": {"expr": "flag == 'left'"},
+            },
+            {"source": "Wait", "target": "Right", "event": "go", "trigger": "external"},
+            {"source": "Left", "target": "Wait", "event": "back", "trigger": "external"},
+            {"source": "Right", "target": "Wait", "event": "back", "trigger": "external"},
+            {
+                "source": "Wait",
+                "target": "Done",
+                "event": "tick",
+                "guard": {"expr": "flag == 'done'"},
+            },
+        ],
+    }
+
+
+def test_flipping_a_guard_value_changes_the_next_run(monkeypatch):
+    guard_calls = counting(monkeypatch, "eval_guard")
+    agent = agent_for(fork_doc())
+    kv_set(agent.belief, "flag", "left")
+    assert run(agent).status == engine.STATUS_WAITING
+    result = run(agent, EventInstance("go"))
+    assert (result.status, agent.belief.current_state) == (engine.STATUS_WAITING, "Left")
+    assert run(agent, EventInstance("back")).status == engine.STATUS_WAITING
+
+    kv_set(agent.belief, "flag", "right")
+    result = run(agent, EventInstance("go"))
+    assert (result.status, agent.belief.current_state) == (engine.STATUS_WAITING, "Right")
+    assert run(agent, EventInstance("back")).status == engine.STATUS_WAITING
+
+    kv_set(agent.belief, "flag", "done")
+    result = run(agent)
+    assert (result.status, agent.belief.current_state) == (engine.STATUS_COMPLETED, "Done")
+    assert [(r.source, r.target) for r in agent.belief.trajectory] == [
+        ("Wait", "Left"), ("Left", "Wait"), ("Wait", "Right"), ("Right", "Wait"), ("Wait", "Done"),
+    ]
+    # both guards at Wait on each of its six candidate calls, none elsewhere
+    assert len(guard_calls) == 2 * 6
+    plan = agent.machine._memo["Wait"]
+    assert plan.candidates is None and plan.waits is None
+
+
+@pytest.mark.parametrize("doc", [fork_doc(), guarded_doc()], ids=["fork", "guarded"])
+def test_each_guarded_step_is_evaluated_once_per_call(monkeypatch, doc):
+    guard_calls = counting(monkeypatch, "eval_guard")
+    agent = agent_for(doc)
+    engine.start(agent)
+    kv_set(agent.belief, "flag", "left")
+    kv_set(agent.belief, "x", 1)
+    kv_set(agent.belief, "ids", ["o1"])
+    leaf = agent.belief.current_state
+    guards = [s.transition.guard for s in engine._step_table(agent.machine, leaf)]
+    guarded = [g for g in guards if g is not None]
+    assert guarded
+    for n in range(1, 4):
+        candidate_transitions(agent)
+        assert len(guard_calls) == n * len(guarded)
+        assert [call[0] for call in guard_calls[-len(guarded):]] == guarded
+
+
+def test_a_leaf_without_guards_evaluates_none(monkeypatch):
+    guard_calls = counting(monkeypatch, "eval_guard")
+    agent = agent_for(fork_doc())
+    kv_set(agent.belief, "flag", "left")
+    run(agent)
+    run(agent, EventInstance("go"))
+    before = len(guard_calls)
+    for _ in range(3):
+        candidate_transitions(agent)
+    assert len(guard_calls) == before
+    plan = agent.machine._memo["Left"]
+    assert plan.candidates == tuple(candidate_transitions(agent)) and plan.waits is True
+
+
+# ---------------------------------------------------------------------------
+# Planning runs once per (leaf, transition)
+
+
+def h3_script(rnd):
+    return ["e1"] * 59 + [rnd.choice(("e2", "e3"))]
+
+
+def class_name_script(rnd):
+    return (
+        ["classes_ready", "patterns_ready", "feedback_ready"]
+        + ["revise_classes", "classes_ready", "patterns_ready", "feedback_ready"] * 2
+        + ["revise_patterns", "patterns_ready", "feedback_ready"] * 3
+        + ["accept"]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, script", [("h3", h3_script), ("class_name", class_name_script)]
+)
+def test_two_agents_share_one_plan_per_leaf(monkeypatch, name, script):
+    planned = Counter()
+    plan_step = engine._plan_step
+
+    def count_plan_step(sm, leaf, transition):
+        planned[leaf, transition] += 1
+        return plan_step(sm, leaf, transition)
+
+    monkeypatch.setattr(engine, "_plan_step", count_plan_step)
+    original = engine.candidate_transitions
+    returned = []
+
+    def checked_candidates(agent):
+        result = original(agent)
+        assert type(result) is list
+        assert all(result is not earlier for earlier in returned)
+        assert result == reference_candidates(agent.machine, agent.belief.current_state)
+        returned.append(result)
+        return result
+
+    monkeypatch.setattr(engine, "candidate_transitions", checked_candidates)
+    machine = fresh_machine(name)
+    events = script(random.Random(7))
+    limits = RunLimits(max_transitions=len(events) + 5)
+    agents = [agent_for(machine, limits=limits) for _ in range(2)]
+    for agent in agents:
+        assert run(agent).status == engine.STATUS_WAITING
+        for k, event in enumerate(events):
+            result = run(agent, EventInstance(event, {"lines": ["x"] * k}))
+            last = k == len(events) - 1
+            assert result.status == (engine.STATUS_COMPLETED if last else engine.STATUS_WAITING)
+    assert len(returned) == 2 * 2 * len(events)
+    visited = {r.source for a in agents for r in a.belief.trajectory}
+    assert set(planned) == {
+        (leaf, t) for leaf in visited for t in enabled_transitions(machine, leaf)
+    }
+    assert set(planned.values()) == {1}
+
+    # a caller's edits to a returned list never reach the next one
+    agent = agent_for(machine)
+    run(agent)
+    first = original(agent)
+    expected = list(first)
+    first.clear()
+    first.append("edited")
+    assert original(agent) == expected
+    assert set(planned.values()) == {1}
+
+
+def test_unknown_leaf_raises_and_is_not_memoized():
+    agent = agent_for(fresh_machine("h3"))
+    agent.belief.current_state = "Nowhere"
+    with pytest.raises(UnknownState):
+        candidate_transitions(agent)
+    result = run(agent)
+    assert result.status == engine.STATUS_FAILED and "Nowhere" in result.reason
+    assert "Nowhere" not in agent.machine._memo
+
+
+def test_end_leaf_completes_without_planning(monkeypatch):
+    planned = counting(monkeypatch, "_plan_step")
+    agent = agent_for(fresh_machine("h3"))
+    agent.belief.current_state = "Done"
+    assert run(agent).status == engine.STATUS_COMPLETED
+    assert planned == [] and "Done" not in agent.machine._memo
+    # once planned by another caller, the plan's state answers the end test
+    engine._step_table(agent.machine, "Done")
+    assert run(agent).status == engine.STATUS_COMPLETED
+
+
+# ---------------------------------------------------------------------------
+# run reaches the traced functions through the module
+
+
+def test_run_calls_the_module_functions(monkeypatch):
+    candidates = counting(monkeypatch, "candidate_transitions")
+    dispatched = counting(monkeypatch, "dispatch")
+    snapshots = counting(monkeypatch, "snapshot")
+
+    # four fast-forwarded steps in one run: one candidate call per turn that
+    # is not at the end leaf
+    agent = agent_for(linear_doc(5))
+    assert run(agent).status == engine.STATUS_COMPLETED
+    assert (len(candidates), len(dispatched), len(snapshots)) == (4, 4, 1)
+
+    # resuming: the first run waits, each event then dispatches once and
+    # waits again after a second turn, and the last event ends the run
+    candidates.clear(), dispatched.clear(), snapshots.clear()
+    agent = agent_for(fresh_machine("h3"))
+    events = ["e1"] * 9 + ["e2"]
+    assert run(agent).status == engine.STATUS_WAITING
+    for event in events:
+        run(agent, EventInstance(event))
+    assert agent.belief.current_state == "Done"
+    assert len(candidates) == 1 + 2 * (len(events) - 1) + 1
+    assert [call[1].name for call in dispatched] == events
+    assert len(snapshots) == 1 + len(events)

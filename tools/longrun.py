@@ -4,12 +4,13 @@
 
 Drives the bundled ``h3`` machine with ``e1`` events, each carrying a
 code-like payload of 0 to 2048 bytes (as perfbench's resume-loop does), up to
-100, 1,000 and 5,000 steps. At each length it times ``render_history`` at the
-LLM policy's default budget and ``run`` for the next events. Each side runs
-in a fresh interpreter, the two sides alternating pair by pair; the report
-keeps the minimum over the pairs, and ``same_text`` says whether every run
-rendered the same history. ``--worker SRC`` runs one side and prints its
-timings as JSON.
+30 steps (about a median resume-loop script), 100, 1,000 and 5,000 steps. At
+each length it times ``render_history`` at the LLM policy's default budget and
+``run`` for the next events. Each side runs in a fresh interpreter, the two
+sides alternating pair by pair; the report keeps the minimum over the pairs,
+``same_text`` says whether every run rendered the same history, and
+``render_speedup`` and ``event_speedup`` divide the before minimum by the
+after one. ``--worker SRC`` runs one side and prints its timings as JSON.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import subprocess
 import sys
 import time
 
-LENGTHS = (100, 1000, 5000)
+LENGTHS = (30, 100, 1000, 5000)
 EVENTS_TIMED = 20  # run() calls timed after reaching each length
 RENDER_REPEATS = 5
 SEED = 7
@@ -123,7 +124,18 @@ def main() -> None:
         length: round(best["before"][length]["render_history_ms"] / best["after"][length]["render_history_ms"], 1)
         for length in best["after"]
     }
-    report = {"pairs": args.pairs, "same_text": same_text, "min": best, "render_speedup": speedup, "runs": runs}
+    event_speedup = {
+        length: round(best["before"][length]["h3_event_us"] / best["after"][length]["h3_event_us"], 2)
+        for length in best["after"]
+    }
+    report = {
+        "pairs": args.pairs,
+        "same_text": same_text,
+        "min": best,
+        "render_speedup": speedup,
+        "event_speedup": event_speedup,
+        "runs": runs,
+    }
     print(json.dumps(report, indent=1))
 
 
