@@ -54,7 +54,22 @@ EXIT_CODES = {
 }
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, and the one place where a command's failure to
+    load, build or write something becomes ``error: <reason>`` and exit 1.
+    A broken pipe stays Click's to handle."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (OSError, MachinaError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Run JSON-defined state machine agents."""
 
@@ -63,11 +78,7 @@ def main() -> None:
 @click.option("--machine", "machine_path", required=True, type=click.Path())
 def validate(machine_path: str) -> None:
     """Check a machine definition; exit 0 when no errors remain."""
-    try:
-        machine = load_machine(machine_path)
-    except (OSError, MachinaError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    machine = load_machine(machine_path)
     report = validate_machine(machine, builtin_registry().names())
     for violation in report:
         click.echo(str(violation))
@@ -81,12 +92,7 @@ def validate(machine_path: str) -> None:
 @click.option("--machine", "machine_path", required=True, type=click.Path())
 def dot(machine_path: str) -> None:
     """Print the machine as a Graphviz digraph."""
-    try:
-        machine = load_machine(machine_path)
-        click.echo(export_dot(machine), nl=False)
-    except (OSError, MachinaError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    click.echo(export_dot(load_machine(machine_path)), nl=False)
 
 
 def _build_provider(spec: str, base_url: str | None, model: str | None):
@@ -171,20 +177,11 @@ def _with_run_options(command):
     return command
 
 
-def _agent_or_exit(options: dict) -> Agent:
-    try:
-        return _build_agent(**options)
-    except (OSError, MachinaError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-
-
 @main.command(name="run")
 @_with_run_options
 def run_command(trace_path: str | None, **options) -> None:
     """Run an agent once and print the final output."""
-    agent = _agent_or_exit(options)
-    sys.exit(_emit_result(run(agent), trace_path))
+    sys.exit(_emit_result(run(_build_agent(**options)), trace_path))
 
 
 @main.command()
@@ -195,7 +192,7 @@ def repl(trace_path: str | None, **options) -> None:
     Input lines are ``<event name> [json payload]``; meta commands are
     ``:state``, ``:belief`` and ``:quit``.
     """
-    agent = _agent_or_exit(options)
+    agent = _build_agent(**options)
     result = run(agent)
     click.echo(f"status: {result.status}", err=True)
     while result.status == STATUS_WAITING:
@@ -274,24 +271,18 @@ def bench(
     script per item; ``http`` benchmarks a live model (one provider per
     item, so call counts stay per-item).
     """
-    try:
-        dataset: Dataset = (
-            read_dataset(dataset_path)
-            if dataset_path
-            else generate_mini_clevr(seed, n_scenes, questions_per_scene)
+    dataset: Dataset = (
+        read_dataset(dataset_path)
+        if dataset_path
+        else generate_mini_clevr(seed, n_scenes, questions_per_scene)
+    )
+    if provider_spec == "oracle":
+        factory = oracle_agent_factory(variant)
+    else:
+        factory = qa_agent_factory(
+            variant, lambda item: _build_provider(provider_spec, base_url, model)
         )
-        if provider_spec == "oracle":
-            factory = oracle_agent_factory(variant)
-        else:
-            factory = qa_agent_factory(
-                variant, lambda item: _build_provider(provider_spec, base_url, model)
-            )
-        report = run_eval(
-            factory, dataset, limits=RunLimits(max_transitions=max_transitions)
-        )
-    except (OSError, MachinaError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    report = run_eval(factory, dataset, limits=RunLimits(max_transitions=max_transitions))
     click.echo(f"variant: {variant}")
     click.echo(report.summary())
     if report_path:

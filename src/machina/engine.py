@@ -350,11 +350,6 @@ def _leaf_plan(sm: StateMachine, leaf: str) -> _LeafPlan:
     return plan
 
 
-def _step_table(sm: StateMachine, leaf: str) -> tuple[_Step, ...]:
-    """The steps enabled at ``leaf`` in resolution order, from its plan."""
-    return _leaf_plan(sm, leaf).steps
-
-
 def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
     """All transitions enabled at the active leaf, in a new list, each with
     its guard evaluated exactly once and its required external parameters

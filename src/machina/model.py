@@ -222,11 +222,6 @@ class StateMachine(FrozenValue):
             raise UnknownState(name)
         return found
 
-    def parent_of(self, name: str) -> Optional[str]:
-        if name not in self._index[1]:
-            raise UnknownState(name)
-        return self._index[1][name]
-
 
 # ---------------------------------------------------------------------------
 # Structure queries
@@ -244,11 +239,14 @@ def start_state(sm: StateMachine) -> str:
 
 def parent_chain(sm: StateMachine, state: str) -> list[str]:
     """Ancestors of ``state``, innermost first, excluding the state itself."""
+    parents = sm._index[1]
+    if state not in parents:
+        raise UnknownState(state)
     chain = []
-    current = sm.parent_of(state)
+    current = parents[state]
     while current is not None:
         chain.append(current)
-        current = sm.parent_of(current)
+        current = parents[current]
     return chain
 
 
@@ -256,7 +254,6 @@ def enabled_transitions(sm: StateMachine, state: str) -> list[Transition]:
     """Transitions applicable at ``state``: its own first (declaration
     order), then each ancestor's, innermost ancestor first. Guards are not
     evaluated here."""
-    sm.state(state)
     outgoing = sm._index[2]
     result = list(outgoing.get(state, ()))
     for owner in parent_chain(sm, state):

@@ -153,6 +153,9 @@ class HttpProvider:
     """OpenAI-compatible ``POST {base_url}/chat/completions`` client on the
     standard library's ``urllib.request``.
 
+    ``/chat/completions`` joins the base URL's path, less a trailing ``/``;
+    its query string follows the joined path and its fragment is dropped.
+
     Authenticates with a bearer token from ``SHERPA_API_KEY`` unless an
     explicit key is given. Retries twice on 429 and 5xx responses with
     exponential backoff (0.5s then 2s); other 4xx responses fail
@@ -190,12 +193,12 @@ class HttpProvider:
         # A request line is ASCII: percent-encode the path's other characters
         # (existing escapes stay) and reject a host IDNA cannot encode.
         try:
-            parts = urllib.parse.urlsplit(self.base_url)
+            parts = urllib.parse.urlsplit(base_url)
             (parts.hostname or "").encode("idna")
         except ValueError as exc:
             raise MachinaError(f"invalid base_url {base_url!r}: {exc}") from None
-        path = urllib.parse.quote(parts.path, safe="/%:@!$&'()*+,;=~")
-        self._url = parts._replace(path=path).geturl() + "/chat/completions"
+        path = urllib.parse.quote(parts.path.rstrip("/"), safe="/%:@!$&'()*+,;=~")
+        self._url = parts._replace(path=path + "/chat/completions", fragment="").geturl()
         self._opener = urllib.request.build_opener(NoRedirect)
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)

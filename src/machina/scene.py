@@ -207,18 +207,14 @@ def _complete_relations(
     """Fill in the missing side of each inverse pair and drop empty entries.
 
     Relations the file gave come first and unknown ones pass through, so
-    :class:`SceneGraph` reports a fault at an entry the file holds.
+    :class:`SceneGraph` reports a fault at an entry the file holds. Two given
+    sides are left for :class:`SceneGraph` to check against each other.
     """
     complete = dict(given)
     for forward, backward in _INVERSE_PAIRS:
-        if forward in given and backward in given:
-            if _inverse(given[forward]) != {k: v for k, v in given[backward].items() if v}:
-                raise InverseConflict(
-                    f"relations {forward!r} and {backward!r} are not mutual inverses"
-                )
-        elif forward in given:
+        if backward not in given and forward in given:
             complete[backward] = _inverse(given[forward])
-        elif backward in given:
+        elif forward not in given and backward in given:
             complete[forward] = _inverse(given[backward])
     return {
         r: {k: frozenset(v) for k, v in complete.get(r, {}).items() if v}

@@ -114,6 +114,15 @@ class TestKv:
         assert kv_get(b, "nope") is ABSENT
         assert kv_get(b, "nope.deeper") is ABSENT
 
+    def test_path_past_a_list_or_into_a_scalar_is_absent(self):
+        b = new_belief()
+        kv_set(b, "items", [1, 2])
+        kv_set(b, "n", 3)
+        assert kv_get(b, "items.1") == 2
+        assert kv_get(b, "items.2") is ABSENT
+        assert kv_get(b, "n.0") is ABSENT
+        assert kv_get(b, "items.0.x") is ABSENT
+
     def test_key_must_be_identifier(self):
         with pytest.raises(MachinaError):
             kv_set(new_belief(), "bad key", 1)

@@ -1,8 +1,10 @@
+import errno
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -326,3 +328,58 @@ class TestBench:
         result = runner.invoke(main, ["bench", "--dataset", str(path), "--variant", "routing"])
         assert result.exit_code == 1
         assert "error: /0/type: expected a string" in result.output
+
+
+class TestUnwritableOutput:
+    """A trace or report that cannot be written ends the command with one
+    ``error:`` line and exit 1, as a file that cannot be read does."""
+
+    def assert_one_error_line(self, result):
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "No such file or directory" in errors[0]
+        assert "Traceback" not in result.output
+
+    def test_run_trace(self, runner, tmp_path):
+        script = write_script(tmp_path, [])
+        result = runner.invoke(
+            main,
+            ["run", "--machine", str(H3_JSON), "--provider", f"scripted:{script}",
+             "--trace", str(tmp_path / "missing" / "t.json")],
+        )
+        self.assert_one_error_line(result)
+
+    def test_repl_trace_after_completing(self, runner, tmp_path):
+        script = write_script(tmp_path, [])
+        result = runner.invoke(
+            main,
+            ["repl", "--machine", str(H3_JSON), "--provider", f"scripted:{script}",
+             "--trace", str(tmp_path / "missing" / "t.json")],
+            input="e2\n",
+        )
+        assert "status: completed" in result.stderr
+        self.assert_one_error_line(result)
+
+    def test_bench_report(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["bench", "--scenes", "1", "--questions-per-scene", "1",
+             "--report", str(tmp_path / "missing" / "r.json")],
+        )
+        assert "variant: routing" in result.stdout
+        self.assert_one_error_line(result)
+
+
+def test_broken_pipe_is_left_to_click(runner, monkeypatch):
+    echo = click.echo
+
+    def hang_up_on_stdout(message=None, *args, err=False, **kwargs):
+        if not err:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        echo(message, *args, err=err, **kwargs)
+
+    monkeypatch.setattr(click, "echo", hang_up_on_stdout)
+    result = runner.invoke(main, ["validate", "--machine", str(H3_JSON)])
+    assert result.exit_code == 1
+    assert "error:" not in result.stderr

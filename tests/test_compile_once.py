@@ -263,8 +263,8 @@ def test_replaced_machine_is_validated_afresh():
 @pytest.mark.parametrize("sm", all_machines(), ids=lambda sm: sm.name)
 def test_step_table_matches_reference(sm):
     for leaf in leaves(sm):
-        table = engine._step_table(sm, leaf)
-        assert engine._step_table(sm, leaf) is table
+        table = engine._leaf_plan(sm, leaf).steps
+        assert engine._leaf_plan(sm, leaf).steps is table
         assert [s.transition for s in table] == enabled_transitions(sm, leaf)
         for step in table:
             t = step.transition
@@ -346,7 +346,7 @@ def test_candidate_follows_its_guard_from_step_to_step():
     agent = agent_for(doc)
     kv_set(agent.belief, "flag", "stay")
     engine.start(agent)
-    leave = engine._step_table(agent.machine, "Loop")[1]
+    leave = engine._leaf_plan(agent.machine, "Loop").steps[1]
     seen = []
     for text in ("go", "stay", "go"):
         before = candidate_transitions(agent)[1]

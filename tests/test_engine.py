@@ -311,6 +311,34 @@ class TestExecuteAction:
             execute_action(builtin_registry(), spec, {"predicate": {}}, belief,
                            ScriptedProvider.from_replies([]))
 
+    def test_count_objects_rejects_non_string_ids(self):
+        belief = new_belief()
+        kv_set(belief, "objects", ["o1", 2])
+        spec = ActionSpec(
+            "countObjects",
+            params=(ParameterSpec("ids", "internal", "json", source_key="objects"),),
+        )
+        with pytest.raises(ActionFailure, match="ids must be an array of strings"):
+            execute_action(builtin_registry(), spec, {}, belief, ScriptedProvider.from_replies([]))
+
+    def test_external_argument_that_fails_coercion_names_it(self):
+        spec = ActionSpec("note", params=(ParameterSpec("text", "external", "string"),))
+        with pytest.raises(ActionFailure, match="argument 'text'"):
+            execute_action(
+                builtin_registry(), spec, {"text": 5}, new_belief(),
+                ScriptedProvider.from_replies([]),
+            )
+
+    def test_unregistered_action(self):
+        belief = new_belief()
+        with pytest.raises(ActionFailure, match="not registered") as err:
+            execute_action(
+                builtin_registry(), ActionSpec("nowhere"), {}, belief,
+                ScriptedProvider.from_replies([]),
+            )
+        assert err.value.action == "nowhere"
+        assert belief.execution_log == [] and belief.kv == {}
+
     def test_inputs_restricted_to_declared_params(self):
         spec = ActionSpec("note", params=(ParameterSpec("text", "external", "string"),))
         record = execute_action(
@@ -817,3 +845,31 @@ class TestNotStarted:
         agent = h3_agent()
         with pytest.raises(AgentNotStarted):
             dispatch(agent, EventInstance("e1"))
+
+    def test_candidates_require_started_agent(self):
+        from machina.engine import AgentNotStarted
+
+        with pytest.raises(AgentNotStarted):
+            candidate_transitions(h3_agent())
+
+
+class TestReactSceneActions:
+    def test_relation_then_checking_on_s1(self):
+        def selection(event, **arguments):
+            return json.dumps({"event": event, "arguments": arguments})
+
+        provider = ScriptedProvider.from_replies(
+            [
+                selection("relation", object="o3", relation="left"),
+                selection("checking", object="o1", attribute="material"),
+                selection("finish", text="o2"),
+            ]
+        )
+        result = run(make_qa_agent("react", "Which is metal like o1?", s1_scene(), provider))
+        assert result.status == "completed" and result.output == "o2"
+        scene = "<input:scene>"
+        log = [(r.action, r.inputs, r.output) for r in result.belief_snapshot.execution_log]
+        assert log[:2] == [
+            ("relation", {"object": "o3", "relation": "left", "scene": scene}, ["o1", "o2"]),
+            ("checking", {"object": "o1", "attribute": "material", "scene": scene}, ["o2"]),
+        ]

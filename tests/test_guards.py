@@ -217,6 +217,20 @@ class TestEvaluate:
         with pytest.raises(GuardTypeError):
             holds("n contains 1", {"n": 4})
 
+    @pytest.mark.parametrize("text", ["text contains 1", "obj contains 1"])
+    def test_contains_needs_a_string_on_a_string_or_object(self, text):
+        with pytest.raises(GuardTypeError):
+            holds(text, {"text": "abc", "obj": {"1": True}})
+
+    def test_inclusive_ordering(self):
+        assert holds("n <= 2", {"n": 2}) and not holds("n <= 2", {"n": 3})
+        assert holds("n >= 2", {"n": 2}) and not holds("n >= 2", {"n": 1})
+        assert holds("s >= 'abc'", {"s": "abd"})
+
+    @pytest.mark.parametrize("text, expected", [("true", True), ("0", True), ('""', False)])
+    def test_bare_literal_is_its_truthiness(self, text, expected):
+        assert holds(text, {}) is expected
+
     def test_not_and_or(self):
         kv = {"a": 1, "b": 0}
         assert holds("a == 1 and not b == 1", kv)

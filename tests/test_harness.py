@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from machina.harness import (
     parse_question,
     read_dataset,
     render_question,
+    _output_text,
     _query_pairs,
+    _random_scene,
     run_eval,
 )
 from machina.providers import ScriptedProvider
@@ -74,6 +77,39 @@ class TestGenerator:
     def test_unrecognized_question(self):
         with pytest.raises(UnrecognizedQuestion):
             parse_question("What is the meaning of life?")
+
+    @pytest.mark.parametrize(
+        "question",
+        [
+            "How many shiny objects are there?",
+            "Is there a red blue object?",
+            "How many metal objects would there be if you didn't include cones?",
+        ],
+        ids=["unknown-word", "repeated-attribute", "unknown-excluded-shape"],
+    )
+    def test_question_outside_the_templates(self, question):
+        with pytest.raises(UnrecognizedQuestion):
+            parse_question(question)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**64))
+    def test_every_random_scene_has_a_query_pair(self, seed):
+        assert _query_pairs(_random_scene(random.Random(seed)))
+
+
+@pytest.mark.parametrize(
+    "output, text",
+    [
+        (None, ""),
+        (True, "yes"),
+        (False, "no"),
+        (3, "3"),
+        (2.5, "2.5"),
+        ({"b": 1, "a": [2]}, '{"a": [2], "b": 1}'),
+    ],
+)
+def test_output_text(output, text):
+    assert _output_text(output) == text
 
 
 def reference_query_pairs(scene):

@@ -126,7 +126,7 @@ def test_each_guarded_step_is_evaluated_once_per_call(monkeypatch, doc):
     kv_set(agent.belief, "x", 1)
     kv_set(agent.belief, "ids", ["o1"])
     leaf = agent.belief.current_state
-    guards = [s.transition.guard for s in engine._step_table(agent.machine, leaf)]
+    guards = [s.transition.guard for s in engine._leaf_plan(agent.machine, leaf).steps]
     guarded = [g for g in guards if g is not None]
     assert guarded
     for n in range(1, 4):
@@ -235,7 +235,7 @@ def test_end_leaf_completes_without_planning(monkeypatch):
     assert run(agent).status == engine.STATUS_COMPLETED
     assert planned == [] and "Done" not in agent.machine._memo
     # once planned by another caller, the plan's state answers the end test
-    engine._step_table(agent.machine, "Done")
+    engine._leaf_plan(agent.machine, "Done")
     assert run(agent).status == engine.STATUS_COMPLETED
 
 

@@ -13,7 +13,7 @@ from machina.machine_io import (
     parse_machine,
     serialize_machine,
 )
-from machina.model import GUARD_ACTION
+from machina.model import GUARD_ACTION, ActionSpec, ParameterSpec, State, StateMachine
 from helpers import MINIMAL_DOC, machine_from, state
 
 
@@ -110,6 +110,35 @@ class TestParse:
         with pytest.raises(SchemaError):
             parse_machine(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value, pointer",
+        [
+            ("source", "belief", "/states/0/entry/params/0/source"),
+            ("datatype", "integer", "/states/0/entry/params/0/datatype"),
+        ],
+    )
+    def test_bad_parameter_field(self, field, value, pointer):
+        param = {"name": "text", "source": "external", "datatype": "string", field: value}
+        entry = {"name": "note", "params": [param]}
+        doc = {
+            "name": "m",
+            "states": [{**state("a", tags=["start", "end"]), "entry": entry}],
+            "transitions": [],
+        }
+        with pytest.raises(SchemaError) as err:
+            parse_machine(json.dumps(doc))
+        assert err.value.pointer == pointer
+
+    def test_repeated_tags(self):
+        doc = {
+            "name": "m",
+            "states": [state("a", tags=["start", "end", "start"])],
+            "transitions": [],
+        }
+        with pytest.raises(SchemaError, match="tags must be unique") as err:
+            parse_machine(json.dumps(doc))
+        assert err.value.pointer == "/states/0/tags"
+
     def test_guard_needs_exactly_one_kind(self):
         base = {
             "name": "m",
@@ -205,6 +234,38 @@ class TestRoundTrip:
         sm = parse_machine(json.dumps(doc))
         assert parse_machine(serialize_machine(sm)) == sm
 
+    def test_keys_equal_to_the_name_are_dropped(self):
+        action = {
+            "name": "countObjects",
+            "output_key": "countObjects",
+            "params": [
+                {"name": "ids", "source": "internal", "datatype": "json", "source_key": "ids"}
+            ],
+        }
+        doc = {
+            "name": "m",
+            "states": [{**state("a", tags=["start", "end"]), "entry": action}],
+            "transitions": [],
+        }
+        sm = parse_machine(json.dumps(doc))
+        spec = sm.states[0].entry_action
+        assert spec.output_key is None and spec.params[0].source_key is None
+        text = serialize_machine(sm)
+        assert "output_key" not in text and "source_key" not in text
+        assert serialize_machine(parse_machine(text)) == text
+
+    def test_keys_equal_to_the_name_built_in_python_are_not_written(self):
+        spec = ActionSpec(
+            "note",
+            output_key="note",
+            params=(ParameterSpec("text", "internal", "string", source_key="text"),),
+        )
+        only = State("a", tags=frozenset({"start", "end"}), entry_action=spec)
+        sm = StateMachine("m", (only,), ())
+        text = serialize_machine(sm)
+        assert "output_key" not in text and "source_key" not in text
+        assert serialize_machine(parse_machine(text)) == text
+
     def test_serialize_uses_schema_key_order(self):
         text = serialize_machine(builtin_machine("routing"))
         doc = json.loads(text)
@@ -243,6 +304,18 @@ class TestDot:
         }
         out = export_dot(machine_from(doc))
         assert 'label="go [x > 1]"' in out
+
+    def test_action_guard_in_edge_label(self):
+        doc = {
+            "name": "m",
+            "states": [state("a", tags=["start"]), state("b", tags=["end"])],
+            "transitions": [
+                {"source": "a", "target": "b", "event": "go", "guard": {"action": "x"}}
+            ],
+        }
+        machine = machine_from(doc)
+        assert machine.transitions[0].guard.describe() == "action:x"
+        assert 'label="go [action:x]"' in export_dot(machine)
 
 
 # A DOT tokenizer: enough of the grammar to tell a well-formed attribute list

@@ -235,6 +235,11 @@ class TestParseResponse:
         with pytest.raises(Unparseable):
             parse_policy_response("no json here", [candidate("go")])
 
+    @pytest.mark.parametrize("arguments", ["[]", '"x"', "1", "null"])
+    def test_arguments_that_are_not_an_object(self, arguments):
+        with pytest.raises(Unparseable):
+            parse_policy_response(f'{{"event":"go","arguments":{arguments}}}', [candidate("go")])
+
     def test_missing_argument(self):
         with pytest.raises(MissingArgument):
             parse_policy_response('{"event":"go"}', [candidate("go", params=[STRING_PARAM])])

@@ -446,6 +446,15 @@ class TestHttpBaseUrl:
         assert provider.complete(req()) == "pong"
         assert _Handler.seen[0]["path"] == "/v%C3%A9%20x/%41/chat/completions"
 
+    @pytest.mark.parametrize(
+        "suffix", ["/v1?api-version=2024-02-01", "/v1/?api-version=2024-02-01#f"]
+    )
+    def test_query_string_follows_the_joined_path(self, stub_server, suffix):
+        _Handler.plan = [(200, ok_body())]
+        provider = HttpProvider(stub_server + suffix, model="m", api_key="k")
+        assert provider.complete(req()) == "pong"
+        assert _Handler.seen[0]["path"] == "/v1/chat/completions?api-version=2024-02-01"
+
     def test_host_that_idna_cannot_encode_is_rejected(self):
         with pytest.raises(MachinaError):
             HttpProvider(f"http://{'a' * 70}.example", model="m")

@@ -22,7 +22,6 @@ from machina.scene import (
     UnknownRelation,
     RELATIONS,
     UnparseableReply,
-    _complete_relations,
     answer_question,
     classify_question,
     count_objects,
@@ -173,6 +172,30 @@ class TestConstruction:
         }
         with pytest.raises(SchemaError) as info:
             scene_from_json_value(doc)
+        assert info.value.pointer == "/relations/left/o9"
+
+    def test_unknown_member_is_named_before_a_conflict_with_an_empty_side(self):
+        doc = {
+            "objects": scene_to_json_value(SceneGraph((A, B), {}))["objects"],
+            "relations": {"left": {"a": ["o9"]}, "right": {}},
+        }
+        with pytest.raises(InvalidScene) as info:
+            scene_from_json_value(doc)
+        assert info.value.pointer == "/relations/left/a"
+
+    @pytest.mark.parametrize("member", [1, None, ["b"], {"id": "b"}])
+    def test_non_string_member_in_a_file(self, member):
+        doc = {
+            "objects": scene_to_json_value(SceneGraph((A, B), {}))["objects"],
+            "relations": {"left": {"a": ["b", member]}},
+        }
+        with pytest.raises(SchemaError) as info:
+            scene_from_json_value(doc)
+        assert info.value.pointer == "/relations/left/a"
+
+    def test_relation_key_not_in_the_scene(self):
+        with pytest.raises(InvalidScene) as info:
+            SceneGraph((A, B), {"left": {"o9": frozenset({"a"})}})
         assert info.value.pointer == "/relations/left/o9"
 
     def test_relations_are_read_only(self):
@@ -349,7 +372,7 @@ class TestNormalize:
 
 
 # Reference: relation completion as first written, with the inversion loop
-# spelled out three times. ``_complete_relations`` must agree with it.
+# spelled out three times. Parsing a scene file must agree with it.
 def _reference_complete_relations(
     given: dict[str, dict[str, set[str]]], ids: set[str]
 ) -> dict[str, dict[str, frozenset[str]]]:
@@ -430,8 +453,20 @@ def _completed(complete, tables):
         return type(exc)
 
 
+def _parsed_relations(tables):
+    doc = {
+        "objects": [
+            {"id": i, "color": "red", "material": "metal", "shape": shape, "size": "small"}
+            for i, shape in zip(IDS, ("cube", "sphere", "cylinder", "cube"))
+        ],
+        "relations": {r: {k: sorted(v) for k, v in t.items()} for r, t in tables.items()},
+    }
+    scene = scene_from_json_value(doc)
+    return {r: dict(scene.relations[r]) for r in RELATIONS}
+
+
 @settings(max_examples=500, deadline=None)
 @given(relation_tables())
 def test_complete_relations_agrees_with_reference(tables):
     expected = _completed(lambda t: _reference_complete_relations(t, set(IDS)), tables)
-    assert _completed(_complete_relations, tables) == expected
+    assert _completed(_parsed_relations, tables) == expected

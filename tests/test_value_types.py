@@ -153,7 +153,7 @@ def samples() -> dict:
     """One instance of each of the 38 types, built from real parts."""
     machine = builtin_machine("react")
     leaf = next(s for s in machine.states if "start" in s.tags).name
-    step = engine._step_table(machine, leaf)[0]
+    step = engine._leaf_plan(machine, leaf).steps[0]
     report = run_eval(oracle_agent_factory("routing"), generate_mini_clevr(7, 1, 1))
     dataset = generate_mini_clevr(7, 1, 1)
     item = dataset.items[0]
