@@ -138,13 +138,17 @@ def _build_agent(
     )
 
 
-def _emit_result(result: RunResult, trace_path: str | None) -> int:
+def _write_trace(result: RunResult, trace_path: str | None) -> None:
     if trace_path:
         Path(trace_path).write_text(
             json.dumps(belief_to_trace(result.belief_snapshot), indent=2, ensure_ascii=False)
             + "\n",
             encoding="utf-8",
         )
+
+
+def _emit_result(result: RunResult, trace_path: str | None) -> int:
+    _write_trace(result, trace_path)
     click.echo(f"status: {result.status}", err=True)
     click.echo(f"steps: {len(result.belief_snapshot.trajectory)}", err=True)
     click.echo(f"provider calls: {result.stats.calls}", err=True)
@@ -190,7 +194,9 @@ def repl(trace_path: str | None, **options) -> None:
     """Run an agent, then feed it events interactively while it waits.
 
     Input lines are ``<event name> [json payload]``; meta commands are
-    ``:state``, ``:belief`` and ``:quit``.
+    ``:state``, ``:belief`` and ``:quit``. Ending the session while the
+    agent waits (``:quit``, end of input or Ctrl-C) exits 0 and still writes
+    ``--trace`` from the last result.
     """
     agent = _build_agent(**options)
     result = run(agent)
@@ -202,9 +208,9 @@ def repl(trace_path: str | None, **options) -> None:
         try:
             raw = sys.stdin.buffer.readline()
         except KeyboardInterrupt:
-            sys.exit(0)
+            break
         if not raw:
-            sys.exit(0)
+            break
         try:
             line = raw.decode(sys.stdin.encoding, sys.stdin.errors).strip()
         except UnicodeDecodeError as exc:
@@ -213,7 +219,7 @@ def repl(trace_path: str | None, **options) -> None:
         if not line:
             continue
         if line == ":quit":
-            sys.exit(0)
+            break
         if line == ":state":
             click.echo(str(agent.belief.current_state))
             continue
@@ -232,6 +238,9 @@ def repl(trace_path: str | None, **options) -> None:
         click.echo(f"status: {result.status}", err=True)
         if result.status == STATUS_FAILED and result.reason:
             click.echo(f"reason: {result.reason}", err=True)
+    if result.status == STATUS_WAITING:  # the session ended while the agent waits
+        _write_trace(result, trace_path)
+        sys.exit(0)
     sys.exit(_emit_result(result, trace_path))
 
 

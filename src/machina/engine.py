@@ -356,7 +356,9 @@ def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
     computed from the actions the step would fire. The candidates are the
     leaf plan's own frozen objects, shared by every agent on the machine; at
     a leaf with no guarded step the list is a copy of the plan's fixed
-    candidates, and at any other leaf every guard is evaluated anew."""
+    candidates, and at any other leaf every guard is evaluated anew.
+    :func:`run` calls it once per turn at a leaf with a guarded step, and
+    elsewhere only for a policy decision."""
     leaf = agent.belief.current_state
     if leaf is None:
         raise AgentNotStarted()
@@ -486,10 +488,10 @@ def dispatch(
     The step fired is the first enabled transition for the event, in
     resolution order, whose guard passes; the steps and what each fires come
     from the active leaf's memoized plan. ``_candidates`` is the run loop's
-    :func:`candidate_transitions` for the active leaf, whose guard outcomes
-    are reused; without it, guards are evaluated lazily in resolution order,
-    each at most once per call, up to the first that passes. No guard
-    outcome outlives the call that evaluated it.
+    :func:`candidate_transitions` for the active leaf, when it built one,
+    whose guard outcomes are reused; without it, guards are evaluated
+    lazily in resolution order, each at most once per call, up to the first
+    that passes. No guard outcome outlives the call that evaluated it.
 
     Returns ``None`` when the event is unhandled and the limits say to
     ignore it. A payload that is not a mapping of plain JSON values raises
@@ -599,6 +601,12 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
     transition budget ends the run once the trajectory reaches the limit;
     otherwise the policy picks an event and the step is dispatched. The
     result carries the output of the last executed action.
+
+    A turn builds a candidate list only where one is read. At a leaf with a
+    guarded step, :func:`candidate_transitions` runs once per turn, for the
+    wait test and for :func:`dispatch` to reuse its guard outcomes. At any
+    other leaf the wait test is the leaf plan's, :func:`dispatch` has no
+    guard to evaluate, and candidates are listed only for the policy.
     """
     try:
         if agent.belief.current_state is None:
@@ -615,11 +623,11 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
                 plan = _leaf_plan(agent.machine, leaf)
             elif plan.state.is_end:
                 return _result(agent, STATUS_COMPLETED)
-            candidates = candidate_transitions(agent)
+            candidates = None if plan.candidates is not None else candidate_transitions(agent)
             event, pending = pending, None
             if event is None and (
                 plan.waits
-                if plan.waits is not None
+                if candidates is None
                 else all(
                     c.transition.trigger == TRIGGER_EXTERNAL for c in candidates if c.guard_passed
                 )
@@ -628,6 +636,8 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
             if len(agent.belief.trajectory) >= agent.limits.max_transitions:
                 return _result(agent, STATUS_BUDGET_EXHAUSTED)
             if event is None:
+                if candidates is None:
+                    candidates = candidate_transitions(agent)
                 event = decide(agent.policy, plan.state, candidates, agent.belief, agent.provider)
             dispatch(agent, event, candidates)
     except MachinaError as exc:

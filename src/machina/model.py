@@ -9,7 +9,6 @@ transitions apply to a state) and are checked for well-formedness by
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional
 
@@ -17,8 +16,6 @@ from .errors import MachinaError
 from .guards import GuardExpr, GuardSyntaxError, parse_guard
 from .keypath import JsonValue
 from .values import EMPTY_MAPPING, FrozenValue, distinct
-
-IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 TAG_START = "start"
 TAG_END = "end"
@@ -45,7 +42,9 @@ class UnknownState(MachinaError):
 
 
 def is_identifier(text: object) -> bool:
-    return isinstance(text, str) and IDENTIFIER_RE.fullmatch(text) is not None
+    """Whether ``text`` is a string matching ``[A-Za-z_][A-Za-z0-9_]*``:
+    the ASCII Python identifiers, keywords included."""
+    return isinstance(text, str) and text.isascii() and text.isidentifier()
 
 
 class ParameterSpec(FrozenValue):

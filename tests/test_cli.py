@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -240,6 +241,40 @@ class TestRepl:
             input=":quit\n",
         )
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("ending", ["quit", "end of input", "ctrl-c"])
+    def test_ending_while_waiting_writes_the_trace(self, runner, tmp_path, ending):
+        lines = b'e1\ne1 {"k": 1}\n' + (b":quit\n" if ending == "quit" else b"")
+        script = write_script(tmp_path, [])
+        command = ["repl", "--machine", str(H3_JSON), "--provider", f"scripted:{script}"]
+        trace = tmp_path / "t.json"
+        results = [
+            runner.invoke(main, command + extra, input=_Input(lines, ending == "ctrl-c"))
+            for extra in ([], ["--trace", str(trace)])
+        ]
+        for result in results:
+            assert result.exit_code == 0 and result.stderr.count("status: waiting") == 3
+        # the trace changes nothing else the session prints
+        assert results[0].stdout == results[1].stdout
+        assert results[0].stderr == results[1].stderr
+        document = json.loads(trace.read_text(encoding="utf-8"))
+        assert [step["event"] for step in document["trajectory"]] == ["e1", "e1"]
+        assert document["trajectory"][1]["event_payload"] == {"k": 1}
+
+
+class _Input(io.BytesIO):
+    """Standard input that raises ``KeyboardInterrupt`` where it would end,
+    as Ctrl-C at the prompt does, when ``interrupt`` is set."""
+
+    def __init__(self, data, interrupt):
+        super().__init__(data)
+        self.interrupt = interrupt
+
+    def readline(self, *args):
+        line = super().readline(*args)
+        if not line and self.interrupt:
+            raise KeyboardInterrupt
+        return line
 
 
 class _QaStubHandler(BaseHTTPRequestHandler):

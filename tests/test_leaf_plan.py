@@ -178,29 +178,30 @@ def test_two_agents_share_one_plan_per_leaf(monkeypatch, name, script):
         return plan_step(sm, leaf, transition)
 
     monkeypatch.setattr(engine, "_plan_step", count_plan_step)
-    original = engine.candidate_transitions
     returned = []
 
     def checked_candidates(agent):
-        result = original(agent)
+        result = candidate_transitions(agent)
         assert type(result) is list
         assert all(result is not earlier for earlier in returned)
         assert result == reference_candidates(agent.machine, agent.belief.current_state)
         returned.append(result)
-        return result
 
-    monkeypatch.setattr(engine, "candidate_transitions", checked_candidates)
     machine = fresh_machine(name)
     events = script(random.Random(7))
     limits = RunLimits(max_transitions=len(events) + 5)
     agents = [agent_for(machine, limits=limits) for _ in range(2)]
     for agent in agents:
         assert run(agent).status == engine.STATUS_WAITING
+        checked_candidates(agent)
         for k, event in enumerate(events):
             result = run(agent, EventInstance(event, {"lines": ["x"] * k}))
             last = k == len(events) - 1
             assert result.status == (engine.STATUS_COMPLETED if last else engine.STATUS_WAITING)
-    assert len(returned) == 2 * 2 * len(events)
+            if not last:
+                checked_candidates(agent)
+    # one list per waiting turn of each agent
+    assert len(returned) == 2 * len(events)
     visited = {r.source for a in agents for r in a.belief.trajectory}
     assert set(planned) == {
         (leaf, t) for leaf in visited for t in enabled_transitions(machine, leaf)
@@ -210,11 +211,11 @@ def test_two_agents_share_one_plan_per_leaf(monkeypatch, name, script):
     # a caller's edits to a returned list never reach the next one
     agent = agent_for(machine)
     run(agent)
-    first = original(agent)
+    first = candidate_transitions(agent)
     expected = list(first)
     first.clear()
     first.append("edited")
-    assert original(agent) == expected
+    assert candidate_transitions(agent) == expected
     assert set(planned.values()) == {1}
 
 
@@ -255,7 +256,8 @@ def test_run_calls_the_module_functions(monkeypatch):
     assert (len(candidates), len(dispatched), len(snapshots)) == (4, 4, 1)
 
     # resuming: the first run waits, each event then dispatches once and
-    # waits again after a second turn, and the last event ends the run
+    # waits again after a second turn, and the last event ends the run; no
+    # h3 leaf is guarded and no turn decides, so no candidate list is built
     candidates.clear(), dispatched.clear(), snapshots.clear()
     agent = agent_for(fresh_machine("h3"))
     events = ["e1"] * 9 + ["e2"]
@@ -263,6 +265,68 @@ def test_run_calls_the_module_functions(monkeypatch):
     for event in events:
         run(agent, EventInstance(event))
     assert agent.belief.current_state == "Done"
-    assert len(candidates) == 1 + 2 * (len(events) - 1) + 1
+    assert len(candidates) == 0
     assert [call[1].name for call in dispatched] == events
     assert len(snapshots) == 1 + len(events)
+
+
+# ---------------------------------------------------------------------------
+# run lists candidates only at a guarded leaf and for a decision
+
+
+def test_resuming_h3_lists_no_candidates(monkeypatch):
+    candidates = counting(monkeypatch, "candidate_transitions")
+    dispatched = counting(monkeypatch, "dispatch")
+    snapshots = counting(monkeypatch, "snapshot")
+    events = h3_script(random.Random(7))
+    assert len(events) == 60
+    agent = agent_for(fresh_machine("h3"), limits=RunLimits(max_transitions=len(events) + 5))
+    statuses = [run(agent).status]
+    for k, event in enumerate(events):
+        statuses.append(run(agent, EventInstance(event, {"lines": ["x"] * k})).status)
+    assert statuses == [engine.STATUS_WAITING] * 60 + [engine.STATUS_COMPLETED]
+    assert len(candidates) == 0
+    assert [call[1].name for call in dispatched] == events
+    assert all(call[2] is None for call in dispatched)
+    assert len(snapshots) == len(statuses)
+
+
+def test_a_guarded_leaf_evaluates_each_guard_once_per_turn(monkeypatch):
+    guard_calls = counting(monkeypatch, "eval_guard")
+    candidates = counting(monkeypatch, "candidate_transitions")
+    agent = agent_for(fork_doc())
+    guarded = [s.transition.guard for s in engine._leaf_plan(agent.machine, "Wait").steps]
+    guarded = [g for g in guarded if g is not None]
+    assert len(guarded) == 2
+    assert run(agent).status == engine.STATUS_WAITING
+    # each resume at Wait: one turn there, whose candidates dispatch reuses,
+    # then one at the unguarded Left or Right, which evaluates nothing
+    for flag, target in [("left", "Left"), ("right", "Right"), ("left", "Left")]:
+        kv_set(agent.belief, "flag", flag)
+        before = len(guard_calls)
+        assert run(agent, EventInstance("go")).status == engine.STATUS_WAITING
+        assert agent.belief.current_state == target
+        assert [call[0] for call in guard_calls[before:]] == guarded
+        assert run(agent, EventInstance("back")).status == engine.STATUS_WAITING
+        assert len(guard_calls) == before + 2 * len(guarded)
+    assert len(candidates) == 1 + 2 * 3
+
+
+def test_a_decision_at_an_unguarded_leaf_gets_a_new_list(monkeypatch):
+    decide = engine.decide
+    received = []
+
+    def recording_decide(stack, state, candidates, belief, provider):
+        received.append((state.name, candidates, list(candidates)))
+        return decide(stack, state, candidates, belief, provider)
+
+    monkeypatch.setattr(engine, "decide", recording_decide)
+    agent = agent_for(linear_doc(5))
+    assert run(agent).status == engine.STATUS_COMPLETED
+    assert [name for name, _, _ in received] == ["s1", "s2", "s3", "s4"]
+    for name, candidates, seen in received:
+        plan = agent.machine._memo[name]
+        assert plan.candidates is not None
+        assert type(candidates) is list and seen == list(plan.candidates)
+    lists = [candidates for _, candidates, _ in received]
+    assert len({id(c) for c in lists}) == len(lists)

@@ -1,7 +1,10 @@
 import random
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from machina.actions import builtin_registry
 from machina.errors import MachinaError
@@ -19,6 +22,9 @@ from machina.model import (
 from helpers import MINIMAL_DOC, machine_from, state
 
 BUILTINS = builtin_registry().names()
+
+# the reference definition of an identifier that is_identifier must match
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def classes(report):
@@ -266,6 +272,28 @@ class TestQueries:
     )
     def test_is_identifier_matches_the_whole_text(self, text, expected):
         assert is_identifier(text) is expected
+        assert (IDENTIFIER_RE.fullmatch(text) is not None) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text()
+        | st.text(alphabet="aZ_09é\n")
+        | st.from_regex(IDENTIFIER_RE, fullmatch=True)
+    )
+    @example("é")
+    @example("ǅ")
+    @example("١")
+    @example("a١")
+    @example("a\n")
+    @example("")
+    @example("class")
+    @example("_")
+    def test_is_identifier_agrees_with_the_regex(self, text):
+        assert is_identifier(text) is (IDENTIFIER_RE.fullmatch(text) is not None)
+
+    @pytest.mark.parametrize("value", [None, 1, b"abc", ["abc"]])
+    def test_is_identifier_rejects_non_strings(self, value):
+        assert is_identifier(value) is False
 
     def test_is_end(self):
         routing = builtin_machine("routing")
