@@ -65,7 +65,7 @@ from .model import (
 )
 from .policy import CandidateTransition, PolicyStage, decide
 from .providers import CallStats, CompletionProvider
-from .values import EMPTY_MAPPING, FrozenValue, Value
+from .values import EMPTY_MAPPING, FrozenValue, Value, tuple_new
 
 STATUS_COMPLETED = "completed"
 STATUS_WAITING = "waiting"
@@ -171,6 +171,11 @@ class RunResult(NamedTuple):
 
 
 class StepOutcome(NamedTuple):
+    """What :func:`dispatch` did: the ``event`` it was given, the
+    ``transition`` that fired, the active leaf before (``source_leaf``) and
+    after (``target_leaf``) the step, and the ``records`` of the actions it
+    ran, exit, transition and entry actions in that order."""
+
     event: EventInstance
     transition: Transition
     source_leaf: str
@@ -243,7 +248,7 @@ def eval_guard(
         raise UnknownGuardAction(name)
     internal = [p for p in registered.params if p.source == SOURCE_INTERNAL]
     inputs, _ = _bind(registered, internal, {}, belief)
-    context = ActionContext(provider=provider, spec=ActionSpec(name))
+    context = tuple_new(ActionContext, (provider, ActionSpec(name)))
     try:
         output = registered.impl(inputs, context)
     except Exception as exc:
@@ -460,7 +465,7 @@ def execute_action(
     else:
         inputs, recorded_inputs = {}, {}
     try:
-        output = registered.impl(inputs, ActionContext(provider, spec))
+        output = registered.impl(inputs, tuple_new(ActionContext, (provider, spec)))
     except Exception as exc:
         raise ActionFailure(spec.name, str(exc)) from exc
     # copy first: a value that is not JSON must not reach the key-value store
@@ -469,7 +474,7 @@ def execute_action(
     except NotJsonValue as exc:
         raise ActionFailure(spec.name, f"output: {exc}") from None
     belief.kv[key] = output
-    record = ActionRecord(step, spec.name, recorded_inputs, recorded_output, phase)
+    record = tuple_new(ActionRecord, (step, spec.name, recorded_inputs, recorded_output, phase))
     record_action(belief, record)
     return record
 
@@ -546,9 +551,13 @@ def dispatch(
     finally:
         record_transition(
             agent.belief,
-            TransitionRecord(step, leaf, chosen.target_leaf, event.name, payload or None),
+            tuple_new(
+                TransitionRecord, (step, leaf, chosen.target_leaf, event.name, payload or None)
+            ),
         )
-    return StepOutcome(event, chosen.transition, leaf, chosen.target_leaf, tuple(records))
+    return tuple_new(
+        StepOutcome, (event, chosen.transition, leaf, chosen.target_leaf, tuple(records))
+    )
 
 
 def start(agent: Agent) -> None:
@@ -586,8 +595,9 @@ def _result(agent: Agent, status: str, reason: str | None = None) -> RunResult:
         status = STATUS_FAILED
         reason = f"{reason}; key-value store: {exc}" if reason else f"key-value store: {exc}"
         belief = snapshot(agent.belief._replace(kv={}))
-    return RunResult(
-        status, _last_output(agent.belief), belief, agent.provider.snapshot_stats(), reason
+    return tuple_new(
+        RunResult,
+        (status, _last_output(agent.belief), belief, agent.provider.snapshot_stats(), reason),
     )
 
 

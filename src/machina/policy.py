@@ -20,7 +20,7 @@ from .json_extract import first_json_object, read_json
 from .keypath import ABSENT, BadPath, JsonValue, split_path
 from .model import TRIGGER_INTERNAL, EventInstance, ParameterSpec, State, Transition
 from .providers import CompletionProvider, CompletionRequest
-from .values import EMPTY_MAPPING, FrozenValue, distinct
+from .values import EMPTY_MAPPING, FrozenValue, distinct, tuple_new
 
 DEFAULT_HISTORY_BUDGET = 3000
 PARSE_RETRIES = 1
@@ -176,7 +176,7 @@ def fast_forward(candidates: Sequence[CandidateTransition]) -> EventInstance | N
     """
     eligible = _selectable(candidates)
     if len(eligible) == 1 and not eligible[0].required_external_params:
-        return EventInstance(eligible[0].transition.event)
+        return tuple_new(EventInstance, (eligible[0].transition.event, EMPTY_MAPPING))
     return None
 
 
@@ -215,7 +215,7 @@ def rule_decide(
                 arguments[name] = source
         if any(p.name not in arguments for p in candidate.required_external_params):
             continue
-        return EventInstance(rule.emit_event, arguments)
+        return tuple_new(EventInstance, (rule.emit_event, arguments))
     return None
 
 
@@ -271,7 +271,7 @@ def parse_policy_response(
             coerced[param.name] = coerce_argument(arguments[param.name], param.datatype)
         except ArgumentTypeError as exc:
             raise BadArgumentType(param.name, str(exc)) from None
-    return EventInstance(event, coerced)
+    return tuple_new(EventInstance, (event, coerced))
 
 
 def llm_decide(
@@ -285,7 +285,7 @@ def llm_decide(
     prompt = build_policy_prompt(policy, state, candidates, belief)
     last_error: PolicyError | None = None
     for _ in range(PARSE_RETRIES + 1):
-        reply = provider.complete(CompletionRequest(prompt=prompt))
+        reply = provider.complete(tuple_new(CompletionRequest, (prompt, None)))
         try:
             return parse_policy_response(reply, candidates)
         except (Unparseable, UnknownEvent, MissingArgument, BadArgumentType) as exc:

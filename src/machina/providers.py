@@ -85,13 +85,17 @@ def _prompt_bytes(request: CompletionRequest) -> int:
     return size
 
 
-def _clip_reply(text: str) -> str:
+def _clip_reply(text: str) -> tuple[str, int]:
     """The reply cut to its first ``MAX_REPLY_BYTES`` UTF-8 bytes, dropping a
-    character the cut splits."""
+    character the cut splits, and the size of what is kept in UTF-8 bytes."""
     encoded = utf8(text)
     if len(encoded) <= MAX_REPLY_BYTES:
-        return text
-    return encoded[:MAX_REPLY_BYTES].decode("utf-8", errors="ignore")
+        return text, len(encoded)
+    cut = MAX_REPLY_BYTES
+    # back up over the kept part of a character whose next byte is cut off
+    while encoded[cut] & 0xC0 == 0x80:
+        cut -= 1
+    return encoded[:cut].decode("utf-8"), cut
 
 
 @distinct
@@ -126,8 +130,8 @@ class ScriptedProvider:
         self._cursor += 1
         if step.match is not None and step.match not in request.prompt:
             raise ScriptMismatch(step.match)
-        reply = _clip_reply(step.reply)
-        self._stats.reply_bytes += len(reply.encode("utf-8"))
+        reply, size = _clip_reply(step.reply)
+        self._stats.reply_bytes += size
         return reply
 
     def snapshot_stats(self) -> CallStats:
@@ -266,8 +270,8 @@ class HttpProvider:
             raise HttpError(200, "malformed completion body") from None
         if not isinstance(content, str):
             raise HttpError(200, "completion content is not text")
-        reply = _clip_reply(content)
-        self._stats.reply_bytes += len(reply.encode("utf-8"))
+        reply, size = _clip_reply(content)
+        self._stats.reply_bytes += size
         return reply
 
     def snapshot_stats(self) -> CallStats:

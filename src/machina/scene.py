@@ -20,7 +20,7 @@ from .errors import MachinaError, SchemaError, check_keys, require_list, require
 from .json_extract import first_json_array, read_json
 from .keypath import JsonValue
 from .providers import CompletionProvider, CompletionRequest
-from .values import FrozenValue, distinct
+from .values import FrozenValue, distinct, tuple_new
 
 COLORS = ("gray", "red", "blue", "green", "brown", "purple", "cyan", "yellow")
 MATERIALS = ("metal", "rubber")
@@ -345,7 +345,7 @@ def classify_question(provider: CompletionProvider, question: str) -> str:
         f"Question: {question}\n"
         "Reply with exactly one type name."
     )
-    reply = provider.complete(CompletionRequest(prompt=prompt)).lower()
+    reply = provider.complete(tuple_new(CompletionRequest, (prompt, None))).lower()
     hits = [(reply.find(label), label) for label in QUESTION_TYPES if label in reply]
     if not hits:
         raise UnclassifiableReply(reply)
@@ -365,7 +365,7 @@ def extract_objects(provider: CompletionProvider, scene: SceneGraph, question: s
         "List the ids of the objects the question refers to as a JSON array"
         ' of strings, for example ["o1", "o2"].'
     )
-    reply = provider.complete(CompletionRequest(prompt=prompt))
+    reply = provider.complete(tuple_new(CompletionRequest, (prompt, None)))
     ids = first_json_array(reply)
     if ids is None or not all(isinstance(i, str) for i in ids):
         raise UnparseableReply(reply)
@@ -384,5 +384,5 @@ def answer_question(provider: CompletionProvider, scene: SceneGraph, question: s
         f"Question: {question}\n"
         "Answer with a single word or number."
     )
-    reply = provider.complete(CompletionRequest(prompt=prompt))
+    reply = provider.complete(tuple_new(CompletionRequest, (prompt, None)))
     return normalize_answer(reply)

@@ -67,6 +67,25 @@ def linear_doc(n: int = 5) -> dict:
     return {"name": "linear", "states": states, "transitions": transitions}
 
 
+class RecordingProvider:
+    """Delegates to a scripted provider and keeps every request it sends."""
+
+    def __init__(self, inner: ScriptedProvider):
+        self.inner = inner
+        self.requests = []
+
+    @property
+    def prompts(self) -> list[str]:
+        return [request.prompt for request in self.requests]
+
+    def complete(self, request):
+        self.requests.append(request)
+        return self.inner.complete(request)
+
+    def snapshot_stats(self):
+        return self.inner.snapshot_stats()
+
+
 def h3_agent(limits: RunLimits | None = None) -> Agent:
     return Agent(
         machine=builtin_machine("h3"),

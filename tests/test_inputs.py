@@ -31,7 +31,7 @@ from machina.model import ParameterSpec
 from machina.policy import PathRef, Rule, RulePolicy
 from machina.providers import ScriptedProvider
 from machina.scene import scene_to_json_value
-from helpers import agent_for, machine_from, s1_scene, state
+from helpers import RecordingProvider, agent_for, machine_from, s1_scene, state
 
 S1_JSON = "src/machina/scenes/s1.scene.json"
 ROUTING_JSON = "src/machina/machines/routing.sm.json"
@@ -48,21 +48,6 @@ def json_scene_belief(question, scene):
     belief = new_belief([("user", question)], inputs={"scene": scene_to_json_value(scene)})
     kv_set(belief, "question", question)
     return belief
-
-
-class RecordingProvider:
-    """Delegates to a scripted provider and keeps every prompt it sends."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.prompts = []
-
-    def complete(self, request):
-        self.prompts.append(request.prompt)
-        return self.inner.complete(request)
-
-    def snapshot_stats(self):
-        return self.inner.snapshot_stats()
 
 
 class TestNewBelief:
