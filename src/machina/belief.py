@@ -232,10 +232,11 @@ def copy_json(value: object) -> JsonValue:
     """
     kind = type(value)
     try:
-        # scalars inline: most members of a JSON document are leaves
+        # scalars inline: most members of a JSON document are leaves, and
+        # most leaves are strings, tested before the set lookup
         if kind is dict:
             copied = {
-                k: v if type(v) in _JSON_SCALARS else copy_json(v)
+                k: v if type(v) is str or type(v) in _JSON_SCALARS else copy_json(v)
                 for k, v in value.items()
                 if type(k) is str
             }
@@ -244,7 +245,9 @@ def copy_json(value: object) -> JsonValue:
                 raise NotJsonValue(f"key {key!r} is not a string")
             return copied
         if kind is list:
-            return [v if type(v) in _JSON_SCALARS else copy_json(v) for v in value]
+            return [
+                v if type(v) is str or type(v) in _JSON_SCALARS else copy_json(v) for v in value
+            ]
         if kind in _JSON_SCALARS or (kind is float and math.isfinite(value)):
             return value
     except RecursionError:

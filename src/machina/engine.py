@@ -31,6 +31,7 @@ from .belief import (
     NotJsonValue,
     ReadOnlyInput,
     TransitionRecord,
+    _JSON_SCALARS,
     copy_json,
     kv_get,
     lookup_scope,
@@ -468,9 +469,10 @@ def execute_action(
         output = registered.impl(inputs, tuple_new(ActionContext, (provider, spec)))
     except Exception as exc:
         raise ActionFailure(spec.name, str(exc)) from exc
-    # copy first: a value that is not JSON must not reach the key-value store
+    # copy first: a value that is not JSON must not reach the key-value store;
+    # a scalar is immutable, so the record shares it
     try:
-        recorded_output = copy_json(output)
+        recorded_output = output if type(output) in _JSON_SCALARS else copy_json(output)
     except NotJsonValue as exc:
         raise ActionFailure(spec.name, f"output: {exc}") from None
     belief.kv[key] = output
@@ -508,7 +510,8 @@ def dispatch(
     if leaf is None:
         raise AgentNotStarted()
 
-    for i, chosen in enumerate(_leaf_plan(agent.machine, leaf).steps):
+    plan = agent.machine._memo.get(leaf) or _leaf_plan(agent.machine, leaf)
+    for i, chosen in enumerate(plan.steps):
         t = chosen.transition
         if t.event == event.name and (
             _candidates[i] is chosen.passed
@@ -584,10 +587,6 @@ def start(agent: Agent) -> None:
             )
 
 
-def _last_output(belief: Belief) -> JsonValue:
-    return belief.execution_log[-1].output if belief.execution_log else None
-
-
 def _result(agent: Agent, status: str, reason: str | None = None) -> RunResult:
     try:
         belief = snapshot(agent.belief)
@@ -595,10 +594,9 @@ def _result(agent: Agent, status: str, reason: str | None = None) -> RunResult:
         status = STATUS_FAILED
         reason = f"{reason}; key-value store: {exc}" if reason else f"key-value store: {exc}"
         belief = snapshot(agent.belief._replace(kv={}))
-    return tuple_new(
-        RunResult,
-        (status, _last_output(agent.belief), belief, agent.provider.snapshot_stats(), reason),
-    )
+    log = agent.belief.execution_log
+    output = log[-1].output if log else None
+    return tuple_new(RunResult, (status, output, belief, agent.provider.snapshot_stats(), reason))
 
 
 def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:

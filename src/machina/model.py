@@ -80,14 +80,14 @@ class ActionSpec(FrozenValue):
     output; it defaults to the action name.
     """
 
-    __slots__ = ("name", "output_key", "params")
+    __slots__ = ("name", "output_key", "params", "__dict__")
 
     def __init__(
         self, name: str, output_key: Optional[str] = None, params: tuple[ParameterSpec, ...] = ()
     ):
         self._set(name, output_key, params)
 
-    @property
+    @cached_property
     def resolved_output_key(self) -> str:
         return self.output_key if self.output_key is not None else self.name
 
@@ -161,6 +161,7 @@ class State(FrozenValue):
         "exit_action",
         "substates",
         "initial",
+        "__dict__",
     )
 
     def __init__(
@@ -179,7 +180,7 @@ class State(FrozenValue):
     def is_composite(self) -> bool:
         return bool(self.substates)
 
-    @property
+    @cached_property
     def is_end(self) -> bool:
         return TAG_END in self.tags
 

@@ -66,9 +66,6 @@ class CallStats(Value):
         self.prompt_bytes = prompt_bytes
         self.reply_bytes = reply_bytes
 
-    def snapshot(self) -> "CallStats":
-        return CallStats(self.calls, self.prompt_bytes, self.reply_bytes)
-
 
 class CompletionProvider(Protocol):
     def complete(self, request: CompletionRequest) -> str: ...
@@ -135,7 +132,8 @@ class ScriptedProvider:
         return reply
 
     def snapshot_stats(self) -> CallStats:
-        return self._stats.snapshot()
+        stats = self._stats
+        return CallStats(stats.calls, stats.prompt_bytes, stats.reply_bytes)
 
 
 def load_script(path: str | Path) -> ScriptedProvider:
@@ -275,4 +273,5 @@ class HttpProvider:
         return reply
 
     def snapshot_stats(self) -> CallStats:
-        return self._stats.snapshot()
+        stats = self._stats
+        return CallStats(stats.calls, stats.prompt_bytes, stats.reply_bytes)

@@ -7,7 +7,10 @@ a trailing ``"__dict__"`` slot holds its ``functools.cached_property``
 memos. From that list the base gives it ``_fields``, equality with instances
 of its own class, a ``repr`` and a ``_replace`` that builds the copy through
 ``__init__``, so a copy is checked like a new value and starts with empty
-memos.
+memos. A value derived from the fields and read on every step (a state's
+``is_end``, an action's ``resolved_output_key``) is such a memo, not a
+``property``: the first read computes it, and every later read is an
+attribute lookup with no call.
 
 Types built often and read rarely are ``typing.NamedTuple`` classes marked
 :func:`distinct`, so that they equal only instances of their own class.

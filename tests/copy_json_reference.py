@@ -1,0 +1,34 @@
+"""The member-by-member JSON copier that ``machina.belief.copy_json``
+replaced, kept as the reference the ``str``-first copier must match: the
+same copy for every value it accepts, the same exception type for every
+value it rejects."""
+
+import math
+
+from machina.belief import NestingTooDeep, NotJsonValue
+
+_JSON_SCALARS = frozenset((str, int, bool, type(None)))
+
+
+def reference_copy_json(value: object):
+    kind = type(value)
+    try:
+        if kind is dict:
+            copied = {
+                k: v if type(v) in _JSON_SCALARS else reference_copy_json(v)
+                for k, v in value.items()
+                if type(k) is str
+            }
+            if len(copied) != len(value):
+                key = next(k for k in value if type(k) is not str)
+                raise NotJsonValue(f"key {key!r} is not a string")
+            return copied
+        if kind is list:
+            return [v if type(v) in _JSON_SCALARS else reference_copy_json(v) for v in value]
+        if kind in _JSON_SCALARS or (kind is float and math.isfinite(value)):
+            return value
+    except RecursionError:
+        raise NestingTooDeep("value is nested too deeply to copy") from None
+    if kind is float:
+        raise NotJsonValue(f"{value!r} has no strict JSON form")
+    raise NotJsonValue(f"a {kind.__name__} is not a JSON value")

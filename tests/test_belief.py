@@ -30,6 +30,7 @@ from machina.model import ActionSpec, EventInstance, Transition
 from machina.providers import CallStats, ScriptedProvider
 from machina.scene import scene_to_json_value
 from helpers import s1_scene
+from copy_json_reference import reference_copy_json
 from history_reference import reference_render_history
 
 
@@ -381,6 +382,51 @@ class TestSnapshot:
         assert snap.task_context == []
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+# JSON values mixed with what copy_json must reject: subclasses of str, int
+# and float, bytes, sets, tuples and keys that are not strings
+MIXED_VALUES = st.recursive(
+    st.one_of(
+        JSON_LEAVES,
+        st.text().map(_Str),
+        st.integers().map(_Int),
+        st.floats(allow_nan=False).map(_Float),
+        st.binary(max_size=4),
+        st.sets(st.integers(), max_size=3),
+    ),
+    lambda children: st.lists(children)
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.one_of(st.text(), st.integers(), st.none()), children)
+    | st.lists(children).map(tuple),
+    max_leaves=20,
+)
+
+
+def outcome(copier, value) -> tuple:
+    """``copier(value)``, or the type and message of what it raised."""
+    try:
+        return "copied", copier(value)
+    except NotJsonValue as exc:
+        return type(exc), str(exc)
+
+
 class TestCopyJson:
     def test_copies_nested_containers(self):
         value = {"a": [1, {"b": None}], "c": "s", "d": 1.5, "e": True}
@@ -411,6 +457,11 @@ class TestCopyJson:
         copied = copy_json(value)
         assert copied == value
         assert not containers(copied) & containers(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, MIXED_VALUES))
+    def test_matches_the_reference_copier(self, value):
+        assert outcome(copy_json, value) == outcome(reference_copy_json, value)
 
 
 def containers(value) -> set[int]:

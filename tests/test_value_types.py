@@ -8,6 +8,7 @@ hashing, validation on every copy-with-change path and the memos that
 import copy
 import inspect
 import json
+import pickle
 import pytest
 
 from machina import actions, belief, engine, guards, harness, model, policy, providers, scene
@@ -356,12 +357,13 @@ MEMOS = [
     (SAMPLES[policy.CandidateTransition]._replace(), "prompt_line", {"target_description": "x"}),
     (SAMPLES[scene.SceneGraph]._replace(), "json_value", {}),
     (SAMPLES[scene.SceneGraph]._replace(), "json_text", {}),
+    (SAMPLES[model.ActionSpec]._replace(), "resolved_output_key", {"output_key": "other"}),
+    (SAMPLES[model.State]._replace(), "is_end", {"tags": frozenset({"end"})}),
 ]
+MEMO_IDS = [f"{type(v).__name__}.{memo}" for v, memo, _ in MEMOS]
 
 
-@pytest.mark.parametrize(
-    "value, memo, change", MEMOS, ids=[f"{type(v).__name__}.{memo}" for v, memo, _ in MEMOS]
-)
+@pytest.mark.parametrize("value, memo, change", MEMOS, ids=MEMO_IDS)
 def test_memos_are_kept_and_a_changed_copy_starts_without_them(value, memo, change):
     assert memo not in vars(value)
     first = getattr(value, memo)
@@ -369,6 +371,35 @@ def test_memos_are_kept_and_a_changed_copy_starts_without_them(value, memo, chan
     changed = value._replace(**change)
     assert memo not in vars(changed)
     assert memo not in vars(copy.copy(value))
+
+
+@pytest.mark.parametrize("value, memo, change", MEMOS, ids=MEMO_IDS)
+def test_a_filled_memo_changes_no_equality_hash_or_repr(value, memo, change):
+    empty, filled = value._replace(), value._replace()
+    getattr(filled, memo)
+    assert memo in vars(filled) and memo not in vars(empty)
+    assert filled == empty and repr(filled) == repr(empty)
+    if type(value) not in UNHASHABLE:
+        assert hash(filled) == hash(empty)
+
+
+@pytest.mark.parametrize(
+    "value, memo, change, derived",
+    [
+        (SAMPLES[model.ActionSpec], "resolved_output_key", {"output_key": "other"}, "other"),
+        (SAMPLES[model.ActionSpec], "resolved_output_key", {"output_key": None}, "note"),
+        (SAMPLES[model.State], "is_end", {"tags": frozenset({"end"})}, True),
+    ],
+    ids=["ActionSpec.output_key", "ActionSpec.no_output_key", "State.tags"],
+)
+def test_a_copied_model_value_derives_its_own_memo(value, memo, change, derived):
+    value = value._replace()
+    kept = getattr(value, memo)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), value._replace()):
+        assert memo not in vars(twin) and twin == value
+    changed = value._replace(**change)
+    assert getattr(changed, memo) == derived != kept
+    assert getattr(value, memo) == kept
 
 
 def test_a_changed_condition_parses_its_own_expression():

@@ -10,10 +10,13 @@ each length it times ``render_history`` at the LLM policy's default budget
 ``h3_event_us`` is the median of those calls, so a garbage collection that
 lands in one call moves one sample, not the figure. Each side runs in a fresh
 interpreter, the two sides alternating pair by pair; the report keeps the
-minimum over the pairs, ``same_text`` says whether every run rendered the same
-history, and ``render_speedup`` and ``event_speedup`` divide the before
-minimum by the after one. ``--worker SRC`` runs one side and prints its
-timings as JSON.
+minimum of each number over the pairs, ``same_text`` says whether every run
+rendered the same history, and ``render_speedup`` and ``event_speedup`` divide
+the before minimum by the after one. ``render_ratio_range`` and
+``event_ratio_range`` give the lowest and highest before/after ratio of a
+single pair: the noise floor, which for a tree compared with itself is the
+spread around 1 that host load alone produces. ``--worker SRC`` runs one side
+and prints its timings as JSON.
 """
 
 from __future__ import annotations
@@ -95,6 +98,19 @@ def worker(src: str) -> dict:
     return report
 
 
+def ratio_range(runs: dict[str, list[dict]], key: str) -> dict[str, list[float]]:
+    """Per length, the lowest and highest before/after ratio of ``key`` in
+    one pair."""
+    ranges = {}
+    for length in runs["after"][0]:
+        ratios = [
+            before[length][key] / after[length][key]
+            for before, after in zip(runs["before"], runs["after"])
+        ]
+        ranges[length] = [round(min(ratios), 2), round(max(ratios), 2)]
+    return ranges
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--worker", metavar="SRC", help="measure the machina package under SRC")
@@ -116,9 +132,14 @@ def main() -> None:
                 [sys.executable, __file__, "--worker", src], capture_output=True, text=True, check=True
             )
             runs[side].append(json.loads(done.stdout))
+    # the minimum of each number; the text digest is compared by same_text
     best = {
         side: {
-            length: {key: min(r[length][key] for r in reports) for key in reports[0][length]}
+            length: {
+                key: min(r[length][key] for r in reports)
+                for key, value in reports[0][length].items()
+                if not isinstance(value, str)
+            }
             for length in reports[0]
         }
         for side, reports in runs.items()
@@ -141,6 +162,8 @@ def main() -> None:
         "min": best,
         "render_speedup": speedup,
         "event_speedup": event_speedup,
+        "render_ratio_range": ratio_range(runs, "render_history_ms"),
+        "event_ratio_range": ratio_range(runs, "h3_event_us"),
         "runs": runs,
     }
     print(json.dumps(report, indent=1))
