@@ -510,8 +510,7 @@ def dispatch(
     if leaf is None:
         raise AgentNotStarted()
 
-    plan = agent.machine._memo.get(leaf) or _leaf_plan(agent.machine, leaf)
-    for i, chosen in enumerate(plan.steps):
+    for i, chosen in enumerate(_leaf_plan(agent.machine, leaf).steps):
         t = chosen.transition
         if t.event == event.name and (
             _candidates[i] is chosen.passed

@@ -66,6 +66,9 @@ class CallStats(Value):
         self.prompt_bytes = prompt_bytes
         self.reply_bytes = reply_bytes
 
+    def snapshot(self) -> "CallStats":
+        return CallStats(self.calls, self.prompt_bytes, self.reply_bytes)
+
 
 class CompletionProvider(Protocol):
     def complete(self, request: CompletionRequest) -> str: ...
@@ -132,8 +135,7 @@ class ScriptedProvider:
         return reply
 
     def snapshot_stats(self) -> CallStats:
-        stats = self._stats
-        return CallStats(stats.calls, stats.prompt_bytes, stats.reply_bytes)
+        return self._stats.snapshot()
 
 
 def load_script(path: str | Path) -> ScriptedProvider:
@@ -273,5 +275,4 @@ class HttpProvider:
         return reply
 
     def snapshot_stats(self) -> CallStats:
-        stats = self._stats
-        return CallStats(stats.calls, stats.prompt_bytes, stats.reply_bytes)
+        return self._stats.snapshot()
