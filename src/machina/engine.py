@@ -187,7 +187,7 @@ class StepOutcome(NamedTuple):
 class Agent(Value):
     """A machine bound to a belief, a policy stack, actions and a provider.
     Building one, ``_replace`` included, validates the machine against the
-    registry's action names."""
+    registry's action names and requires a callable ``select`` of each policy stage."""
 
     __slots__ = ("machine", "belief", "policy", "registry", "provider", "limits")
 
@@ -208,6 +208,9 @@ class Agent(Value):
             machine._memo[("report", names)] = report
         if not report.ok:
             raise InvalidMachine(report)
+        for stage in policy:
+            if not callable(getattr(stage, "select", None)):
+                raise MachinaError(f"unknown policy stage: {stage!r}")
         self.machine = machine
         self.belief = belief
         self.policy = policy

@@ -3,14 +3,15 @@
 A policy receives the current state, the candidate transitions (with guards
 already evaluated) and the belief, and yields the :class:`EventInstance` the
 engine dispatches. Policies are stacked: the fast-forward shortcut always
-runs first, then each stage in order until one selects.
+runs first, then each stage in order until one selects. A stage is any object
+with ``select(state, selectable, belief, provider)``, as :class:`PolicyStage` says.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Protocol, Sequence, Union
 
 from .actions import ArgumentTypeError, coerce_argument
 from .belief import Belief, lookup_scope, render_history
@@ -144,6 +145,9 @@ class Rule(FrozenValue):
 class RulePolicy(NamedTuple):
     rules: tuple[Rule, ...]
 
+    def select(self, state, selectable, belief, provider):
+        return rule_decide(self.rules, state, selectable, belief)
+
 
 class LlmPolicy(FrozenValue):
     __slots__ = ("task_description", "history_token_budget")
@@ -154,8 +158,16 @@ class LlmPolicy(FrozenValue):
             raise MachinaError(f"history_token_budget must be an integer >= 1, got {budget!r}")
         self._set(task_description, history_token_budget)
 
+    def select(self, state, selectable, belief, provider):
+        return llm_decide(self, provider, state, selectable, belief) if selectable else None
 
-PolicyStage = Union[RulePolicy, LlmPolicy]
+
+class PolicyStage(Protocol):
+    """``select`` returns an event among ``selectable``, or ``None`` to pass to the next stage."""
+
+    def select(
+        self, state: State, selectable: Sequence[CandidateTransition], belief: Belief, provider: CompletionProvider
+    ) -> EventInstance | None: ...
 
 
 def _selectable(candidates: Sequence[CandidateTransition]) -> list[CandidateTransition]:
@@ -305,7 +317,8 @@ def decide(
     belief: Belief,
     provider: CompletionProvider,
 ) -> EventInstance:
-    """Fast-forward, then each stage in order; the first selection wins.
+    """Fast-forward, then each stage's ``select`` in order; the first
+    selection that is not ``None`` wins. A stage is any object with ``select``.
 
     An empty stack is allowed for machines whose every step fast-forwards;
     any step that actually needs a decision then exhausts the policy.
@@ -315,15 +328,9 @@ def decide(
         return shortcut
     selectable = _selectable(candidates)
     for stage in stack:
-        if isinstance(stage, RulePolicy):
-            selection = rule_decide(stage.rules, state, selectable, belief)
-            if selection is not None:
-                return selection
-        elif isinstance(stage, LlmPolicy):
-            if selectable:
-                return llm_decide(stage, provider, state, selectable, belief)
-        else:
-            raise MachinaError(f"unknown policy stage: {stage!r}")
+        selection = stage.select(state, selectable, belief, provider)
+        if selection is not None:
+            return selection
     raise PolicyExhausted()
 
 

@@ -1,6 +1,6 @@
 """Cost of one history render and one resume event as a run grows long.
 
-    python3 tools/longrun.py --before OLD/src --after src --pairs 5 > BENCH_longrun.json
+    python3 tools/longrun.py --before OLD/src --after src > BENCH_longrun.json
 
 Drives the bundled ``h3`` machine with ``e1`` events, each carrying a
 code-like payload of 0 to 2048 bytes (as perfbench's resume-loop does), up to
@@ -15,8 +15,12 @@ rendered the same history, and ``render_speedup`` and ``event_speedup`` divide
 the before minimum by the after one. ``render_ratio_range`` and
 ``event_ratio_range`` give the lowest and highest before/after ratio of a
 single pair: the noise floor, which for a tree compared with itself is the
-spread around 1 that host load alone produces. ``--worker SRC`` runs one side
-and prints its timings as JSON.
+spread around 1 that host load alone produces. ``render_verdict`` and
+``event_verdict`` say per length whether the change is ``faster`` (every
+after-run beat every before-run), ``slower`` (every before-run beat every
+after-run) or ``unresolved`` (the runs overlap, or fewer than ``VERDICT_PAIRS``
+pairs ran): on a shared host a single ratio moves by more than a 10% change.
+``--worker SRC`` runs one side and prints its timings as JSON.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ LENGTHS = (30, 100, 1000, 5000)
 # between LENGTHS, so the next length is still ahead once they are done
 EVENTS_TIMED = 20
 RENDER_REPEATS = 5
+# pairs needed before a verdict other than "unresolved" is given
+VERDICT_PAIRS = 10
 SEED = 7
 MAX_PAYLOAD_BYTES = 2048
 WORDS = ("def", "return", "assert", "class", "value", "result", "items", "self", "case", "None")
@@ -111,12 +117,30 @@ def ratio_range(runs: dict[str, list[dict]], key: str) -> dict[str, list[float]]
     return ranges
 
 
+def verdict(runs: dict[str, list[dict]], key: str) -> dict[str, str]:
+    """Per length, ``faster`` when every after-run's ``key`` is below every
+    before-run's, ``slower`` for the reverse, else ``unresolved``."""
+    verdicts = {}
+    for length in runs["after"][0]:
+        before = [r[length][key] for r in runs["before"]]
+        after = [r[length][key] for r in runs["after"]]
+        if len(after) < VERDICT_PAIRS:
+            verdicts[length] = "unresolved"
+        elif max(after) < min(before):
+            verdicts[length] = "faster"
+        elif min(after) > max(before):
+            verdicts[length] = "slower"
+        else:
+            verdicts[length] = "unresolved"
+    return verdicts
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--worker", metavar="SRC", help="measure the machina package under SRC")
     parser.add_argument("--before", metavar="SRC", help="source tree of the parent commit")
     parser.add_argument("--after", metavar="SRC", default="src", help="source tree of the change")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=VERDICT_PAIRS)
     args = parser.parse_args()
     if args.worker:
         print(json.dumps(worker(args.worker)))
@@ -164,6 +188,8 @@ def main() -> None:
         "event_speedup": event_speedup,
         "render_ratio_range": ratio_range(runs, "render_history_ms"),
         "event_ratio_range": ratio_range(runs, "h3_event_us"),
+        "render_verdict": verdict(runs, "render_history_ms"),
+        "event_verdict": verdict(runs, "h3_event_us"),
         "runs": runs,
     }
     print(json.dumps(report, indent=1))
