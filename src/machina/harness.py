@@ -9,7 +9,6 @@ replies a perfectly behaving model would give, keeping runs hermetic.
 
 from __future__ import annotations
 
-import collections
 import functools
 import json
 import math
@@ -38,7 +37,7 @@ from .scene import (
     normalize_answer,
     parse_scene,
 )
-from .values import distinct
+from .values import distinct, tuple_new
 
 COUNTING, JUDGING, QUERYING = QUESTION_TYPES
 
@@ -48,7 +47,8 @@ _VALUE_TO_ATTRIBUTE = {
 
 
 class MinSize(MachinaError):
-    """Dataset generation was asked for an empty dataset."""
+    """Dataset generation was asked for an empty dataset, or for a count
+    that is not an ``int``."""
 
 
 class BadSceneFile(MachinaError):
@@ -196,14 +196,17 @@ def parse_question(question: str) -> QuestionSpec:
 
 
 def _oracle_matches(scene: SceneGraph, spec: QuestionSpec) -> list[SceneObject]:
-    matched = []
-    for obj in scene.objects:
-        if any(getattr(obj, attr) != value for attr, value in spec.predicate.items()):
-            continue
-        if spec.exclude_shape is not None and obj.shape == spec.exclude_shape:
-            continue
-        matched.append(obj)
-    return matched
+    objects = scene.objects
+    predicate = spec.predicate
+    if predicate:
+        # attrgetter of one name returns the bare value, of several a tuple
+        key = operator.attrgetter(*predicate)
+        values = tuple(predicate.values())
+        wanted = values if len(values) > 1 else values[0]
+        objects = [obj for obj in objects if key(obj) == wanted]
+    if spec.exclude_shape is not None:
+        return [obj for obj in objects if obj.shape != spec.exclude_shape]
+    return list(objects)
 
 
 def oracle_answer(scene: SceneGraph, spec: QuestionSpec) -> str:
@@ -236,56 +239,61 @@ _ALL_COMBOS = [
 ]
 
 
+def _ordering(sequence: list[str]) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
+    """Per object of ``sequence``, the objects before it and the objects
+    after it; an object with none on a side has no entry there."""
+    before: dict[str, frozenset[str]] = {}
+    after: dict[str, frozenset[str]] = {}
+    for pos in range(1, len(sequence)):
+        before[sequence[pos]] = frozenset(sequence[:pos])
+        after[sequence[pos - 1]] = frozenset(sequence[pos:])
+    return before, after
+
+
 def _random_scene(rnd: random.Random) -> SceneGraph:
     n = rnd.randint(3, 10)
     combos = rnd.sample(_ALL_COMBOS, n)
+    ids = [f"o{i}" for i in range(1, n + 1)]
+    # each combo is (color, material, shape, size), the fields after the id
     objects = tuple(
-        SceneObject(f"o{i + 1}", color, material, shape, size)
-        for i, (color, material, shape, size) in enumerate(combos)
+        [tuple_new(SceneObject, (object_id, *combo)) for object_id, combo in zip(ids, combos)]
     )
-    ids = [o.id for o in objects]
     left_to_right = ids[:]
     rnd.shuffle(left_to_right)
     front_to_back = ids[:]
     rnd.shuffle(front_to_back)
-
-    def ordering(sequence: list[str]) -> dict[str, dict[str, frozenset[str]]]:
-        before: dict[str, frozenset[str]] = {}
-        after: dict[str, frozenset[str]] = {}
-        for pos, obj in enumerate(sequence):
-            if pos:
-                before[obj] = frozenset(sequence[:pos])
-            if pos < len(sequence) - 1:
-                after[obj] = frozenset(sequence[pos + 1 :])
-        return {"before": before, "after": after}
-
-    horizontal = ordering(left_to_right)
-    depth = ordering(front_to_back)
-    relations = {
-        "left": horizontal["before"],
-        "right": horizontal["after"],
-        "front": depth["before"],
-        "behind": depth["after"],
-    }
-    return SceneGraph(objects, relations)
+    left, right = _ordering(left_to_right)
+    front, behind = _ordering(front_to_back)
+    return SceneGraph(objects, {"left": left, "right": right, "front": front, "behind": behind})
 
 
-def _query_pairs(scene: SceneGraph) -> list[QuestionSpec]:
+# Per attribute: the other three, whose values identify an object, and their getter.
+_IDENTIFYING = {
+    attr: (others, operator.attrgetter(*others))
+    for attr in ATTRIBUTES
+    for others in [tuple(a for a in ATTRIBUTES if a != attr)]
+}
+
+
+def _query_pairs(scene: SceneGraph) -> list[tuple[SceneObject, str]]:
     """Every (object, attribute) choice whose identifying predicate (the
-    other three attributes) matches exactly one object."""
-    others = {attr: tuple(a for a in ATTRIBUTES if a != attr) for attr in ATTRIBUTES}
-    triples = {attr: operator.attrgetter(*others[attr]) for attr in ATTRIBUTES}
-    counts = {
-        attr: collections.Counter(map(triples[attr], scene.objects)) for attr in ATTRIBUTES
-    }
-    pairs = []
-    for obj in scene.objects:
-        for attr in ATTRIBUTES:
-            triple = triples[attr](obj)
-            if counts[attr][triple] == 1:
-                predicate = dict(zip(others[attr], triple))
-                pairs.append(QuestionSpec(QUERYING, predicate, query_attribute=attr))
-    return pairs
+    other three attributes) matches exactly one object, object by object.
+    :func:`_query_spec` builds the question a choice stands for."""
+    objects = scene.objects
+    columns = [(attr, list(map(triple, objects))) for attr, (_, triple) in _IDENTIFYING.items()]
+    return [
+        (obj, attr)
+        for i, obj in enumerate(objects)
+        for attr, column in columns
+        if column.count(column[i]) == 1
+    ]
+
+
+def _query_spec(obj: SceneObject, attr: str) -> QuestionSpec:
+    """The question asking for ``attr`` of the object whose other three
+    attributes identify it, named in ``ATTRIBUTES`` order."""
+    others, triple = _IDENTIFYING[attr]
+    return QuestionSpec(QUERYING, dict(zip(others, triple(obj))), query_attribute=attr)
 
 
 def _random_counting(rnd: random.Random) -> QuestionSpec:
@@ -309,8 +317,12 @@ def generate_mini_clevr(seed: int, n_scenes: int, questions_per_scene: int) -> D
     consistent relations derived from random left-to-right and front-to-back
     orderings. Question types cycle counting, judging, querying.
     """
-    if n_scenes < 1 or questions_per_scene < 1:
-        raise MinSize("need at least one scene and one question per scene")
+    for count in (n_scenes, questions_per_scene):
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise MinSize(
+                "need at least one scene and one question per scene, each counted by an"
+                f" int; got {n_scenes!r} and {questions_per_scene!r}"
+            )
     rnd = random.Random(seed)
     items: list[DatasetItem] = []
     index = 0
@@ -325,11 +337,10 @@ def generate_mini_clevr(seed: int, n_scenes: int, questions_per_scene: int) -> D
             elif qtype == JUDGING:
                 spec = _random_judging(rnd)
             else:
-                spec = rnd.choice(query_pairs)
+                spec = _query_spec(*rnd.choice(query_pairs))
             question = render_question(spec)
-            items.append(
-                DatasetItem(index, question, scene, qtype, oracle_answer(scene, spec), spec)
-            )
+            answer = oracle_answer(scene, spec)
+            items.append(tuple_new(DatasetItem, (index, question, scene, qtype, answer, spec)))
             index += 1
     return Dataset(seed, tuple(items))
 

@@ -23,6 +23,10 @@ API_KEY_ENV = "SHERPA_API_KEY"
 TEMPERATURE = 0.01
 MAX_REPLY_BYTES = 16384
 RETRY_BACKOFF_SECONDS = (0.5, 2.0)
+# Room for the JSON envelope around a reply of MAX_REPLY_BYTES, many times
+# over; an HTTP body is read in chunks and never past this cap.
+_BODY_CAP_BYTES = 1 << 20
+_BODY_CHUNK_BYTES = 1 << 16
 
 
 class ProviderError(MachinaError):
@@ -153,6 +157,25 @@ def load_script(path: str | Path) -> ScriptedProvider:
     return ScriptedProvider(steps)
 
 
+def _read_body(response) -> bytes:
+    """The body of an HTTP response, read in chunks. A ``Content-Length``
+    over ``_BODY_CAP_BYTES`` raises ``HttpError`` before any of it is read;
+    a longer body raises it once one byte past the cap arrives."""
+    declared = response.headers.get("Content-Length", "")
+    if declared.isdecimal() and int(declared) > _BODY_CAP_BYTES:
+        raise HttpError(
+            response.status, f"body of {declared} bytes is over the {_BODY_CAP_BYTES}-byte cap"
+        )
+    chunks = []
+    size = 0
+    while chunk := response.read(min(_BODY_CHUNK_BYTES, _BODY_CAP_BYTES + 1 - size)):
+        size += len(chunk)
+        if size > _BODY_CAP_BYTES:
+            raise HttpError(response.status, f"body is over the {_BODY_CAP_BYTES}-byte cap")
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 class HttpProvider:
     """OpenAI-compatible ``POST {base_url}/chat/completions`` client on the
     standard library's ``urllib.request``.
@@ -166,7 +189,10 @@ class HttpProvider:
     immediately, and so does a 3xx, since no redirect is followed. Each
     HTTP attempt counts as one provider call. The reply body is decoded as
     strict UTF-8 JSON whatever its charset header; a timeout raises
-    ``Timeout`` and any other transport failure ``HttpError(0, ...)``.
+    ``Timeout`` and any other transport failure ``HttpError(0, ...)``. A
+    body is read to at most 1 MiB: a longer one, whether its
+    ``Content-Length`` says so or its bytes show it, fails the attempt with
+    ``HttpError`` of the response's status, not retried.
     Proxy settings are read from the environment when the provider is built.
 
     ``import machina`` does not load the HTTP stack (``urllib.request``,
@@ -232,7 +258,7 @@ class HttpProvider:
             except urllib.error.HTTPError as exc:
                 response = exc
             with response:
-                return response.status, response.read()
+                return response.status, _read_body(response)
         except TimeoutError:
             raise Timeout() from None
         except urllib.error.URLError as exc:

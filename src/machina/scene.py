@@ -133,6 +133,17 @@ class SceneGraph(FrozenValue):
         objects = tuple(objects)
         ids: set[str] = set()
         for i, obj in enumerate(objects):
+            if (
+                isinstance(obj.id, str)
+                and obj.size in SIZES
+                and obj.color in COLORS
+                and obj.material in MATERIALS
+                and obj.shape in SHAPES
+                and obj.id not in ids
+            ):
+                ids.add(obj.id)
+                continue
+            # a fault: report the first one the checks find, one at a time
             pointer = f"/objects/{i}"
             if not isinstance(obj.id, str):
                 raise InvalidScene(f"{pointer}/id", f"{obj.id!r} is not a string")
@@ -140,27 +151,30 @@ class SceneGraph(FrozenValue):
                 value = getattr(obj, attr)
                 if value not in ATTRIBUTE_VALUES[attr]:
                     raise InvalidScene(f"{pointer}/{attr}", f"{value!r} is not a valid {attr}")
-            if obj.id in ids:
-                raise InvalidScene(f"{pointer}/id", f"duplicate object id {obj.id!r}")
-            ids.add(obj.id)
+            raise InvalidScene(f"{pointer}/id", f"duplicate object id {obj.id!r}")
 
         tables: dict[str, dict[str, frozenset[str]]] = {r: {} for r in RELATIONS}
         for rel, table in relations.items():
             if rel not in RELATIONS:
                 raise InvalidScene(f"/relations/{rel}", f"unknown relation {rel!r}")
+            checked = tables[rel]
             for key, others in table.items():
+                members = frozenset(others)
+                if key in ids and members and members <= ids and key not in members:
+                    checked[key] = members
+                    continue
+                # a fault: report the first one in the entry's own order, or in
+                # the set's if the entry was an iterator that ``members`` used up
                 pointer = f"/relations/{rel}/{key}"
                 if key not in ids:
                     raise InvalidScene(pointer, f"unknown object {key!r}")
-                members = frozenset(others)
                 if not members:
                     raise InvalidScene(pointer, "empty entry")
-                for other in others:
+                for other in members if iter(others) is others else others:
                     if other not in ids or other == key:
                         raise InvalidScene(pointer, f"{other!r} is not another object of the scene")
-                tables[rel][key] = members
         for forward, backward in _INVERSE_PAIRS:
-            if _inverse(tables[forward]) != tables[backward]:
+            if not _mirrored(tables[forward], tables[backward]):
                 raise InverseConflict(
                     f"relations {forward!r} and {backward!r} are not mutual inverses"
                 )
@@ -191,6 +205,22 @@ class SceneGraph(FrozenValue):
 def _scene_order(scene: SceneGraph, ids: Iterable[str]) -> list[str]:
     wanted = set(ids)
     return [o.id for o in scene.objects if o.id in wanted]
+
+
+def _mirrored(ahead: Mapping[str, frozenset[str]], behind: Mapping[str, frozenset[str]]) -> bool:
+    """Whether two relation tables without empty entries are mutual inverses:
+    they hold as many (key, member) pairs, and each pair of ``ahead`` is in
+    ``behind`` the other way round."""
+    if sum(map(len, ahead.values())) != sum(map(len, behind.values())):
+        return False
+    try:
+        for key, members in ahead.items():
+            for other in members:
+                if key not in behind[other]:
+                    return False
+    except KeyError:
+        return False
+    return True
 
 
 def _inverse(table: Mapping[str, Iterable[str]]) -> dict[str, set[str]]:

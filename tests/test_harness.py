@@ -21,11 +21,13 @@ from machina.harness import (
     render_question,
     _output_text,
     _query_pairs,
+    _query_spec,
     _random_scene,
     run_eval,
 )
 from machina.providers import ScriptedProvider
 from machina.scene import ATTRIBUTE_VALUES, ATTRIBUTES, SceneGraph, SceneObject, scene_to_json_value
+import dataset_reference
 from helpers import action_library_answer, s1_scene, write_dataset
 
 
@@ -41,6 +43,21 @@ def dataset_fingerprint(dataset):
             for item in dataset.items
         ],
         sort_keys=True,
+    )
+
+
+def spelled_out_item(item):
+    """An item's fields, its spec's predicate with its key order and its
+    scene as canonical JSON."""
+    spec = item.spec
+    return (
+        item.index,
+        item.question,
+        item.answer,
+        item.qtype,
+        spec,
+        list(spec.predicate.items()),
+        scene_to_json_value(item.scene),
     )
 
 
@@ -63,6 +80,28 @@ class TestGenerator:
     def test_zero_scenes_rejected(self):
         with pytest.raises(MinSize):
             generate_mini_clevr(7, 0, 3)
+
+    @pytest.mark.parametrize(
+        "n_scenes, questions_per_scene",
+        [(True, 3), (1, True), (False, 3), (1, 1.5), (2.0, 1), ("3", 1), (None, 1), (1, -1)],
+    )
+    def test_count_that_is_no_positive_int_rejected(self, n_scenes, questions_per_scene):
+        with pytest.raises(MinSize, match="int"):
+            generate_mini_clevr(7, n_scenes, questions_per_scene)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**64),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_matches_the_reference_generator(self, seed, n_scenes, questions_per_scene):
+        expected = dataset_reference.generate_mini_clevr(seed, n_scenes, questions_per_scene)
+        got = generate_mini_clevr(seed, n_scenes, questions_per_scene)
+        assert got.seed == expected.seed
+        assert [spelled_out_item(i) for i in got.items] == [
+            spelled_out_item(i) for i in expected.items
+        ]
 
     def test_scene_sizes_in_range(self):
         dataset = generate_mini_clevr(21, 10, 1)
@@ -130,8 +169,12 @@ def reference_query_pairs(scene):
 
 
 def spelled_out(pairs):
-    """Pairs with their predicate key order, which dict equality ignores."""
-    return [(p, list(p.predicate.items())) for p in pairs]
+    """Each pair as the querying spec it stands for, with its predicate key
+    order, which dict equality ignores. ``_query_pairs`` gives (object,
+    attribute) choices, spelled out as the generator does; the reference
+    gives the specs themselves."""
+    specs = [p if isinstance(p, QuestionSpec) else _query_spec(*p) for p in pairs]
+    return [(s, list(s.predicate.items())) for s in specs]
 
 
 # Two values per attribute, so identifying triples repeat often.
@@ -158,7 +201,8 @@ class TestQueryPairs:
 
     def test_dataset_digest_pinned(self):
         """sha256 over the canonical items of the seed-7 perfbench dataset, as
-        computed with the quadratic ``_query_pairs``."""
+        the generator computed it when each scene's querying pairs were found
+        by rescanning every object (``reference_query_pairs``)."""
         digest = hashlib.sha256()
         for item in generate_mini_clevr(7, 200, 3).items:
             spec = item.spec

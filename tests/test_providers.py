@@ -8,6 +8,8 @@ import pytest
 
 from machina.errors import MachinaError, SchemaError, UnencodableText
 from machina.providers import (
+    _BODY_CAP_BYTES,
+    _BODY_CHUNK_BYTES,
     CompletionRequest,
     HttpError,
     HttpProvider,
@@ -483,3 +485,88 @@ class TestHttpProxy:
             (first.server_port, "POST", target, "Bearer k"),
             (second.server_port, "POST", target, "Bearer k"),
         ]
+
+
+class _OversizedBodyHandler(BaseHTTPRequestHandler):
+    """Answers every POST with status 200 and a body four times the cap,
+    written 4 KiB at a time through a small send buffer, with or without a
+    ``Content-Length``. ``sent`` is how much of the body the kernel took
+    before the client hung up."""
+
+    declare_length = False
+    sent = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        total = 4 * _BODY_CAP_BYTES
+        self.send_response(200)
+        if self.declare_length:
+            self.send_header("Content-Length", str(total))
+        self.end_headers()
+        self.wfile.flush()
+        piece = b" " * 4096
+        sent = 0
+        try:
+            while sent < total:
+                self.wfile.write(piece)
+                sent += len(piece)
+        except OSError:
+            pass
+        _OversizedBodyHandler.sent = sent
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+def _small_receive_buffer(
+    address, timeout=socket._GLOBAL_DEFAULT_TIMEOUT, source_address=None, **kwargs
+):
+    """``socket.create_connection`` for IPv4 with a 4 KiB receive buffer, so
+    what the server has sent is within a few KiB of what the client read."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    if timeout is not socket._GLOBAL_DEFAULT_TIMEOUT:
+        sock.settimeout(timeout)
+    sock.connect(address)
+    return sock
+
+
+class TestHttpBodyCap:
+    """A body over the cap fails the attempt as one call, and the client
+    reads at most one chunk past the cap (ROADMAP item 12(a))."""
+
+    @pytest.fixture()
+    def oversized(self, monkeypatch):
+        monkeypatch.setattr(socket, "create_connection", _small_receive_buffer)
+        _OversizedBodyHandler.sent = 0
+        server, thread = _serve(_OversizedBodyHandler)
+        yield server
+        _stop(server, thread)
+
+    @pytest.mark.parametrize("declare_length", [False, True], ids=["streamed", "content-length"])
+    def test_body_over_the_cap_fails_after_at_most_one_chunk_more(self, oversized, declare_length):
+        _OversizedBodyHandler.declare_length = declare_length
+        sleeps = []
+        provider = HttpProvider(
+            f"http://127.0.0.1:{oversized.server_port}", model="m", api_key="k", sleep=sleeps.append
+        )
+        with pytest.raises(HttpError, match="cap") as err:
+            provider.complete(req())
+        assert err.value.status == 200
+        assert provider.snapshot_stats().calls == 1
+        assert sleeps == []
+        oversized.shutdown()  # returns once the handler has recorded ``sent``
+        assert _OversizedBodyHandler.sent <= _BODY_CAP_BYTES + _BODY_CHUNK_BYTES
+        if declare_length:
+            assert _OversizedBodyHandler.sent <= _BODY_CHUNK_BYTES
+
+    def test_body_at_the_cap_is_read_in_full(self, served_body):
+        envelope = _raw_completion(b"")
+        _ServedBodyHandler.content_type = "application/json"
+        padding = b" " * (_BODY_CAP_BYTES - len(envelope))
+        _ServedBodyHandler.body = envelope[:-4] + padding + envelope[-4:]
+        provider = HttpProvider(served_body, model="m", api_key="k")
+        assert provider.complete(req()) == ""
+        assert provider.snapshot_stats().calls == 1
