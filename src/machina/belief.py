@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import ChainMap
 from json.encoder import c_make_encoder, encode_basestring
 from operator import attrgetter
@@ -116,12 +117,19 @@ def new_belief(
     :func:`copy_json`, which raises :class:`NotJsonValue` for a value that
     is not plain JSON. Their keys must be identifiers; internal parameters,
     guards, rules and :func:`kv_get` read them like key-value entries.
+    Task-context text that UTF-8 cannot encode (a lone surrogate, as a
+    command line that is not UTF-8 decodes to) raises
+    :class:`~machina.errors.UnencodableText`, since every prompt and trace
+    writes it as UTF-8.
     """
     context = []
     for role, text in task_context:
         if role not in ROLES:
             raise MachinaError(f"task context role must be one of {ROLES}, got {role!r}")
-        context.append((role, str(text)))
+        text = str(text)
+        if not text.isascii():
+            utf8(text)
+        context.append((role, text))
     own_inputs = {}
     for key, value in (inputs or {}).items():
         if not is_identifier(key):
@@ -131,7 +139,9 @@ def new_belief(
 
 
 def record_transition(belief: Belief, rec: TransitionRecord) -> Belief:
-    """Append a transition; steps must arrive in order, starting at 1."""
+    """Append a transition; steps must arrive in order, starting at 1.
+    :func:`~machina.engine.dispatch` makes the same check on its own
+    records and appends them itself."""
     expected = len(belief.trajectory) + 1
     if rec.step != expected:
         raise StepOutOfOrder(f"transition step {rec.step}, expected {expected}")
@@ -146,6 +156,8 @@ def record_action(belief: Belief, rec: ActionRecord) -> Belief:
     The step may reference an existing trajectory step, step 0 (pre-run), or
     the step currently in flight (one past the trajectory length): actions
     execute before their transition record lands.
+    :func:`~machina.engine.execute_action` makes the same checks before it
+    runs an action and appends its record itself.
     """
     if rec.phase not in PHASES:
         raise MachinaError(f"action phase must be one of {PHASES}, got {rec.phase!r}")
@@ -203,16 +215,38 @@ def seed_parsed_input(belief: Belief, path: str, parse: Callable[[JsonValue], ob
     belief._parsed[(path, parse)] = value
 
 
-# JSON scalars shared as they are; a float is checked on its own, since NaN
-# and the infinities have no strict JSON form.
-_JSON_SCALARS = frozenset((str, int, bool, type(None)))
+# JSON scalars shared as they are. An int is shared when ``str`` can write
+# it, and a float when it is finite: NaN and the infinities have no strict
+# JSON form.
+_JSON_SCALARS = frozenset((str, bool, type(None)))
+
+# Python 3.11 and later refuse to write an int of more digits than
+# sys.get_int_max_str_digits(); every limit it accepts is 0 (none) or at
+# least 640 digits, so a shorter int is always written.
+_get_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_SHORT_INT_LOW, _SHORT_INT_HIGH = -(10**640), 10**640
+_int_bounds: dict[int, int] = {}
+
+
+def _int_has_text(value: int) -> bool:
+    """Whether ``str(value)`` is within the interpreter's digit limit."""
+    if _SHORT_INT_LOW < value < _SHORT_INT_HIGH:
+        return True
+    limit = _get_int_digit_limit()
+    if not limit:
+        return True
+    bound = _int_bounds.get(limit)
+    if bound is None:
+        bound = _int_bounds[limit] = 10**limit
+    return -bound < value < bound
 
 
 class NotJsonValue(MachinaError):
     """A value is not plain JSON: it holds a key that is not a string, a
     value of another type (a set, a tuple, bytes, a mapping or sequence
-    that is not a dict or list, a generator) or a float that strict JSON
-    cannot write (NaN or an infinity)."""
+    that is not a dict or list, a generator), an int with more digits than
+    the interpreter writes, or a float that strict JSON cannot write (NaN
+    or an infinity)."""
 
 
 class NestingTooDeep(NotJsonValue):
@@ -224,7 +258,9 @@ def copy_json(value: object) -> JsonValue:
 
     Dicts and lists are rebuilt; strings, integers, booleans, ``None`` and
     finite floats are shared. Anything else raises :class:`NotJsonValue`,
-    and a value nested past the interpreter's recursion limit
+    as does an int with more digits than ``sys.get_int_max_str_digits()``
+    (which ``str``, ``json.dumps`` and so a prompt or a trace would refuse
+    to write), and a value nested past the interpreter's recursion limit
     :class:`NestingTooDeep`. Every value that enters a belief (task
     inputs, event payloads, bound parameters, action outputs, the
     key-value store at snapshot) goes through here, so a belief holds
@@ -234,10 +270,14 @@ def copy_json(value: object) -> JsonValue:
     try:
         # scalars inline: most members of a JSON document are leaves, and
         # most leaves are strings (86-97% of the members perfbench's
-        # workloads copy), tested before the set lookup
+        # workloads copy), tested first; then a short int, then the set
         if kind is dict:
             copied = {
-                k: v if type(v) is str or type(v) in _JSON_SCALARS else copy_json(v)
+                k: v
+                if type(v) is str
+                or (type(v) is int and _SHORT_INT_LOW < v < _SHORT_INT_HIGH)
+                or type(v) in _JSON_SCALARS
+                else copy_json(v)
                 for k, v in value.items()
                 if type(k) is str
             }
@@ -247,13 +287,26 @@ def copy_json(value: object) -> JsonValue:
             return copied
         if kind is list:
             return [
-                v if type(v) is str or type(v) in _JSON_SCALARS else copy_json(v) for v in value
+                v
+                if type(v) is str
+                or (type(v) is int and _SHORT_INT_LOW < v < _SHORT_INT_HIGH)
+                or type(v) in _JSON_SCALARS
+                else copy_json(v)
+                for v in value
             ]
-        if kind in _JSON_SCALARS or (kind is float and math.isfinite(value)):
+        if (
+            kind in _JSON_SCALARS
+            or (kind is int and _int_has_text(value))
+            or (kind is float and math.isfinite(value))
+        ):
             return value
     except RecursionError:
         # the innermost level that hit the limit raises; the rest pass it on
         raise NestingTooDeep("value is nested too deeply to copy") from None
+    if kind is int:
+        raise NotJsonValue(
+            f"an int with more than {_get_int_digit_limit()} digits has no JSON form"
+        )
     if kind is float:
         raise NotJsonValue(f"{value!r} has no strict JSON form")
     raise NotJsonValue(f"a {kind.__name__} is not a JSON value")

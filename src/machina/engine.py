@@ -26,18 +26,18 @@ from .belief import (
     PHASE_ENTRY,
     PHASE_EXIT,
     PHASE_TRANSITION,
+    PHASES,
     ActionRecord,
     Belief,
     NotJsonValue,
     ReadOnlyInput,
+    StepOutOfOrder,
     TransitionRecord,
     _JSON_SCALARS,
     copy_json,
     kv_get,
     lookup_scope,
     parsed_input,
-    record_action,
-    record_transition,
     snapshot,
 )
 from .errors import MachinaError
@@ -59,7 +59,6 @@ from .model import (
     ValidationReport,
     enabled_transitions,
     initial_entry_path,
-    is_identifier,
     parent_chain,
     start_state,
     validate_machine,
@@ -443,7 +442,12 @@ def execute_action(
 ) -> ActionRecord:
     """Bind parameters, run the action, store its output, log the record.
 
-    External parameters come from ``external_args`` and are datatype
+    ``phase`` must be one of :data:`~machina.belief.PHASES` and ``step``
+    must reference step 0, an existing trajectory step or the step in
+    flight, as :func:`~machina.belief.record_action` requires; both are
+    checked before anything is bound or run, and raise its errors, so a
+    refused call runs no action and leaves the store and the log as they
+    were. External parameters come from ``external_args`` and are datatype
     checked; internal parameters are read from the task inputs or the
     key-value store under their source keys. The output lands in the store
     under the action's output key. The record holds copies of the inputs as
@@ -452,15 +456,20 @@ def execute_action(
     input is recorded as ``"<input:key>"``; the action gets its own copy of
     the value, or, for a parameter the action parses (the scene actions'
     ``scene``), the parse memoized per belief. An output key that is not an
-    identifier, or that names a task input, fails before the action runs; an
-    output that :func:`~machina.belief.copy_json` rejects fails the step with
+    identifier (tested once per spec), or that names a task input, fails
+    before the action runs; an output that
+    :func:`~machina.belief.copy_json` rejects fails the step with
     :class:`ActionFailure` and never reaches the store.
     """
+    if phase not in PHASES:
+        raise MachinaError(f"action phase must be one of {PHASES}, got {phase!r}")
+    if not 0 <= step <= len(belief.trajectory) + 1:
+        raise StepOutOfOrder(f"action step {step} does not reference an existing step")
     registered = registry.lookup(spec.name)
     if registered is None:
         raise ActionFailure(spec.name, "not registered")
     key = spec.resolved_output_key
-    if not is_identifier(key):
+    if not spec.output_key_is_identifier:
         raise MachinaError(f"output key of action {spec.name!r} must be an identifier, got {key!r}")
     if key in belief.inputs:
         raise ReadOnlyInput(key)
@@ -480,7 +489,7 @@ def execute_action(
         raise ActionFailure(spec.name, f"output: {exc}") from None
     belief.kv[key] = output
     record = tuple_new(ActionRecord, (step, spec.name, recorded_inputs, recorded_output, phase))
-    record_action(belief, record)
+    belief.execution_log.append(record)
     return record
 
 
@@ -492,6 +501,7 @@ def dispatch(
     agent: Agent,
     event: EventInstance,
     _candidates: Optional[Sequence[CandidateTransition]] = None,
+    _plan: Optional[_LeafPlan] = None,
 ) -> StepOutcome | None:
     """Apply one event to the agent's machine.
 
@@ -502,6 +512,8 @@ def dispatch(
     whose guard outcomes are reused; without it, guards are evaluated
     lazily in resolution order, each at most once per call, up to the first
     that passes. No guard outcome outlives the call that evaluated it.
+    ``_plan`` is the run loop's plan of the active leaf, which it has
+    already looked up; without it the plan is read from the machine's memo.
 
     Returns ``None`` when the event is unhandled and the limits say to
     ignore it. A payload that is not a mapping of plain JSON values raises
@@ -509,16 +521,18 @@ def dispatch(
     If an action fails mid-step the transition record is still appended
     (the log keeps referencing valid steps) and the failure propagates.
     """
-    leaf = agent.belief.current_state
+    belief = agent.belief
+    leaf = belief.current_state
     if leaf is None:
         raise AgentNotStarted()
+    plan = _plan if _plan is not None else _leaf_plan(agent.machine, leaf)
 
-    for i, chosen in enumerate(_leaf_plan(agent.machine, leaf).steps):
+    for i, chosen in enumerate(plan.steps):
         t = chosen.transition
         if t.event == event.name and (
             _candidates[i] is chosen.passed
             if _candidates is not None
-            else t.guard is None or eval_guard(t.guard, agent.belief, agent.registry, agent.provider)
+            else t.guard is None or eval_guard(t.guard, belief, agent.registry, agent.provider)
         ):
             break
     else:
@@ -538,7 +552,8 @@ def dispatch(
         payload = copy_json(payload)
     except NotJsonValue as exc:
         raise InvalidEventPayload(f"event payload: {exc}") from None
-    step = len(agent.belief.trajectory) + 1
+    trajectory = belief.trajectory
+    step = len(trajectory) + 1
     records: list[ActionRecord] = []
     try:
         for phase, spec in chosen.actions:
@@ -547,19 +562,22 @@ def dispatch(
                     agent.registry,
                     spec,
                     payload,
-                    agent.belief,
+                    belief,
                     agent.provider,
                     phase=phase,
                     step=step,
                 )
             )
     finally:
-        record_transition(
-            agent.belief,
+        # the check record_transition makes
+        if len(trajectory) + 1 != step:
+            raise StepOutOfOrder(f"transition step {step}, expected {len(trajectory) + 1}")
+        trajectory.append(
             tuple_new(
                 TransitionRecord, (step, leaf, chosen.target_leaf, event.name, payload or None)
-            ),
+            )
         )
+        belief.current_state = chosen.target_leaf
     return tuple_new(
         StepOutcome, (event, chosen.transition, leaf, chosen.target_leaf, tuple(records))
     )
@@ -649,6 +667,6 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
                 if candidates is None:
                     candidates = candidate_transitions(agent)
                 event = decide(agent.policy, plan.state, candidates, agent.belief, agent.provider)
-            dispatch(agent, event, candidates)
+            dispatch(agent, event, candidates, plan)
     except MachinaError as exc:
         return _result(agent, STATUS_FAILED, reason=str(exc))

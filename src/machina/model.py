@@ -91,6 +91,10 @@ class ActionSpec(FrozenValue):
     def resolved_output_key(self) -> str:
         return self.output_key if self.output_key is not None else self.name
 
+    @cached_property
+    def output_key_is_identifier(self) -> bool:
+        return is_identifier(self.resolved_output_key)
+
     def external_params(self) -> tuple[ParameterSpec, ...]:
         return tuple(p for p in self.params if p.source == SOURCE_EXTERNAL)
 

@@ -4,10 +4,19 @@ same copy for every value it accepts, the same exception type for every
 value it rejects."""
 
 import math
+import sys
 
 from machina.belief import NestingTooDeep, NotJsonValue
 
-_JSON_SCALARS = frozenset((str, int, bool, type(None)))
+_JSON_SCALARS = frozenset((str, bool, type(None)))
+
+
+def _int_has_text(value: int) -> bool:
+    try:
+        str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return False
+    return True
 
 
 def reference_copy_json(value: object):
@@ -25,10 +34,17 @@ def reference_copy_json(value: object):
             return copied
         if kind is list:
             return [v if type(v) in _JSON_SCALARS else reference_copy_json(v) for v in value]
-        if kind in _JSON_SCALARS or (kind is float and math.isfinite(value)):
+        if (
+            kind in _JSON_SCALARS
+            or (kind is int and _int_has_text(value))
+            or (kind is float and math.isfinite(value))
+        ):
             return value
     except RecursionError:
         raise NestingTooDeep("value is nested too deeply to copy") from None
+    if kind is int:
+        limit = sys.get_int_max_str_digits()
+        raise NotJsonValue(f"an int with more than {limit} digits has no JSON form")
     if kind is float:
         raise NotJsonValue(f"{value!r} has no strict JSON form")
     raise NotJsonValue(f"a {kind.__name__} is not a JSON value")

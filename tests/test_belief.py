@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -427,7 +428,40 @@ def outcome(copier, value) -> tuple:
         return type(exc), str(exc)
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Sets the interpreter's limit on an int's digits for one test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no limit on an int's digits")
+    kept = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(kept)
+
+
+def placed(value) -> list:
+    """``value`` alone, as a dict member and as a list member."""
+    return [value, {"k": value}, ["s", value]]
+
+
 class TestCopyJson:
+    @pytest.mark.parametrize("limit", [640, 700, 4300])
+    def test_an_int_is_copied_only_when_str_writes_it(self, int_digit_limit, limit):
+        int_digit_limit(limit)
+        for sign in (1, -1):
+            longest, too_long = sign * (10**limit - 1), sign * 10**limit
+            for value in placed(longest) + placed(sign * 10**639):
+                assert copy_json(value) == value
+                assert outcome(copy_json, value) == outcome(reference_copy_json, value)
+            for value in placed(too_long):
+                with pytest.raises(NotJsonValue, match=f"more than {limit} digits"):
+                    copy_json(value)
+                assert outcome(copy_json, value) == outcome(reference_copy_json, value)
+
+    def test_without_a_limit_every_int_is_copied(self, int_digit_limit):
+        int_digit_limit(0)
+        for value in placed(10**5000):
+            assert copy_json(value) == value
+
     def test_copies_nested_containers(self):
         value = {"a": [1, {"b": None}], "c": "s", "d": 1.5, "e": True}
         copied = copy_json(value)

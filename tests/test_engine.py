@@ -5,7 +5,7 @@ import random
 import pytest
 
 from machina.actions import builtin_registry
-from machina.belief import belief_to_trace, kv_get, kv_set, new_belief, snapshot
+from machina.belief import StepOutOfOrder, belief_to_trace, kv_get, kv_set, new_belief, snapshot
 from machina.engine import (
     ActionFailure,
     Agent,
@@ -338,6 +338,28 @@ class TestExecuteAction:
             )
         assert err.value.action == "nowhere"
         assert belief.execution_log == [] and belief.kv == {}
+
+    @pytest.mark.parametrize(
+        "where, error, message",
+        [
+            ({"step": 99}, StepOutOfOrder, "action step 99 does not reference an existing step"),
+            ({"step": -1}, StepOutOfOrder, "action step -1 does not reference an existing step"),
+            ({"phase": "bogus"}, MachinaError, "action phase must be one of .* got 'bogus'"),
+        ],
+        ids=["step-past-the-step-in-flight", "negative-step", "unknown-phase"],
+    )
+    def test_a_refused_phase_or_step_runs_no_action(self, where, error, message):
+        calls = []
+        registry = builtin_registry().register(
+            "marker", (), lambda inputs, ctx: calls.append(inputs) or "marker"
+        )
+        belief = new_belief()
+        with pytest.raises(error, match=message):
+            execute_action(
+                registry, ActionSpec("marker"), {}, belief, ScriptedProvider.from_replies([]),
+                **where,
+            )
+        assert calls == [] and belief.kv == {} and belief.execution_log == []
 
     def test_inputs_restricted_to_declared_params(self):
         spec = ActionSpec("note", params=(ParameterSpec("text", "external", "string"),))

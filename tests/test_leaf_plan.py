@@ -219,6 +219,37 @@ def test_two_agents_share_one_plan_per_leaf(monkeypatch, name, script):
     assert set(planned.values()) == {1}
 
 
+def tdd_script(rnd):
+    return ["generate_tests", "generate_code"] + ["fail", "generate_code"] * 4 + ["pass"]
+
+
+def agent_coder_script(rnd):
+    return ["generate_code", "generate_tests"] + ["fail", "generate_code", "generate_tests"] * 3 + [
+        "budget"
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, script",
+    [
+        ("h3", h3_script),
+        ("class_name", class_name_script),
+        ("test_driven", tdd_script),
+        ("agent_coder", agent_coder_script),
+    ],
+)
+def test_dispatch_with_the_run_loops_plan_matches_dispatch_without(name, script):
+    machine = fresh_machine(name)
+    looked_up, passed = agent_for(machine), agent_for(machine)
+    engine.start(looked_up), engine.start(passed)
+    for k, event_name in enumerate(script(random.Random(7))):
+        event = EventInstance(event_name, {"lines": ["x"] * k})
+        plan = engine._leaf_plan(machine, passed.belief.current_state)
+        assert engine.dispatch(looked_up, event) == engine.dispatch(passed, event, None, plan)
+        assert looked_up.belief == passed.belief
+    assert machine.state(passed.belief.current_state).is_end
+
+
 def test_unknown_leaf_raises_and_is_not_memoized():
     agent = agent_for(fresh_machine("h3"))
     agent.belief.current_state = "Nowhere"
@@ -288,6 +319,8 @@ def test_resuming_h3_lists_no_candidates(monkeypatch):
     assert len(candidates) == 0
     assert [call[1].name for call in dispatched] == events
     assert all(call[2] is None for call in dispatched)
+    # each dispatch gets the plan run looked up, never a copy
+    assert {id(call[3]) for call in dispatched} <= {id(p) for p in agent.machine._memo.values()}
     assert len(snapshots) == len(statuses)
 
 

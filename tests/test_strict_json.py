@@ -211,6 +211,33 @@ def test_repl_rejects_undecodable_bytes_read_as_surrogates(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, machine, stdin", [("run", ROUTING, b""), ("repl", H3, b":quit\n")]
+)
+def test_a_question_that_is_not_utf8_ends_in_one_error_line(tmp_path, command, machine, stdin):
+    """The command line decodes a byte that is not UTF-8 to a lone
+    surrogate, which no prompt or UTF-8 trace can hold; the belief refuses
+    it before the run starts."""
+    script = write(tmp_path, json.dumps({"steps": []}).encode(), "script.json")
+    trace = tmp_path / "trace.json"
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "machina.cli", command, "--machine", machine,
+         "--provider", f"scripted:{script}", "--question", b"\xff", "--trace", str(trace)],
+        input=stdin,
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    stderr = done.stderr.decode("utf-8", "replace")
+    assert done.returncode == 1, stderr
+    assert re.match(
+        r"error: text holds '\\udcff' at character 0, which UTF-8 cannot encode\n\Z", stderr
+    )
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize(
     "value", ["NaN", "Infinity", "-Infinity", "1e999", '"\\ud800"'], ids=lambda v: v.strip('"')
 )
 def test_first_json_object_skips_a_value_that_is_not_strict(value):

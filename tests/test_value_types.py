@@ -358,6 +358,7 @@ MEMOS = [
     (SAMPLES[scene.SceneGraph]._replace(), "json_value", {}),
     (SAMPLES[scene.SceneGraph]._replace(), "json_text", {}),
     (SAMPLES[model.ActionSpec]._replace(), "resolved_output_key", {"output_key": "other"}),
+    (SAMPLES[model.ActionSpec]._replace(), "output_key_is_identifier", {"output_key": "other"}),
     (SAMPLES[model.State]._replace(), "is_end", {"tags": frozenset({"end"})}),
 ]
 MEMO_IDS = [f"{type(v).__name__}.{memo}" for v, memo, _ in MEMOS]
@@ -388,9 +389,15 @@ def test_a_filled_memo_changes_no_equality_hash_or_repr(value, memo, change):
     [
         (SAMPLES[model.ActionSpec], "resolved_output_key", {"output_key": "other"}, "other"),
         (SAMPLES[model.ActionSpec], "resolved_output_key", {"output_key": None}, "note"),
+        (SAMPLES[model.ActionSpec], "output_key_is_identifier", {"output_key": "no key"}, False),
         (SAMPLES[model.State], "is_end", {"tags": frozenset({"end"})}, True),
     ],
-    ids=["ActionSpec.output_key", "ActionSpec.no_output_key", "State.tags"],
+    ids=[
+        "ActionSpec.output_key",
+        "ActionSpec.no_output_key",
+        "ActionSpec.output_key_is_identifier",
+        "State.tags",
+    ],
 )
 def test_a_copied_model_value_derives_its_own_memo(value, memo, change, derived):
     value = value._replace()
