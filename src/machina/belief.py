@@ -10,15 +10,14 @@ that LLM-facing prompts embed.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import ChainMap
-from json.encoder import c_make_encoder, encode_basestring
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import MachinaError, utf8
+from .json_extract import json_writer
 from .keypath import JsonValue, resolve, split_path
 from .model import is_identifier
 from .values import Value
@@ -358,31 +357,7 @@ def estimate_tokens(text: str) -> int:
 
 # Records hold JSON values: the engine stores copy_json copies, which cannot
 # hold a cycle.
-_ENCODER = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=False, check_circular=False
-)
-
-
-# JSONEncoder.encode builds a C encoder for every list or dict it dumps,
-# which costs as much as dumping a record's small values; build one here,
-# with the arguments JSONEncoder.iterencode gives it.
-_C_ENCODE = c_make_encoder and c_make_encoder(
-    None,
-    _ENCODER.default,
-    encode_basestring,
-    None,
-    _ENCODER.key_separator,
-    _ENCODER.item_separator,
-    _ENCODER.sort_keys,
-    _ENCODER.skipkeys,
-    _ENCODER.allow_nan,
-)
-
-
-def _dump(value: JsonValue) -> str:
-    if _C_ENCODE is None:  # an interpreter without json's C accelerator
-        return _ENCODER.encode(value)
-    return "".join(_C_ENCODE(value, 0))
+_dump = json_writer(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _action_line(rec: ActionRecord) -> str:

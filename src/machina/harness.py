@@ -23,7 +23,7 @@ from .actions import builtin_registry, parse_scene_input
 from .belief import Belief, kv_set, new_belief, seed_parsed_input
 from .engine import Agent, RunLimits, run
 from .errors import MachinaError, SchemaError, check_keys, require_object, require_string
-from .json_extract import JsonSyntaxError, read_json
+from .json_extract import JsonSyntaxError, json_writer, read_json
 from .machine_io import parse_machine
 from .model import StateMachine
 from .policy import LlmPolicy, PolicyStage, RulePolicy, rules_from_value
@@ -457,18 +457,22 @@ def make_qa_agent(
 # Oracle-faithful scripted providers
 
 
+# The text json.dumps writes by default, with no new encoder per reply.
+_dumps = json_writer()
+
+
 def oracle_script_routing(item: DatasetItem) -> ScriptedProvider:
     """Replies a perfect model would give along the routing machine's path."""
     steps = [item.qtype]
     if item.qtype == COUNTING:
-        steps.append(json.dumps(oracle_ids(item.scene, item.spec)))
+        steps.append(_dumps(oracle_ids(item.scene, item.spec)))
     else:
         steps.append(item.answer)
     return ScriptedProvider.from_replies(steps)
 
 
 def _selection(event: str, **arguments) -> str:
-    return json.dumps({"event": event, "arguments": arguments})
+    return _dumps({"event": event, "arguments": arguments})
 
 
 def oracle_script_react(item: DatasetItem) -> ScriptedProvider:

@@ -1,18 +1,23 @@
-"""One strict JSON decoder for every value machina reads.
+"""One strict JSON decoder for every value machina reads, and the JSON
+writers it builds once.
 
-It rejects ``NaN``, ``Infinity``, numbers that overflow to an infinite float
-and strings holding a lone surrogate, so what machina reads it can write back
-as strict UTF-8 JSON. :func:`read_json` decodes a whole document (a file, an
-HTTP body, a REPL payload). :func:`first_json_object` and
-:func:`first_json_array` return the first value that decodes at an opening
-brace or bracket of a chatty LLM reply, and skip, never raise on, the rest.
+The decoder rejects ``NaN``, ``Infinity``, numbers that overflow to an
+infinite float and strings holding a lone surrogate, so what machina reads it
+can write back as strict UTF-8 JSON. :func:`read_json` decodes a whole
+document (a file, an HTTP body, a REPL payload). :func:`first_json_object`
+and :func:`first_json_array` return the first value that decodes at an
+opening brace or bracket of a chatty LLM reply, and skip, never raise on, the
+rest. :func:`json_writer` builds a ``dumps`` for one encoder configuration.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
+from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
+from typing import Callable
 
 from .errors import MachinaError
 
@@ -37,6 +42,14 @@ def _finite(text: str) -> float:
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
+class _LoneSurrogate(ValueError):
+    """A value decoded up to ``end`` holds a string with no UTF-8 form."""
+
+    def __init__(self, end: int):
+        super().__init__("a string holds a lone surrogate")
+        self.end = end
+
+
 class _StrictDecoder(json.JSONDecoder):
     def raw_decode(self, s: str, idx: int = 0):
         value, end = super().raw_decode(s, idx)
@@ -48,7 +61,7 @@ class _StrictDecoder(json.JSONDecoder):
             if _SURROGATE_ESCAPE.search(s, idx, end):
                 json.dumps(value, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
-            raise ValueError("a string holds a lone surrogate") from None
+            raise _LoneSurrogate(end) from None
         return value, end
 
 
@@ -76,21 +89,69 @@ def read_json(text: str | bytes):
         raise JsonSyntaxError(1, 1, "document nested too deeply") from None
 
 
-def _first_json(text: str, open_ch: str):
-    start = text.find(open_ch)
-    while start != -1:
-        try:
-            return _DECODER.raw_decode(text, start)[0]
-        except (ValueError, RecursionError):
-            start = text.find(open_ch, start + 1)
-    return None
+@functools.cache
+def _rest_of_search():
+    """:func:`machina.json_search.search`, imported the first time a reply's
+    first bracket fails to decode."""
+    from .json_search import search
+
+    return search
 
 
+# Each finder decodes its first bracket itself, so a reply that decodes at
+# once costs no call beyond the decoding.
 def first_json_object(text: str) -> dict | None:
     """First ``{...}`` span that parses as a JSON object."""
-    return _first_json(text, "{")
+    start = text.find("{")
+    if start == -1:
+        return None
+    try:
+        return _DECODER.raw_decode(text, start)[0]
+    except (ValueError, RecursionError) as exc:
+        failure = exc
+    return _rest_of_search()(text, "{", start, failure)
 
 
 def first_json_array(text: str) -> list | None:
     """First ``[...]`` span that parses as a JSON array."""
-    return _first_json(text, "[")
+    start = text.find("[")
+    if start == -1:
+        return None
+    try:
+        return _DECODER.raw_decode(text, start)[0]
+    except (ValueError, RecursionError) as exc:
+        failure = exc
+    return _rest_of_search()(text, "[", start, failure)
+
+
+def json_writer(**settings) -> Callable[[object], str]:
+    """A ``dumps`` built once for one ``json.JSONEncoder`` configuration:
+    ``json_writer(**settings)(value)`` is the text
+    ``json.dumps(value, **settings)`` writes.
+
+    ``JSONEncoder.encode`` builds a C encoder for every list or dict it
+    dumps, which costs as much as dumping a small value; the writer builds
+    one here, with the arguments ``JSONEncoder.iterencode`` gives it. It
+    does not look for cycles, so a value must hold none (a cyclic value
+    raises ``RecursionError``, not ``ValueError``). Where ``json`` has no C
+    accelerator, the writer is the encoder's own ``encode``.
+    """
+    encoder = json.JSONEncoder(check_circular=False, **settings)
+    if c_make_encoder is None or encoder.indent is not None:
+        return encoder.encode
+    encode = c_make_encoder(
+        None,
+        encoder.default,
+        encode_basestring_ascii if encoder.ensure_ascii else encode_basestring,
+        None,
+        encoder.key_separator,
+        encoder.item_separator,
+        encoder.sort_keys,
+        encoder.skipkeys,
+        encoder.allow_nan,
+    )
+
+    def dumps(value) -> str:
+        return "".join(encode(value, 0))
+
+    return dumps

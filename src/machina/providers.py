@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence
 
 from .errors import MachinaError, check_keys, require_list, require_object, require_string, utf8
 from .json_extract import JsonSyntaxError, read_json
-from .values import Value, distinct
+from .values import Value, distinct, tuple_new
 
 API_KEY_ENV = "SHERPA_API_KEY"
 TEMPERATURE = 0.01
@@ -42,6 +42,14 @@ class ScriptMismatch(ProviderError):
     def __init__(self, expected: str):
         super().__init__(f"prompt does not contain expected substring {expected!r}")
         self.expected = expected
+
+
+class ReplyNotText(ProviderError):
+    """A reply that is not a ``str``: one given to a scripted provider, or
+    one a provider's ``complete`` returned."""
+
+    def __init__(self, reply: object):
+        super().__init__(f"a reply must be a string, got {type(reply).__name__}")
 
 
 class HttpError(ProviderError):
@@ -123,7 +131,18 @@ class ScriptedProvider:
 
     @classmethod
     def from_replies(cls, replies: Sequence[str]) -> "ScriptedProvider":
-        return cls([ScriptStep(reply=r) for r in replies])
+        """A provider that replays ``replies`` in order and matches no
+        prompt. A reply that is not a ``str`` raises :class:`ReplyNotText`
+        here, not when it is replayed.
+
+        Each step is built with one ``tuple_new`` call, which checks
+        nothing, so the type check is made here first."""
+        steps = []
+        for reply in replies:
+            if not isinstance(reply, str):
+                raise ReplyNotText(reply)
+            steps.append(tuple_new(ScriptStep, (reply, None)))
+        return cls(steps)
 
     def complete(self, request: CompletionRequest) -> str:
         self._stats.prompt_bytes += _prompt_bytes(request)

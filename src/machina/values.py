@@ -15,12 +15,12 @@ attribute lookup with no call.
 Types built often and read rarely are ``typing.NamedTuple`` classes marked
 :func:`distinct`, so that they equal only instances of their own class.
 
-Where the run loop builds a named tuple on every step, or the dataset
-generator one per scene object and per item, it calls
-``tuple_new(Cls, (field, ...))`` with the fields in ``_fields`` order: one C
-call, in place of the class's generated ``__new__``. That call checks
-nothing, so every field is passed, defaults included; a field left out makes
-a short tuple, not an error.
+Where the run loop builds a named tuple on every step, the dataset
+generator one per scene object and per item, or a scripted provider one per
+reply, it calls ``tuple_new(Cls, (field, ...))`` with the fields in
+``_fields`` order: one C call, in place of the class's generated
+``__new__``. That call checks nothing, so every field is passed, defaults
+included; a field left out makes a short tuple, not an error.
 """
 
 

@@ -14,7 +14,7 @@ from machina.errors import MachinaError
 from machina.harness import COUNTING, JUDGING, Dataset, QuestionSpec, builtin_machine
 from machina.machine_io import parse_machine
 from machina.model import StateMachine
-from machina.providers import ScriptedProvider
+from machina.providers import CallStats, ScriptedProvider
 from machina.scene import (
     SceneGraph,
     count_objects,
@@ -214,3 +214,18 @@ def reference_trajectory(doc: dict, events: list[str]) -> list[tuple[str, str, s
                 current = target
                 break
     return out
+
+
+class FixedReplyProvider:
+    """A provider whose ``complete`` returns one fixed object, text or not."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        return self.reply
+
+    def snapshot_stats(self):
+        return CallStats(self.calls)

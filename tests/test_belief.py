@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import machina.belief as belief_module
+import machina.json_extract as json_extract
 from machina.actions import ActionContext
 from machina.belief import (
     ActionRecord,
@@ -292,7 +293,9 @@ class TestNewestFirstHistory:
         record_action(b, action(3, output={"é": [1.5, None, True, "a\nb"], "a": -0.0}))
         expected = reference_render_history(b, 10**6)
         assert render_history(b, 10**6) == expected
-        monkeypatch.setattr(belief_module, "_C_ENCODE", None)
+        monkeypatch.setattr(json_extract, "c_make_encoder", None)
+        writer = json_extract.json_writer(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        monkeypatch.setattr(belief_module, "_dump", writer)
         assert render_history(b, 10**6) == expected
 
     def test_truncated_newest_record(self):

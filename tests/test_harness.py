@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from machina.harness import (
+    ORACLE_SCRIPTS,
     QUERYING,
     Dataset,
     MinSize,
@@ -23,12 +24,15 @@ from machina.harness import (
     _query_pairs,
     _query_spec,
     _random_scene,
+    make_qa_agent,
     run_eval,
 )
+from machina.engine import run
 from machina.providers import ScriptedProvider
 from machina.scene import ATTRIBUTE_VALUES, ATTRIBUTES, SceneGraph, SceneObject, scene_to_json_value
 import dataset_reference
-from helpers import action_library_answer, s1_scene, write_dataset
+import oracle_reference
+from helpers import FixedReplyProvider, action_library_answer, s1_scene, write_dataset
 
 
 def dataset_fingerprint(dataset):
@@ -246,6 +250,25 @@ class TestOracle:
             assert oracle_answer(item.scene, item.spec) == action_library_answer(
                 item.scene, item.spec
             )
+
+    @pytest.mark.parametrize("seed", [7, 90731])
+    def test_scripts_match_the_reference_builders(self, seed):
+        # the benchmark's question-answering inputs: 200 scenes of 3 questions
+        for item in generate_mini_clevr(seed, 200, 3).items:
+            for variant, build in ORACLE_SCRIPTS.items():
+                steps = build(item).steps
+                assert steps == oracle_reference.ORACLE_SCRIPTS[variant](item).steps
+                assert all(type(step.reply) is str and step.match is None for step in steps)
+
+
+@pytest.mark.parametrize("reply", [None, 7, b'{"event": "finish"}'])
+def test_a_policy_reply_that_is_not_text_fails_the_run(reply):
+    item = generate_mini_clevr(7, 1, 1).items[0]
+    provider = FixedReplyProvider(reply)
+    result = run(make_qa_agent("react", item.question, item.scene, provider))
+    assert result.status == "failed"
+    assert result.reason == f"a reply must be a string, got {type(reply).__name__}"
+    assert provider.calls == 1
 
 
 class TestRunEval:

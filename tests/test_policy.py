@@ -28,7 +28,8 @@ from machina.policy import (
     rule_decide,
     rules_from_value,
 )
-from machina.providers import ScriptedProvider
+from machina.providers import ReplyNotText, ScriptedProvider
+from helpers import FixedReplyProvider
 
 
 def candidate(event, target="t", passed=True, params=(), trigger="internal", desc=""):
@@ -294,6 +295,13 @@ class TestLlmDecide:
         with pytest.raises(PolicyFailure):
             llm_decide(POLICY, provider, STATE, [candidate("go")], new_belief())
         assert provider.snapshot_stats().calls == 2
+
+    @pytest.mark.parametrize("reply", [None, 7, b'{"event": "go"}'])
+    def test_a_reply_that_is_not_text_fails_typed_without_a_retry(self, reply):
+        provider = FixedReplyProvider(reply)
+        with pytest.raises(ReplyNotText):
+            llm_decide(POLICY, provider, STATE, [candidate("go"), candidate("stop")], new_belief())
+        assert provider.calls == 1
 
 
 class TestDecide:

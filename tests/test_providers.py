@@ -13,6 +13,7 @@ from machina.providers import (
     CompletionRequest,
     HttpError,
     HttpProvider,
+    ReplyNotText,
     ScriptExhausted,
     ScriptMismatch,
     ScriptStep,
@@ -83,6 +84,16 @@ class TestScripted:
         p = ScriptedProvider.from_replies(["x" * 16383 + "é"])
         assert p.complete(req()) == "x" * 16383
         assert p.snapshot_stats().reply_bytes == 16383
+
+    @pytest.mark.parametrize("reply", [None, 7, b'{"event": "x"}', ["a"]])
+    def test_a_reply_that_is_not_text_is_refused_when_given(self, reply):
+        with pytest.raises(ReplyNotText, match=type(reply).__name__):
+            ScriptedProvider.from_replies(["ok", reply])
+
+    def test_steps_are_plain_script_steps(self):
+        p = ScriptedProvider.from_replies(["a", "b"])
+        assert p.steps == [ScriptStep("a"), ScriptStep("b")]
+        assert all(type(step) is ScriptStep and step.match is None for step in p.steps)
 
     def test_prompt_and_reply_bytes(self):
         p = ScriptedProvider.from_replies(["ab"])
