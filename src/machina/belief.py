@@ -14,7 +14,7 @@ import math
 import sys
 from collections import ChainMap
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import MachinaError, utf8
 from .json_extract import json_writer
@@ -374,27 +374,6 @@ def _transition_line(rec: TransitionRecord) -> str:
     return line
 
 
-def _lines_newest_first(belief: Belief) -> Iterator[str]:
-    """The history's lines, newest first, each formatted only when reached.
-
-    Oldest first, the history reads: step 0 actions (initial entry), then
-    each transition followed by its step's actions, then the actions of a
-    step still in flight. Within a step, actions keep their log order; a
-    stable sort by step puts an action recorded late for an earlier step in
-    its place, and costs one pass when the log is already in step order.
-    """
-    actions = sorted(belief.execution_log, key=attrgetter("step"))
-    i = len(actions) - 1
-    for rec in reversed(belief.trajectory):
-        while i >= 0 and actions[i].step >= rec.step:
-            yield _action_line(actions[i])
-            i -= 1
-        yield _transition_line(rec)
-    while i >= 0:
-        yield _action_line(actions[i])
-        i -= 1
-
-
 def _truncate_tail(line: str, budget: int) -> str:
     """Keep the newest tail of ``line`` within ``budget`` estimated tokens,
     dropping bytes from the head and prefixing a marker."""
@@ -409,17 +388,34 @@ def _truncate_tail(line: str, budget: int) -> str:
 def render_history(belief: Belief, token_budget: int) -> str:
     """Newest-last rendering of the interleaved record history.
 
+    Oldest first, the history reads: step 0 actions (initial entry), then
+    each transition followed by its step's actions, then the actions of a
+    step still in flight. Within a step, actions keep their log order; a
+    stable sort by step puts an action recorded late for an earlier step in
+    its place, and costs one pass when the log is already in step order.
+
     Includes the maximal chronological suffix of records whose estimated
     size fits ``token_budget``; when even the newest record alone exceeds
-    the budget, that record is included truncated head-first. Records are
-    walked newest first and formatted only up to the first that does not
-    fit, so the cost follows the window, not the length of the run.
+    the budget, that record is included truncated head-first. One loop walks
+    the records back from the newest and formats each line only when it is
+    reached, up to the first that does not fit, so the cost follows the
+    window, not the length of the run.
     """
     if token_budget < 1:
         raise MachinaError("token budget must be at least 1")
+    actions = sorted(belief.execution_log, key=attrgetter("step"))
+    transitions = belief.trajectory
+    i, t = len(actions) - 1, len(transitions) - 1
     selected: list[str] = []
     total = 0
-    for line in _lines_newest_first(belief):
+    while i >= 0 or t >= 0:
+        # a step's actions come after its transition, so they are newer
+        if i >= 0 and (t < 0 or actions[i].step >= transitions[t].step):
+            line = _action_line(actions[i])
+            i -= 1
+        else:
+            line = _transition_line(transitions[t])
+            t -= 1
         cost = estimate_tokens(line + "\n")
         if not selected and cost > token_budget:
             return _truncate_tail(line, token_budget)

@@ -65,7 +65,7 @@ from .model import (
 )
 from .policy import CandidateTransition, PolicyStage, decide
 from .providers import CallStats, CompletionProvider
-from .values import EMPTY_MAPPING, FrozenValue, Value, tuple_new
+from .values import FrozenValue, Value, tuple_new
 
 STATUS_COMPLETED = "completed"
 STATUS_WAITING = "waiting"
@@ -325,10 +325,10 @@ def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
 
 
 class _LeafPlan(FrozenValue):
-    """What ``run`` reads at one leaf; fixed by the machine. ``candidates``
-    are the steps' ``passed`` candidates and ``waits`` says whether all of
-    them need an external trigger, both only when no step is guarded (else
-    ``None``): a guard is evaluated on every call, its outcome never kept."""
+    """What ``run`` reads at any leaf, end leaves too; fixed by the machine.
+    ``candidates`` are the steps' ``passed`` candidates and ``waits`` says
+    whether all of them need an external trigger, both only when no step is
+    guarded (else ``None``): a guard's outcome is never kept."""
 
     __slots__ = ("state", "steps", "candidates", "waits")
 
@@ -365,8 +365,8 @@ def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
     leaf plan's own frozen objects, shared by every agent on the machine; at
     a leaf with no guarded step the list is a copy of the plan's fixed
     candidates, and at any other leaf every guard is evaluated anew.
-    :func:`run` calls it once per turn at a leaf with a guarded step, and
-    elsewhere only for a policy decision."""
+    :func:`run` calls it once per turn at a leaf with a guarded step and
+    never at any other leaf, where it reads the plan's candidates."""
     leaf = agent.belief.current_state
     if leaf is None:
         raise AgentNotStarted()
@@ -507,17 +507,17 @@ def dispatch(
 
     The step fired is the first enabled transition for the event, in
     resolution order, whose guard passes; the steps and what each fires come
-    from the active leaf's memoized plan. ``_candidates`` is the run loop's
-    :func:`candidate_transitions` for the active leaf, when it built one,
-    whose guard outcomes are reused; without it, guards are evaluated
-    lazily in resolution order, each at most once per call, up to the first
-    that passes. No guard outcome outlives the call that evaluated it.
-    ``_plan`` is the run loop's plan of the active leaf, which it has
-    already looked up; without it the plan is read from the machine's memo.
+    from the active leaf's memoized plan. :func:`run` always passes its
+    turn's ``_candidates`` and ``_plan``, and their guard outcomes are
+    reused, so no guard is evaluated twice in a turn. A direct caller may
+    leave both out: the plan is then read from the machine's memo, and
+    guards are evaluated lazily in resolution order, each at most once per
+    call, up to the first that passes. No guard outcome outlives the call.
 
     Returns ``None`` when the event is unhandled and the limits say to
     ignore it. A payload that is not a mapping of plain JSON values raises
-    :class:`InvalidEventPayload` before any action runs or record lands.
+    :class:`InvalidEventPayload` before any action runs or record lands; an
+    empty payload is recorded as ``None``.
     If an action fails mid-step the transition record is still appended
     (the log keeps referencing valid steps) and the failure propagates.
     """
@@ -540,8 +540,7 @@ def dispatch(
             return None
         raise UnhandledEvent(event.name, leaf)
 
-    # the shared default payload skips the slower mapping check below
-    payload = {} if event.payload is EMPTY_MAPPING else event.payload
+    payload = event.payload
     if type(payload) is not dict:
         if not isinstance(payload, Mapping):
             raise InvalidEventPayload(
@@ -623,18 +622,17 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
     """Drive the agent until it completes, waits, exhausts its budget or fails.
 
     A fresh agent first enters the start state's initial path, firing entry
-    actions along it. The loop then repeats: an end state completes the run;
-    if every guard-passed candidate needs an external trigger the run waits
-    (the belief is preserved, so a later ``run(agent, event)`` resumes); the
-    transition budget ends the run once the trajectory reaches the limit;
-    otherwise the policy picks an event and the step is dispatched. The
+    actions along it. Each turn then follows one path: plan the active leaf
+    (memoized, end leaves included); an end leaf completes the run; with no
+    pending event the run waits if every guard-passed candidate needs an
+    external trigger (the belief is preserved, so a later
+    ``run(agent, event)`` resumes); the transition budget ends the run once
+    the trajectory reaches the limit; otherwise the pending event, or else
+    the policy's decision, is dispatched. The turn's candidates are the
+    plan's fixed tuple at a leaf with no guarded step, else one
+    :func:`candidate_transitions` call, so each guard is evaluated once per
+    turn; the wait test, ``decide`` and :func:`dispatch` all read them. The
     result carries the output of the last executed action.
-
-    A turn builds a candidate list only where one is read. At a leaf with a
-    guarded step, :func:`candidate_transitions` runs once per turn, for the
-    wait test and for :func:`dispatch` to reuse its guard outcomes. At any
-    other leaf the wait test is the leaf plan's, :func:`dispatch` has no
-    guard to evaluate, and candidates are listed only for the policy.
     """
     try:
         if agent.belief.current_state is None:
@@ -645,27 +643,22 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
             leaf = agent.belief.current_state
             plan = memo.get(leaf)
             if plan is None:
-                # an end leaf completes before its steps are planned
-                if agent.machine.state(leaf).is_end:
-                    return _result(agent, STATUS_COMPLETED)
                 plan = _leaf_plan(agent.machine, leaf)
-            elif plan.state.is_end:
+            if plan.state.is_end:
                 return _result(agent, STATUS_COMPLETED)
-            candidates = None if plan.candidates is not None else candidate_transitions(agent)
-            event, pending = pending, None
-            if event is None and (
-                plan.waits
-                if candidates is None
-                else all(
+            if plan.candidates is None:
+                candidates = candidate_transitions(agent)
+                waits = all(
                     c.transition.trigger == TRIGGER_EXTERNAL for c in candidates if c.guard_passed
                 )
-            ):
+            else:
+                candidates, waits = plan.candidates, plan.waits
+            event, pending = pending, None
+            if event is None and waits:
                 return _result(agent, STATUS_WAITING)
             if len(agent.belief.trajectory) >= agent.limits.max_transitions:
                 return _result(agent, STATUS_BUDGET_EXHAUSTED)
             if event is None:
-                if candidates is None:
-                    candidates = candidate_transitions(agent)
                 event = decide(agent.policy, plan.state, candidates, agent.belief, agent.provider)
             dispatch(agent, event, candidates, plan)
     except MachinaError as exc:

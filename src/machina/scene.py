@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
 from .json_extract import first_json_array, read_json
 from .keypath import JsonValue
-from .providers import CompletionProvider, CompletionRequest
+from .providers import CompletionProvider, CompletionRequest, ReplyNotText
 from .values import FrozenValue, distinct, tuple_new
 
 COLORS = ("gray", "red", "blue", "green", "brown", "purple", "cyan", "yellow")
@@ -360,6 +360,14 @@ def normalize_answer(text: str) -> str:
     return _WORD_DIGITS.get(cleaned, cleaned)
 
 
+def _reply_text(provider: CompletionProvider, prompt: str) -> str:
+    """The reply to ``prompt``; one that is not a ``str`` raises :class:`ReplyNotText`."""
+    reply = provider.complete(tuple_new(CompletionRequest, (prompt, None)))
+    if not isinstance(reply, str):
+        raise ReplyNotText(reply)
+    return reply
+
+
 def classify_question(provider: CompletionProvider, question: str) -> str:
     """Ask the provider for the question type; map the reply to a label.
 
@@ -375,7 +383,7 @@ def classify_question(provider: CompletionProvider, question: str) -> str:
         f"Question: {question}\n"
         "Reply with exactly one type name."
     )
-    reply = provider.complete(tuple_new(CompletionRequest, (prompt, None))).lower()
+    reply = _reply_text(provider, prompt).lower()
     hits = [(reply.find(label), label) for label in QUESTION_TYPES if label in reply]
     if not hits:
         raise UnclassifiableReply(reply)
@@ -395,7 +403,7 @@ def extract_objects(provider: CompletionProvider, scene: SceneGraph, question: s
         "List the ids of the objects the question refers to as a JSON array"
         ' of strings, for example ["o1", "o2"].'
     )
-    reply = provider.complete(tuple_new(CompletionRequest, (prompt, None)))
+    reply = _reply_text(provider, prompt)
     ids = first_json_array(reply)
     if ids is None or not all(isinstance(i, str) for i in ids):
         raise UnparseableReply(reply)
@@ -414,5 +422,5 @@ def answer_question(provider: CompletionProvider, scene: SceneGraph, question: s
         f"Question: {question}\n"
         "Answer with a single word or number."
     )
-    reply = provider.complete(tuple_new(CompletionRequest, (prompt, None)))
+    reply = _reply_text(provider, prompt)
     return normalize_answer(reply)

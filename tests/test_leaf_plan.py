@@ -1,9 +1,11 @@
-"""Each leaf is planned once per machine instance: its state, its step table,
-and, when no step is guarded, its candidates and its wait test. These tests
-count what runs instead of timing it: guards are evaluated on every call and
-their outcomes never kept, planning happens once per (leaf, transition),
-every call returns a new list equal to a fresh computation, and ``run``
-still reaches the functions a tracer wraps through the module."""
+"""Each leaf is planned once per machine instance, end leaves included: its
+state, its step table, and, when no step is guarded, its candidates and its
+wait test. These tests count what runs instead of timing it: guards are
+evaluated on every call and their outcomes never kept, planning happens once
+per (leaf, transition), every call to ``candidate_transitions`` returns a new
+list equal to a fresh computation, ``run`` reads an unguarded leaf's
+candidates from its plan, and it still reaches the functions a tracer wraps
+through the module."""
 
 import random
 from collections import Counter
@@ -260,15 +262,26 @@ def test_unknown_leaf_raises_and_is_not_memoized():
     assert "Nowhere" not in agent.machine._memo
 
 
-def test_end_leaf_completes_without_planning(monkeypatch):
-    planned = counting(monkeypatch, "_plan_step")
-    agent = agent_for(fresh_machine("h3"))
+def test_an_end_leaf_is_planned_once_and_its_plan_ends_the_run(monkeypatch):
+    planned = counting(monkeypatch, "_leaf_plan")
+    machine = fresh_machine("h3")
+    agent = agent_for(machine)
     agent.belief.current_state = "Done"
     assert run(agent).status == engine.STATUS_COMPLETED
-    assert planned == [] and "Done" not in agent.machine._memo
-    # once planned by another caller, the plan's state answers the end test
-    engine._leaf_plan(agent.machine, "Done")
-    assert run(agent).status == engine.STATUS_COMPLETED
+    plan = machine._memo["Done"]
+    assert plan.state is machine.state("Done") and plan.state.is_end
+    # later runs, on this agent or another, read the memoized plan
+    other = agent_for(machine)
+    other.belief.current_state = "Done"
+    assert run(agent).status == run(other).status == engine.STATUS_COMPLETED
+    assert machine._memo["Done"] is plan
+    assert [call[1] for call in planned] == ["Done"]
+    # the end test is the plan's: a leaf whose plan holds an end state completes
+    engine.start(other)
+    leaf = other.belief.current_state
+    machine._memo[leaf] = engine._leaf_plan(machine, leaf)._replace(state=plan.state)
+    result = run(other)
+    assert (result.status, other.belief.trajectory) == (engine.STATUS_COMPLETED, [])
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +293,15 @@ def test_run_calls_the_module_functions(monkeypatch):
     dispatched = counting(monkeypatch, "dispatch")
     snapshots = counting(monkeypatch, "snapshot")
 
-    # four fast-forwarded steps in one run: one candidate call per turn that
-    # is not at the end leaf
+    # four fast-forwarded steps in one run; no leaf is guarded, so every turn
+    # reads its plan's candidates and none calls candidate_transitions
     agent = agent_for(linear_doc(5))
     assert run(agent).status == engine.STATUS_COMPLETED
-    assert (len(candidates), len(dispatched), len(snapshots)) == (4, 4, 1)
+    assert (len(candidates), len(dispatched), len(snapshots)) == (0, 4, 1)
 
     # resuming: the first run waits, each event then dispatches once and
     # waits again after a second turn, and the last event ends the run; no
-    # h3 leaf is guarded and no turn decides, so no candidate list is built
+    # h3 leaf is guarded, so no candidate list is built
     candidates.clear(), dispatched.clear(), snapshots.clear()
     agent = agent_for(fresh_machine("h3"))
     events = ["e1"] * 9 + ["e2"]
@@ -300,9 +313,20 @@ def test_run_calls_the_module_functions(monkeypatch):
     assert [call[1].name for call in dispatched] == events
     assert len(snapshots) == 1 + len(events)
 
+    # a guarded leaf: one candidate call per turn there (the first run's and
+    # the resume's), none at the unguarded Left it moves to
+    candidates.clear(), dispatched.clear()
+    agent = agent_for(fork_doc())
+    kv_set(agent.belief, "flag", "left")
+    assert run(agent).status == engine.STATUS_WAITING
+    assert run(agent, EventInstance("go")).status == engine.STATUS_WAITING
+    assert agent.belief.current_state == "Left"
+    assert len(candidates) == 2
+    assert [type(call[2]) for call in dispatched] == [list]
+
 
 # ---------------------------------------------------------------------------
-# run lists candidates only at a guarded leaf and for a decision
+# run lists candidates only at a guarded leaf
 
 
 def test_resuming_h3_lists_no_candidates(monkeypatch):
@@ -318,9 +342,13 @@ def test_resuming_h3_lists_no_candidates(monkeypatch):
     assert statuses == [engine.STATUS_WAITING] * 60 + [engine.STATUS_COMPLETED]
     assert len(candidates) == 0
     assert [call[1].name for call in dispatched] == events
-    assert all(call[2] is None for call in dispatched)
-    # each dispatch gets the plan run looked up, never a copy
-    assert {id(call[3]) for call in dispatched} <= {id(p) for p in agent.machine._memo.values()}
+    # each dispatch gets the plan of the step's source leaf, as run looked it
+    # up from the memo, and that plan's own candidates, never a copy
+    memo = agent.machine._memo
+    sources = [r.source for r in agent.belief.trajectory]
+    assert [call[3].state.name for call in dispatched] == sources
+    assert all(call[3] is memo[call[3].state.name] for call in dispatched)
+    assert all(call[2] is call[3].candidates for call in dispatched)
     assert len(snapshots) == len(statuses)
 
 
@@ -345,21 +373,46 @@ def test_a_guarded_leaf_evaluates_each_guard_once_per_turn(monkeypatch):
     assert len(candidates) == 1 + 2 * 3
 
 
-def test_a_decision_at_an_unguarded_leaf_gets_a_new_list(monkeypatch):
+def test_a_decision_at_an_unguarded_leaf_gets_the_plans_candidates(monkeypatch):
     decide = engine.decide
     received = []
 
     def recording_decide(stack, state, candidates, belief, provider):
-        received.append((state.name, candidates, list(candidates)))
+        received.append((state.name, candidates))
         return decide(stack, state, candidates, belief, provider)
 
     monkeypatch.setattr(engine, "decide", recording_decide)
     agent = agent_for(linear_doc(5))
     assert run(agent).status == engine.STATUS_COMPLETED
-    assert [name for name, _, _ in received] == ["s1", "s2", "s3", "s4"]
-    for name, candidates, seen in received:
-        plan = agent.machine._memo[name]
-        assert plan.candidates is not None
-        assert type(candidates) is list and seen == list(plan.candidates)
-    lists = [candidates for _, candidates, _ in received]
-    assert len({id(c) for c in lists}) == len(lists)
+    assert [name for name, _ in received] == ["s1", "s2", "s3", "s4"]
+    for name, candidates in received:
+        assert candidates is agent.machine._memo[name].candidates
+
+
+def test_a_stage_at_an_unguarded_leaf_still_gets_a_new_list():
+    """Two internal candidates: no fast-forward, so the stage selects. Its
+    ``selectable`` is a new list each time, and emptying it changes nothing
+    the next turn reads."""
+    seen = []
+
+    class FirstStage:
+        def select(self, state, selectable, belief, provider):
+            seen.append((selectable, list(selectable)))
+            chosen = selectable[0].transition.event
+            selectable.clear()
+            return EventInstance(chosen)
+
+    doc = {
+        "name": "two",
+        "states": [state("A", tags=["start"]), state("Done", tags=["end"])],
+        "transitions": [
+            {"source": "A", "target": "A", "event": "again"},
+            {"source": "A", "target": "Done", "event": "stop"},
+        ],
+    }
+    agent = agent_for(doc, policy=[FirstStage()], limits=RunLimits(max_transitions=3))
+    assert run(agent).status == engine.STATUS_BUDGET_EXHAUSTED
+    plan = agent.machine._memo["A"]
+    assert len(seen) == 3 and len({id(lst) for lst, _ in seen}) == 3
+    assert all(type(lst) is list and copy == list(plan.candidates) for lst, copy in seen)
+    assert [c.transition.event for c in plan.candidates] == ["again", "stop"]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from machina.engine import run
 from machina.errors import MachinaError, SchemaError
-from machina.harness import generate_mini_clevr
-from machina.providers import ScriptStep, ScriptedProvider
+from machina.harness import COUNTING, JUDGING, generate_mini_clevr, make_qa_agent
+from machina.providers import CallStats, ReplyNotText, ScriptStep, ScriptedProvider
 from machina.scene import (
     ATTRIBUTE_VALUES,
     ATTRIBUTES,
@@ -35,7 +36,7 @@ from machina.scene import (
     scene_from_json_value,
     scene_to_json_value,
 )
-from helpers import s1_scene
+from helpers import FixedReplyProvider, s1_scene
 
 
 class TestParse:
@@ -354,6 +355,64 @@ class TestLlmOps:
     def test_answer_normalized(self):
         provider = ScriptedProvider.from_replies(["  Yes. "])
         assert answer_question(provider, s1_scene(), "Is there a cube?") == "yes"
+
+
+class RepliesProvider:
+    """Returns its replies in order, text or not."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        return self.replies.pop(0)
+
+    def snapshot_stats(self):
+        return CallStats(self.calls)
+
+
+NOT_TEXT = [None, 7, b"yes"]
+
+
+class TestReplyNotText:
+    """A reply that is not a ``str`` raises ``ReplyNotText`` in each scene
+    action, and a routing run that gets one ends ``failed``, never
+    ``completed`` with an answer made from it."""
+
+    @pytest.mark.parametrize("reply", NOT_TEXT)
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            lambda p: classify_question(p, "Is there a cube?"),
+            lambda p: extract_objects(p, s1_scene(), "q"),
+            lambda p: answer_question(p, s1_scene(), "Is there a cube?"),
+        ],
+        ids=["classify", "extract", "answer"],
+    )
+    def test_each_action_raises(self, ask, reply):
+        provider = FixedReplyProvider(reply)
+        with pytest.raises(ReplyNotText, match=type(reply).__name__):
+            ask(provider)
+        assert provider.calls == 1
+
+    @pytest.mark.parametrize("reply", NOT_TEXT)
+    @pytest.mark.parametrize(
+        "qtype, before, action",
+        [
+            (JUDGING, [], "classifyQuestion"),
+            (COUNTING, ["counting"], "extractObjects"),
+            (JUDGING, ["judging"], "answerQuestion"),
+        ],
+        ids=["classify", "extract", "answer"],
+    )
+    def test_a_routing_run_fails(self, qtype, before, action, reply):
+        item = next(i for i in generate_mini_clevr(7, 2, 3).items if i.qtype == qtype)
+        provider = RepliesProvider(before + [reply])
+        result = run(make_qa_agent("routing", item.question, item.scene, provider))
+        assert result.status == "failed"
+        assert result.reason == f"action {action!r} failed: {ReplyNotText(reply)}"
+        assert provider.calls == len(before) + 1
 
 
 class TestNormalize:
