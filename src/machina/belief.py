@@ -396,10 +396,9 @@ def render_history(belief: Belief, token_budget: int) -> str:
 
     Includes the maximal chronological suffix of records whose estimated
     size fits ``token_budget``; when even the newest record alone exceeds
-    the budget, that record is included truncated head-first. One loop walks
-    the records back from the newest and formats each line only when it is
-    reached, up to the first that does not fit, so the cost follows the
-    window, not the length of the run.
+    the budget, that record is included truncated head-first. Only the
+    records in the window are formatted, but the sort reads and copies the
+    whole log on every call, so the cost grows with the length of the run.
     """
     if token_budget < 1:
         raise MachinaError("token budget must be at least 1")

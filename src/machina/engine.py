@@ -364,9 +364,8 @@ def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
     computed from the actions the step would fire. The candidates are the
     leaf plan's own frozen objects, shared by every agent on the machine; at
     a leaf with no guarded step the list is a copy of the plan's fixed
-    candidates, and at any other leaf every guard is evaluated anew.
-    :func:`run` calls it once per turn at a leaf with a guarded step and
-    never at any other leaf, where it reads the plan's candidates."""
+    candidates, and at any other leaf every guard is evaluated anew;
+    :func:`run` calls it only there, in a turn with no pending event."""
     leaf = agent.belief.current_state
     if leaf is None:
         raise AgentNotStarted()
@@ -497,22 +496,15 @@ def execute_action(
 # Dispatch and run
 
 
-def dispatch(
-    agent: Agent,
-    event: EventInstance,
-    _candidates: Optional[Sequence[CandidateTransition]] = None,
-    _plan: Optional[_LeafPlan] = None,
-) -> StepOutcome | None:
+def dispatch(agent: Agent, event: EventInstance, _step: Optional[_Step] = None) -> StepOutcome | None:
     """Apply one event to the agent's machine.
 
     The step fired is the first enabled transition for the event, in
-    resolution order, whose guard passes; the steps and what each fires come
-    from the active leaf's memoized plan. :func:`run` always passes its
-    turn's ``_candidates`` and ``_plan``, and their guard outcomes are
-    reused, so no guard is evaluated twice in a turn. A direct caller may
-    leave both out: the plan is then read from the machine's memo, and
-    guards are evaluated lazily in resolution order, each at most once per
-    call, up to the first that passes. No guard outcome outlives the call.
+    resolution order, whose guard passes: the steps and what each fires come
+    from the active leaf's memoized plan, and guards are evaluated lazily,
+    each at most once per call, up to the first that passes. No guard
+    outcome outlives the call. :func:`run` passes the ``_step`` of the
+    candidate its policy decided on, which fires as it is, with no lookup.
 
     Returns ``None`` when the event is unhandled and the limits say to
     ignore it. A payload that is not a mapping of plain JSON values raises
@@ -525,20 +517,18 @@ def dispatch(
     leaf = belief.current_state
     if leaf is None:
         raise AgentNotStarted()
-    plan = _plan if _plan is not None else _leaf_plan(agent.machine, leaf)
-
-    for i, chosen in enumerate(plan.steps):
-        t = chosen.transition
-        if t.event == event.name and (
-            _candidates[i] is chosen.passed
-            if _candidates is not None
-            else t.guard is None or eval_guard(t.guard, belief, agent.registry, agent.provider)
-        ):
-            break
-    else:
-        if agent.limits.unhandled_event == UNHANDLED_IGNORE:
-            return None
-        raise UnhandledEvent(event.name, leaf)
+    chosen = _step
+    if chosen is None:
+        for chosen in _leaf_plan(agent.machine, leaf).steps:
+            t = chosen.transition
+            if t.event == event.name and (
+                t.guard is None or eval_guard(t.guard, belief, agent.registry, agent.provider)
+            ):
+                break
+        else:
+            if agent.limits.unhandled_event == UNHANDLED_IGNORE:
+                return None
+            raise UnhandledEvent(event.name, leaf)
 
     payload = event.payload
     if type(payload) is not dict:
@@ -627,12 +617,12 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
     pending event the run waits if every guard-passed candidate needs an
     external trigger (the belief is preserved, so a later
     ``run(agent, event)`` resumes); the transition budget ends the run once
-    the trajectory reaches the limit; otherwise the pending event, or else
-    the policy's decision, is dispatched. The turn's candidates are the
-    plan's fixed tuple at a leaf with no guarded step, else one
-    :func:`candidate_transitions` call, so each guard is evaluated once per
-    turn; the wait test, ``decide`` and :func:`dispatch` all read them. The
-    result carries the output of the last executed action.
+    the trajectory reaches the limit; otherwise :func:`dispatch` resolves a
+    pending event by name, or else fires the step of the candidate
+    ``decide`` chose. Only a turn with no pending event reads candidates:
+    the plan's fixed tuple at a leaf with no guarded step, else one
+    :func:`candidate_transitions` list. The result carries the output of
+    the last executed action.
     """
     try:
         if agent.belief.current_state is None:
@@ -646,20 +636,25 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
                 plan = _leaf_plan(agent.machine, leaf)
             if plan.state.is_end:
                 return _result(agent, STATUS_COMPLETED)
-            if plan.candidates is None:
-                candidates = candidate_transitions(agent)
-                waits = all(
-                    c.transition.trigger == TRIGGER_EXTERNAL for c in candidates if c.guard_passed
-                )
-            else:
-                candidates, waits = plan.candidates, plan.waits
             event, pending = pending, None
-            if event is None and waits:
-                return _result(agent, STATUS_WAITING)
+            if event is None:
+                candidates, waits = plan.candidates, plan.waits
+                if candidates is None:
+                    candidates = candidate_transitions(agent)
+                    waits = all(
+                        c.transition.trigger == TRIGGER_EXTERNAL for c in candidates if c.guard_passed
+                    )
+                if waits:
+                    return _result(agent, STATUS_WAITING)
             if len(agent.belief.trajectory) >= agent.limits.max_transitions:
                 return _result(agent, STATUS_BUDGET_EXHAUSTED)
             if event is None:
-                event = decide(agent.policy, plan.state, candidates, agent.belief, agent.provider)
-            dispatch(agent, event, candidates, plan)
+                chosen, event = decide(agent.policy, plan.state, candidates, agent.belief, agent.provider)
+                for step in plan.steps:
+                    if step.passed is chosen:
+                        break
+                dispatch(agent, event, step)
+            else:
+                dispatch(agent, event)
     except MachinaError as exc:
         return _result(agent, STATUS_FAILED, reason=str(exc))

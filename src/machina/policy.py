@@ -1,10 +1,11 @@
 """Transition selection: fast-forward, rule-based and LLM-based policies.
 
 A policy receives the current state, the candidate transitions (with guards
-already evaluated) and the belief, and yields the :class:`EventInstance` the
-engine dispatches. Policies are stacked: the fast-forward shortcut always
-runs first, then each stage in order until one selects. A stage is any object
-with ``select(state, selectable, belief, provider)``, as :class:`PolicyStage` says.
+already evaluated) and the belief, and yields an :class:`EventInstance`,
+which ``decide`` maps to the candidate the engine fires. Policies are
+stacked: the fast-forward shortcut always runs first, then each stage in
+order until one selects. A stage is any object with
+``select(state, selectable, belief, provider)``, as :class:`PolicyStage` says.
 """
 
 from __future__ import annotations
@@ -163,7 +164,9 @@ class LlmPolicy(FrozenValue):
 
 
 class PolicyStage(Protocol):
-    """``select`` returns an event among ``selectable``, or ``None`` to pass to the next stage."""
+    """``select`` returns an event among ``selectable``, or ``None`` to pass
+    to the next stage; ``decide`` fires the first selectable candidate with
+    that event's name."""
 
     def select(
         self, state: State, selectable: Sequence[CandidateTransition], belief: Belief, provider: CompletionProvider
@@ -172,11 +175,7 @@ class PolicyStage(Protocol):
 
 def _selectable(candidates: Sequence[CandidateTransition]) -> list[CandidateTransition]:
     """Candidates a policy may fire: guard passed and internally triggered."""
-    return [
-        c
-        for c in candidates
-        if c.guard_passed and c.transition.trigger == TRIGGER_INTERNAL
-    ]
+    return [c for c in candidates if c.guard_passed and c.transition.trigger == TRIGGER_INTERNAL]
 
 
 def fast_forward(candidates: Sequence[CandidateTransition]) -> EventInstance | None:
@@ -319,22 +318,29 @@ def decide(
     candidates: Sequence[CandidateTransition],
     belief: Belief,
     provider: CompletionProvider,
-) -> EventInstance:
-    """Fast-forward, then each stage's ``select`` in order; the first
-    selection that is not ``None`` wins. A stage is any object with ``select``.
-
-    An empty stack is allowed for machines whose every step fast-forwards;
-    any step that actually needs a decision then exhausts the policy.
+) -> tuple[CandidateTransition, EventInstance]:
+    """Fast-forward, then each stage's ``select`` in order: the first
+    selection that is not ``None`` wins. Returns the first selectable
+    candidate in ``candidates`` whose event is that selection's, with the
+    selection; naming none raises :class:`UnknownEvent`. An empty stack is
+    allowed for machines whose every step fast-forwards; any other step then
+    exhausts the policy.
     """
-    shortcut = fast_forward(candidates)
-    if shortcut is not None:
-        return shortcut
-    selectable = _selectable(candidates)
-    for stage in stack:
-        selection = stage.select(state, selectable, belief, provider)
-        if selection is not None:
-            return selection
-    raise PolicyExhausted()
+    selection = fast_forward(candidates)
+    if selection is None:
+        selectable = _selectable(candidates)
+        for stage in stack:
+            selection = stage.select(state, selectable, belief, provider)
+            if selection is not None:
+                break
+        else:
+            raise PolicyExhausted()
+    name = selection.name
+    for c in candidates:
+        t = c.transition
+        if t.event == name and c.guard_passed and t.trigger == TRIGGER_INTERNAL:
+            return c, selection
+    raise UnknownEvent(name)
 
 
 # ---------------------------------------------------------------------------

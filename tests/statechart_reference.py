@@ -8,24 +8,25 @@ Per call of :meth:`Reference.run`:
   to a leaf, firing entry actions outermost first, as step 0;
 - each turn: an end leaf completes the run. The enabled transitions are the
   leaf's own, then each ancestor's, innermost first, each in declaration
-  order, and each guard is evaluated once. With no pending event, the run
+  order. With no pending event, each guard is evaluated once and the run
   waits when every guard-passed transition has an external trigger. The
   run's budget ends it once the trajectory holds ``max_transitions`` steps.
-  Otherwise the pending event, or else the policy's choice, is dispatched;
+  Otherwise a pending event fires the first enabled transition for it whose
+  guard passes, and with none the transition the policy picked fires;
 - the policy fast-forwards when exactly one guard-passed, internally
   triggered transition exists and its step needs no external argument;
   otherwise ``choose(selectable)`` picks among the guard-passed,
   internally triggered transitions, given as ``(event, required argument
   names)`` pairs, and returns ``(event, payload)`` or ``None`` (the policy is
-  exhausted and the run fails);
-- dispatch fires the first enabled transition for the event whose guard
-  passed this turn; an unhandled event fails the run under ``"error"`` and
-  is dropped under ``"ignore"``. A step exits from the leaf up to, not
-  including, the least common ancestor (the deepest state that properly
-  contains the target and contains the leaf), innermost first; runs the
-  transition's actions; then enters from below that ancestor down to the
-  target and on down its ``initial`` links, outermost first. The step and
-  the new leaf are recorded even when one of its actions fails.
+  exhausted and the run fails). The policy picks the first selectable
+  transition with the chosen event; naming none fails the run;
+- an unhandled pending event fails the run under ``"error"`` and is dropped
+  under ``"ignore"``. A step exits from the leaf up to, not including, the
+  least common ancestor (the deepest state that properly contains the
+  target and contains the leaf), innermost first; runs the transition's
+  actions; then enters from below that ancestor down to the target and on
+  down its ``initial`` links, outermost first. The step and the new leaf
+  are recorded even when one of its actions fails.
 
 An action reads its external parameters from the event payload and its
 internal ones from the store (under ``source_key``), gets them as they are,
@@ -184,22 +185,31 @@ class Reference:
         self.log.append((step, action["name"], phase, output))
 
     def decide(self, passed):
+        """The transition the policy picks among ``passed``, with its payload."""
         selectable = [t for t in passed if t.get("trigger", "internal") == "internal"]
         if len(selectable) == 1 and not self.required(self.leaf, selectable[0]):
-            return selectable[0]["event"], {}
+            return selectable[0], {}
         choice = self.choose([(t["event"], self.required(self.leaf, t)) for t in selectable])
         if choice is None:
             raise Failure("policy exhausted")
-        return choice
+        event, payload = choice
+        for t in selectable:
+            if t["event"] == event:
+                return t, payload
+        raise Failure(f"{event} is not selectable")
 
-    def dispatch(self, event, payload, outcomes):
-        for t, passed in outcomes:
-            if t["event"] == event and passed:
-                break
-        else:
-            if self.unhandled == "ignore":
+    def receive(self, event, payload):
+        """Fire the first enabled transition for a pending event whose guard passes."""
+        for t in self.enabled(self.leaf):
+            if t["event"] == event and guard_passes(t.get("guard", {}).get("expr"), self.kv):
+                self.dispatch(t, payload)
                 return
+        if self.unhandled != "ignore":
             raise Failure(f"no transition for {event} at {self.leaf}")
+
+    def dispatch(self, t, payload):
+        """Fire ``t`` from the active leaf, with ``payload``."""
+        event = t["event"]
         payload = dict(payload)
         step = len(self.trajectory) + 1
         actions, target_leaf = self.step_actions(self.leaf, t)
@@ -225,19 +235,20 @@ class Reference:
             while True:
                 if "end" in self.states[self.leaf][0].get("tags", ()):
                     return COMPLETED
-                outcomes = [
-                    (t, guard_passes(t.get("guard", {}).get("expr"), self.kv))
-                    for t in self.enabled(self.leaf)
-                ]
-                passed = [t for t, ok in outcomes if ok]
                 event, pending = pending, None
-                if event is None and all(t.get("trigger") == "external" for t in passed):
-                    return WAITING
+                if event is None:
+                    passed = [
+                        t for t in self.enabled(self.leaf)
+                        if guard_passes(t.get("guard", {}).get("expr"), self.kv)
+                    ]
+                    if all(t.get("trigger") == "external" for t in passed):
+                        return WAITING
                 if len(self.trajectory) >= self.max_transitions:
                     return BUDGET_EXHAUSTED
                 if event is None:
-                    event = self.decide(passed)
-                self.dispatch(*event, outcomes)
+                    self.dispatch(*self.decide(passed))
+                else:
+                    self.receive(*event)
         except Failure:
             return FAILED
 

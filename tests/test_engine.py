@@ -35,6 +35,7 @@ from machina.policy import LlmPolicy
 from machina.providers import ScriptedProvider
 from machina.scene import scene_to_json_value
 from helpers import (
+    FixedReplyProvider,
     agent_for,
     budget_cycle_doc,
     h3_agent,
@@ -247,10 +248,13 @@ class TestDispatchLazyGuards:
             ({"x": 0, "flag": True, "name": 1}, "c"),
             ({"x": 0, "flag": False, "name": 1}, "d"),
             ({"x": 0, "flag": False, "name": 5}, "e"),
+            ({"x": 1, "flag": True}, "b"),
         ],
     )
     def test_run_and_dispatch_fire_the_same_step(self, kv, target):
-        """``run`` evaluates every guard up front, so ``name`` is a number."""
+        """A pending event resolves lazily in ``run`` as in ``dispatch``:
+        where ``b``'s guard passes, the guard that would raise on ``name``
+        is never evaluated."""
         direct = same_event_agent(kv, [])
         start(direct)
         outcome = dispatch(direct, EventInstance("go"))
@@ -258,6 +262,68 @@ class TestDispatchLazyGuards:
         assert result.status == "completed"
         assert result.belief_snapshot.trajectory == direct.belief.trajectory
         assert result.belief_snapshot.current_state == outcome.target_leaf == target
+
+
+def shared_event_doc(on_parent: bool) -> dict:
+    """``go`` leaves ``A`` for ``B`` with an external trigger (declared
+    first) and for ``C`` with an internal one, declared on ``A`` or, with
+    ``on_parent``, on ``A``'s parent ``P``."""
+    return {
+        "name": "shared",
+        "states": [
+            state("P", tags=["start"], initial="A", substates=[state("A")]),
+            state("B", tags=["end"]),
+            state("C", tags=["end"]),
+        ],
+        "transitions": [
+            {"source": "A", "target": "B", "event": "go", "trigger": "external"},
+            {"source": "P" if on_parent else "A", "target": "C", "event": "go"},
+        ],
+    }
+
+
+class TestDecisionFiresItsStep:
+    @pytest.mark.parametrize("on_parent", [False, True], ids=["same_state", "parent"])
+    def test_a_decision_fires_the_step_it_chose(self, on_parent):
+        agent = agent_for(shared_event_doc(on_parent))
+        result = run(agent)
+        assert (result.status, agent.belief.current_state) == ("completed", "C")
+        assert [(r.source, r.target, r.event) for r in agent.belief.trajectory] == [("A", "C", "go")]
+
+    @pytest.mark.parametrize("on_parent", [False, True], ids=["same_state", "parent"])
+    def test_a_pending_event_fires_the_first_match(self, on_parent):
+        agent = agent_for(shared_event_doc(on_parent))
+        start(agent)
+        result = run(agent, EventInstance("go"))
+        assert (result.status, agent.belief.current_state) == ("completed", "B")
+
+    def test_a_stage_naming_an_unselectable_step_fails_the_run(self):
+        """The external ``out`` is a candidate but not selectable, so the
+        run fails before any action runs or any step lands."""
+
+        class Outward:
+            def select(self, state, selectable, belief, provider):
+                return EventInstance("out", {"text": "x"})
+
+        doc = {
+            "name": "outward",
+            "states": [state("A", tags=["start"]), state("B", tags=["end"])],
+            "transitions": [
+                {
+                    "source": "A", "target": "B", "event": "out", "trigger": "external",
+                    "actions": [{"name": "note", "output_key": "noted"}],
+                },
+                {"source": "A", "target": "A", "event": "stay"},
+                {"source": "A", "target": "B", "event": "stop"},
+            ],
+        }
+        provider = FixedReplyProvider('{"event": "stop"}')
+        agent = agent_for(doc, provider=provider, policy=[Outward(), LlmPolicy("t")])
+        result = run(agent)
+        assert result.status == "failed"
+        assert result.reason == "event 'out' is not among the candidates"
+        assert agent.belief.trajectory == [] and agent.belief.execution_log == []
+        assert agent.belief.current_state == "A" and provider.calls == 0
 
 
 class TestExecuteAction:

@@ -3,9 +3,11 @@ state, its step table, and, when no step is guarded, its candidates and its
 wait test. These tests count what runs instead of timing it: guards are
 evaluated on every call and their outcomes never kept, planning happens once
 per (leaf, transition), every call to ``candidate_transitions`` returns a new
-list equal to a fresh computation, ``run`` reads an unguarded leaf's
-candidates from its plan, and it still reaches the functions a tracer wraps
-through the module."""
+list equal to a fresh computation, ``run`` lists candidates only in a turn
+with no pending event and reads an unguarded leaf's from its plan, a
+decision hands ``dispatch`` its own step while a pending event is resolved
+lazily, and ``run`` still reaches the functions a tracer wraps through the
+module."""
 
 import random
 from collections import Counter
@@ -113,9 +115,14 @@ def test_flipping_a_guard_value_changes_the_next_run(monkeypatch):
     assert [(r.source, r.target) for r in agent.belief.trajectory] == [
         ("Wait", "Left"), ("Left", "Wait"), ("Wait", "Right"), ("Right", "Wait"), ("Wait", "Done"),
     ]
-    # both guards at Wait on each of its six candidate calls, none elsewhere
-    assert len(guard_calls) == 2 * 6
+    # both guards at Wait in each of its four turns with no pending event;
+    # each resumed go evaluates only its first step's guard, passing or not,
+    # since the next go is unguarded; none elsewhere
     plan = agent.machine._memo["Wait"]
+    left, tick = (s.transition.guard for s in plan.steps if s.transition.guard is not None)
+    assert [call[0] for call in guard_calls] == [
+        left, tick, left, left, tick, left, left, tick, left, tick,
+    ]
     assert plan.candidates is None and plan.waits is None
 
 
@@ -246,8 +253,11 @@ def test_dispatch_with_the_run_loops_plan_matches_dispatch_without(name, script)
     engine.start(looked_up), engine.start(passed)
     for k, event_name in enumerate(script(random.Random(7))):
         event = EventInstance(event_name, {"lines": ["x"] * k})
-        plan = engine._leaf_plan(machine, passed.belief.current_state)
-        assert engine.dispatch(looked_up, event) == engine.dispatch(passed, event, None, plan)
+        steps = engine._leaf_plan(machine, passed.belief.current_state).steps
+        assert all(s.transition.guard is None for s in steps)
+        # the plan's first step for the event, handed over as a decision is
+        step = next(s for s in steps if s.transition.event == event_name)
+        assert engine.dispatch(looked_up, event) == engine.dispatch(passed, event, step)
         assert looked_up.belief == passed.belief
     assert machine.state(passed.belief.current_state).is_end
 
@@ -290,14 +300,19 @@ def test_an_end_leaf_is_planned_once_and_its_plan_ends_the_run(monkeypatch):
 
 def test_run_calls_the_module_functions(monkeypatch):
     candidates = counting(monkeypatch, "candidate_transitions")
+    decided = counting(monkeypatch, "decide")
     dispatched = counting(monkeypatch, "dispatch")
     snapshots = counting(monkeypatch, "snapshot")
 
     # four fast-forwarded steps in one run; no leaf is guarded, so every turn
-    # reads its plan's candidates and none calls candidate_transitions
+    # reads its plan's candidates and none calls candidate_transitions; each
+    # decision hands dispatch the step of the candidate it chose
     agent = agent_for(linear_doc(5))
     assert run(agent).status == engine.STATUS_COMPLETED
-    assert (len(candidates), len(dispatched), len(snapshots)) == (0, 4, 1)
+    assert (len(candidates), len(decided), len(dispatched), len(snapshots)) == (0, 4, 4, 1)
+    memo = agent.machine._memo
+    assert all(call[2] is memo[call[1].name].candidates for call in decided)
+    assert [call[2] for call in dispatched] == [memo[f"s{i}"].steps[0] for i in range(1, 5)]
 
     # resuming: the first run waits, each event then dispatches once and
     # waits again after a second turn, and the last event ends the run; no
@@ -310,19 +325,20 @@ def test_run_calls_the_module_functions(monkeypatch):
         run(agent, EventInstance(event))
     assert agent.belief.current_state == "Done"
     assert len(candidates) == 0
-    assert [call[1].name for call in dispatched] == events
+    assert [call[1:] for call in dispatched] == [(EventInstance(e),) for e in events]
     assert len(snapshots) == 1 + len(events)
 
-    # a guarded leaf: one candidate call per turn there (the first run's and
-    # the resume's), none at the unguarded Left it moves to
+    # a guarded leaf: one candidate call in the first run's turn there and
+    # none in the resume's, whose event dispatch resolves alone; none at the
+    # unguarded Left it moves to
     candidates.clear(), dispatched.clear()
     agent = agent_for(fork_doc())
     kv_set(agent.belief, "flag", "left")
     assert run(agent).status == engine.STATUS_WAITING
     assert run(agent, EventInstance("go")).status == engine.STATUS_WAITING
     assert agent.belief.current_state == "Left"
-    assert len(candidates) == 2
-    assert [type(call[2]) for call in dispatched] == [list]
+    assert len(candidates) == 1
+    assert [call[1:] for call in dispatched] == [(EventInstance("go"),)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,36 +357,42 @@ def test_resuming_h3_lists_no_candidates(monkeypatch):
         statuses.append(run(agent, EventInstance(event, {"lines": ["x"] * k})).status)
     assert statuses == [engine.STATUS_WAITING] * 60 + [engine.STATUS_COMPLETED]
     assert len(candidates) == 0
+    # each event goes to dispatch alone, with no candidates or step
+    assert [len(call) for call in dispatched] == [2] * len(events)
     assert [call[1].name for call in dispatched] == events
-    # each dispatch gets the plan of the step's source leaf, as run looked it
-    # up from the memo, and that plan's own candidates, never a copy
-    memo = agent.machine._memo
-    sources = [r.source for r in agent.belief.trajectory]
-    assert [call[3].state.name for call in dispatched] == sources
-    assert all(call[3] is memo[call[3].state.name] for call in dispatched)
-    assert all(call[2] is call[3].candidates for call in dispatched)
     assert len(snapshots) == len(statuses)
 
 
 def test_a_guarded_leaf_evaluates_each_guard_once_per_turn(monkeypatch):
+    """A turn at Wait with no pending event lists the candidates once, which
+    evaluates each guard once, and the step it decides on fires with no
+    guard evaluated again. A resumed event is resolved lazily: each guard at
+    most once, up to the first ``go`` that may fire."""
     guard_calls = counting(monkeypatch, "eval_guard")
     candidates = counting(monkeypatch, "candidate_transitions")
     agent = agent_for(fork_doc())
     guarded = [s.transition.guard for s in engine._leaf_plan(agent.machine, "Wait").steps]
-    guarded = [g for g in guarded if g is not None]
-    assert len(guarded) == 2
+    left, tick = guarded = [g for g in guarded if g is not None]
     assert run(agent).status == engine.STATUS_WAITING
-    # each resume at Wait: one turn there, whose candidates dispatch reuses,
-    # then one at the unguarded Left or Right, which evaluates nothing
+    assert [call[0] for call in guard_calls] == guarded
     for flag, target in [("left", "Left"), ("right", "Right"), ("left", "Left")]:
         kv_set(agent.belief, "flag", flag)
         before = len(guard_calls)
+        # go's first step: its guard passes, or the unguarded second go fires;
+        # the turn at the unguarded Left or Right evaluates nothing
         assert run(agent, EventInstance("go")).status == engine.STATUS_WAITING
         assert agent.belief.current_state == target
-        assert [call[0] for call in guard_calls[before:]] == guarded
+        assert [call[0] for call in guard_calls[before:]] == [left]
+        # back at Wait, the turn with no pending event lists both
         assert run(agent, EventInstance("back")).status == engine.STATUS_WAITING
-        assert len(guard_calls) == before + 2 * len(guarded)
-    assert len(candidates) == 1 + 2 * 3
+        assert [call[0] for call in guard_calls[before + 1:]] == guarded
+    assert len(candidates) == 1 + 3
+    # a decided turn: both guards once, then tick fires without another
+    kv_set(agent.belief, "flag", "done")
+    before = len(guard_calls)
+    assert run(agent).status == engine.STATUS_COMPLETED
+    assert [call[0] for call in guard_calls[before:]] == guarded
+    assert len(candidates) == 1 + 3 + 1
 
 
 def test_a_decision_at_an_unguarded_leaf_gets_the_plans_candidates(monkeypatch):

@@ -307,15 +307,17 @@ class TestLlmDecide:
 class TestDecide:
     def test_fast_forward_consults_nothing(self):
         provider = ScriptedProvider.from_replies([])
-        sel = decide((POLICY,), STATE, [candidate("go")], new_belief(), provider)
-        assert sel.name == "go"
+        cands = [candidate("go")]
+        chosen, sel = decide((POLICY,), STATE, cands, new_belief(), provider)
+        assert chosen is cands[0] and sel == EventInstance("go", {})
         assert provider.snapshot_stats().calls == 0
 
     def test_rules_miss_llm_hits(self):
         provider = ScriptedProvider.from_replies(['{"event":"b"}'])
         stack = (RulePolicy((Rule(emit_event="zz", when_state="s"),)), POLICY)
-        sel = decide(stack, STATE, [candidate("a"), candidate("b")], new_belief(), provider)
-        assert sel.name == "b"
+        cands = [candidate("a"), candidate("b")]
+        chosen, sel = decide(stack, STATE, cands, new_belief(), provider)
+        assert chosen is cands[1] and sel.name == "b"
 
     def test_exhausted(self):
         stack = (RulePolicy((Rule(emit_event="zz", when_state="s"),)),)
@@ -325,8 +327,8 @@ class TestDecide:
     def test_external_candidates_never_selected(self):
         provider = ScriptedProvider.from_replies(['{"event":"inner"}'])
         cands = [candidate("outer", trigger="external"), candidate("inner"), candidate("other")]
-        sel = decide((POLICY,), STATE, cands, new_belief(), provider)
-        assert sel.name == "inner"
+        chosen, sel = decide((POLICY,), STATE, cands, new_belief(), provider)
+        assert chosen is cands[1] and sel.name == "inner"
 
     def test_never_returns_non_candidate(self):
         rnd = random.Random(5)
@@ -336,14 +338,52 @@ class TestDecide:
                 candidate(e, passed=rnd.random() < 0.7)
                 for e in rnd.sample(events, rnd.randint(1, 4))
             ]
-            passing = {c.transition.event for c in cands if c.guard_passed}
             reply = json.dumps({"event": rnd.choice(events)})
             provider = ScriptedProvider.from_replies([reply, reply])
             try:
-                sel = decide((POLICY,), STATE, cands, new_belief(), provider)
+                chosen, sel = decide((POLICY,), STATE, cands, new_belief(), provider)
             except (PolicyFailure, PolicyExhausted):
                 continue
-            assert sel.name in passing
+            assert chosen.guard_passed and chosen.transition.event == sel.name
+            assert any(chosen is c for c in cands)
+
+    def test_a_shared_event_maps_to_the_first_selectable_candidate(self):
+        cands = [
+            candidate("go", target="out", trigger="external"),
+            candidate("go", target="blocked", passed=False),
+            candidate("go", target="first"),
+            candidate("go", target="second"),
+        ]
+        provider = ScriptedProvider.from_replies(['{"event":"go"}'])
+        chosen, sel = decide((POLICY,), STATE, cands, new_belief(), provider)
+        assert chosen is cands[2] and sel.name == "go"
+
+    def test_the_candidate_comes_from_candidates_not_the_stages_list(self):
+        class Clearing:
+            def select(self, state, selectable, belief, provider):
+                chosen = selectable[1].transition.event
+                selectable.clear()
+                return EventInstance(chosen)
+
+        cands = [candidate("a"), candidate("b")]
+        chosen, sel = decide((Clearing(),), STATE, cands, new_belief(), ScriptedProvider.from_replies([]))
+        assert chosen is cands[1] and sel == EventInstance("b")
+
+    @pytest.mark.parametrize("event", ["outer", "blocked", "absent"])
+    def test_a_selection_of_no_selectable_candidate_raises(self, event):
+        class Naming:
+            def select(self, state, selectable, belief, provider):
+                return EventInstance(event)
+
+        cands = [
+            candidate("outer", trigger="external"),
+            candidate("blocked", passed=False),
+            candidate("a"),
+            candidate("b"),
+        ]
+        with pytest.raises(UnknownEvent) as err:
+            decide((Naming(),), STATE, cands, new_belief(), ScriptedProvider.from_replies([]))
+        assert err.value.event == event
 
 
 class TestRuleFileEdges:

@@ -15,6 +15,7 @@ tier-1, ten times that under ``--hypothesis-profile=deep`` (``conftest.py``).
 import itertools
 import random
 
+import pytest
 from hypothesis import HealthCheck, Phase, find, given, settings
 from hypothesis import strategies as st
 
@@ -303,6 +304,45 @@ def test_the_generator_reaches_every_feature():
     found = find(
         scenarios(),
         lambda s: s["seed_count"] and covers_everything(s),
+        settings=settings(
+            max_examples=2000, phases=[Phase.generate], database=None, deadline=None,
+            suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+        ),
+        random=random.Random(0),
+    )
+    check(found)
+
+
+def shadowed_decisions(scenario):
+    """The owners of each pair of transitions where the reference's run of
+    ``scenario`` fired an internal transition while an unguarded external
+    one with the same event comes before it at that leaf. A pending event
+    would have fired the external one, so each such step was decided, and
+    resolving the decision's event by name would have fired the wrong step."""
+    reference = reference_for(scenario, {"count": 0})
+    for call in scenario["calls"]:
+        reference.run(call)
+    pairs = set()
+    for (_, leaf, _, _, _), fired in zip(reference.trajectory, reference.fired):
+        if fired["trigger"] != "internal":
+            continue
+        for t in reference.enabled(leaf):
+            if t is fired:
+                break
+            if t["event"] == fired["event"] and t["trigger"] == "external" and "guard" not in t:
+                pairs.add((t["source"], fired["source"]))
+    return pairs
+
+
+@pytest.mark.parametrize("same_owner", [True, False], ids=["same_state", "ancestor"])
+def test_the_generator_shadows_a_decided_step(same_owner):
+    """The fuzz reaches decisions whose event an external step shares, on
+    the same state or on a state below the decided step's: by-name firing
+    of a decision fails ``check`` on what ``find`` returns."""
+    found = find(
+        scenarios(),
+        lambda s: s["seed_count"]
+        and any((inner == outer) == same_owner for inner, outer in shadowed_decisions(s)),
         settings=settings(
             max_examples=2000, phases=[Phase.generate], database=None, deadline=None,
             suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
