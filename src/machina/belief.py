@@ -22,6 +22,8 @@ from .keypath import JsonValue, resolve, split_path
 from .model import is_identifier
 from .values import Value
 
+_new = object.__new__
+
 ROLE_USER = "user"
 ROLE_SYSTEM = "system"
 ROLES = (ROLE_USER, ROLE_SYSTEM)
@@ -317,17 +319,24 @@ def snapshot(belief: Belief) -> Belief:
     Records are immutable named tuples holding values copied when they were
     made, and the task inputs are read-only, so the copy shares them; only
     the key-value store, whose values actions receive by reference, is
-    copied. Edit a snapshot's records only after ``copy.deepcopy``.
+    copied, first, so a store that is not JSON raises before anything is
+    built. Edit a snapshot's records only after ``copy.deepcopy``.
+
+    The engine takes one per ``run`` call, so the copy is built with
+    ``object.__new__`` and a store per slot (the rule in
+    :mod:`machina.values`): ``Belief.__init__`` checks nothing and only
+    fills in defaults for fields left out, and every field is stored here.
     """
-    return Belief(
-        list(belief.task_context),
-        list(belief.trajectory),
-        list(belief.execution_log),
-        copy_json(belief.kv),
-        belief.current_state,
-        belief.inputs,
-        belief._parsed,
-    )
+    kv = copy_json(belief.kv)
+    copy = _new(Belief)
+    copy.task_context = list(belief.task_context)
+    copy.trajectory = list(belief.trajectory)
+    copy.execution_log = list(belief.execution_log)
+    copy.kv = kv
+    copy.current_state = belief.current_state
+    copy.inputs = belief.inputs
+    copy._parsed = belief._parsed
+    return copy
 
 
 def belief_to_trace(belief: Belief) -> dict:

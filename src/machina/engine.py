@@ -519,7 +519,10 @@ def dispatch(agent: Agent, event: EventInstance, _step: Optional[_Step] = None) 
         raise AgentNotStarted()
     chosen = _step
     if chosen is None:
-        for chosen in _leaf_plan(agent.machine, leaf).steps:
+        plan = agent.machine._memo.get(leaf)
+        if plan is None:
+            plan = _leaf_plan(agent.machine, leaf)
+        for chosen in plan.steps:
             t = chosen.transition
             if t.event == event.name and (
                 t.guard is None or eval_guard(t.guard, belief, agent.registry, agent.provider)

@@ -297,6 +297,7 @@ COMPOSITE_WITHOUT_INITIAL = "CompositeWithoutInitial"
 UNKNOWN_ACTION = "UnknownAction"
 BAD_GUARD = "BadGuard"
 UNREACHABLE_STATE = "UnreachableState"
+SHADOWED_TRANSITION = "ShadowedTransition"
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -356,13 +357,25 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
     """Check every structural rule; violations are data, not exceptions.
 
     The report contains at most one ``DuplicateState`` per repeated name and
-    is invariant (as a multiset) under reordering of states and transitions.
-    Unreachable states are reported as warnings so that machines may ship
-    optional externally-triggered branches.
+    is invariant (as a multiset) under reordering of states and transitions,
+    except for ``ShadowedTransition``, which depends on the order of one
+    state's transitions. Unreachable states are reported as warnings so that
+    machines may ship optional externally-triggered branches.
+
+    A transition is shadowed, and reported as a warning, when an earlier
+    transition on the same source state has the same event and no guard:
+    dispatch by name and a policy decision both take the earlier one, so the
+    later one never fires. An earlier transition that is not internally
+    triggered does not shadow a later internal one, which a decision can
+    still choose.
     """
     violations: list[Violation] = []
     known = frozenset(known_actions)
     outgoing = sm._index[2]
+    # per (source, event): the subject of the first unguarded transition,
+    # and of the first unguarded internal one
+    unguarded: dict[tuple[str, str], str] = {}
+    unguarded_internal: dict[tuple[str, str], str] = {}
 
     def error(cls: str, subject: str, message: str) -> None:
         violations.append(Violation(cls, SEVERITY_ERROR, subject, message))
@@ -422,8 +435,24 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                 )
         for spec in t.actions:
             check_action(f"transition {subject}", spec)
+        key = (t.source, t.event)
+        internal = t.trigger == TRIGGER_INTERNAL
+        earlier = (unguarded_internal if internal else unguarded).get(key)
+        if earlier is not None:
+            violations.append(
+                Violation(
+                    SHADOWED_TRANSITION,
+                    SEVERITY_WARNING,
+                    subject,
+                    f"transition {subject} can never fire: the earlier transition "
+                    f"{earlier} has the same event and no guard",
+                )
+            )
         guard = t.guard
         if guard is None:
+            unguarded.setdefault(key, subject)
+            if internal:
+                unguarded_internal.setdefault(key, subject)
             continue
         if guard.kind == GUARD_ACTION:
             if not guard.action_name:

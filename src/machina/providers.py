@@ -28,6 +28,8 @@ RETRY_BACKOFF_SECONDS = (0.5, 2.0)
 _BODY_CAP_BYTES = 1 << 20
 _BODY_CHUNK_BYTES = 1 << 16
 
+_new = object.__new__
+
 
 class ProviderError(MachinaError):
     """Base class for completion backend failures."""
@@ -79,7 +81,15 @@ class CallStats(Value):
         self.reply_bytes = reply_bytes
 
     def snapshot(self) -> "CallStats":
-        return CallStats(self.calls, self.prompt_bytes, self.reply_bytes)
+        """A copy that later counting does not reach. Every ``run`` takes
+        one, so it is built with ``object.__new__`` and a store per slot
+        (the rule in :mod:`machina.values`): ``__init__`` checks nothing,
+        and every field is stored here."""
+        copy = _new(CallStats)
+        copy.calls = self.calls
+        copy.prompt_bytes = self.prompt_bytes
+        copy.reply_bytes = self.reply_bytes
+        return copy
 
 
 class CompletionProvider(Protocol):

@@ -21,6 +21,13 @@ reply, it calls ``tuple_new(Cls, (field, ...))`` with the fields in
 ``_fields`` order: one C call, in place of the class's generated
 ``__new__``. That call checks nothing, so every field is passed, defaults
 included; a field left out makes a short tuple, not an error.
+
+The same rule holds for a slotted value: where the engine copies one it
+already holds on every step or run (``belief.snapshot``,
+``CallStats.snapshot``), the copy is built with ``object.__new__`` and a
+direct store per slot, skipping ``__init__``. That is done only where
+``__init__`` checks nothing and every field is stored, so the copy is what
+``__init__`` would have built.
 """
 
 

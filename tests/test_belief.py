@@ -11,6 +11,7 @@ import machina.json_extract as json_extract
 from machina.actions import ActionContext
 from machina.belief import (
     ActionRecord,
+    Belief,
     NotJsonValue,
     StepOutOfOrder,
     TransitionRecord,
@@ -20,6 +21,7 @@ from machina.belief import (
     kv_get,
     kv_set,
     new_belief,
+    parsed_input,
     record_action,
     record_transition,
     render_history,
@@ -34,6 +36,7 @@ from machina.scene import scene_to_json_value
 from helpers import s1_scene
 from copy_json_reference import reference_copy_json
 from history_reference import reference_render_history
+from snapshot_reference import reference_snapshot
 
 
 def transition(step, source="a", target="b", event="go", payload=None):
@@ -501,16 +504,114 @@ class TestCopyJson:
         assert outcome(copy_json, value) == outcome(reference_copy_json, value)
 
 
-def containers(value) -> set[int]:
-    """Identities of every dict and list in a JSON value."""
-    found = set()
-    stack = [value]
+def members(value) -> list:
+    """A JSON value and every value nested in it."""
+    found, stack = [], [value]
     while stack:
         v = stack.pop()
-        if isinstance(v, (dict, list)):
-            found.add(id(v))
-            stack.extend(v.values() if isinstance(v, dict) else v)
+        found.append(v)
+        if type(v) is dict:
+            stack.extend(v.values())
+        elif type(v) is list:
+            stack.extend(v)
     return found
+
+
+def containers(value) -> set[int]:
+    """Identities of every dict and list in a JSON value."""
+    return {id(v) for v in members(value) if type(v) in (dict, list)}
+
+
+IDENTIFIERS = st.from_regex(r"[a-z_][a-z0-9_]{0,5}", fullmatch=True)
+# what strict JSON can write: no NaN or infinity
+STRICT_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(),
+    ),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+JSON_STORES = st.dictionaries(st.text(max_size=4), STRICT_JSON, max_size=5)
+MIXED_STORES = st.dictionaries(
+    st.text(max_size=4), st.one_of(JSON_VALUES, MIXED_VALUES), max_size=4
+)
+
+
+def record_lists(record):
+    """Empty, short and long lists of ``record(step)``, some given as tuples."""
+    lists = st.one_of(
+        st.just([]),
+        st.lists(st.integers(0, 9).map(record), max_size=4),
+        st.integers(50, 200).map(lambda n: [record(i) for i in range(1, n + 1)]),
+    )
+    return st.tuples(lists, st.booleans()).map(
+        lambda drawn: tuple(drawn[0]) if drawn[1] else drawn[0]
+    )
+
+
+@st.composite
+def random_beliefs(draw, stores=JSON_STORES):
+    """Beliefs with nested stores, record lists of every length (lists or
+    tuples) and task inputs, some of them parsed through the memo."""
+    inputs = draw(st.dictionaries(IDENTIFIERS, STRICT_JSON, max_size=3))
+    b = Belief(
+        task_context=draw(record_lists(lambda i: ("user", f"text {i}"))),
+        trajectory=draw(record_lists(transition)),
+        execution_log=draw(record_lists(action)),
+        kv=draw(stores),
+        current_state=draw(st.none() | IDENTIFIERS),
+        inputs=inputs,
+    )
+    for key in inputs:
+        if draw(st.booleans()):
+            parsed_input(b, key, repr)
+    return b
+
+
+def edit_in_place(b: Belief) -> None:
+    """Change every list and dict the belief holds, except its read-only
+    inputs and memo, without replacing any of them."""
+    for v in members(b.kv):
+        if type(v) is dict:
+            v["edited"] = True
+        elif type(v) is list:
+            v.append("edited")
+    for records in (b.task_context, b.trajectory, b.execution_log):
+        if type(records) is list:
+            records.append(records[0] if records else ("user", "edited"))
+    b.current_state = "edited"
+
+
+class TestSnapshotAgainstReference:
+    """``snapshot`` builds its copy slot by slot; the reference builds it
+    through ``Belief.__init__``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_beliefs(MIXED_STORES))
+    def test_matches_the_reference_or_raises_what_it_raises(self, b):
+        # a store value that is not JSON raises NotJsonValue with the same message
+        assert outcome(snapshot, b) == outcome(reference_snapshot, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_beliefs())
+    def test_owns_its_lists_and_store_and_shares_inputs_and_memo(self, b):
+        snap, ref = snapshot(b), reference_snapshot(b)
+        assert type(snap) is Belief
+        assert [getattr(snap, name) for name in Belief._fields] == [
+            getattr(ref, name) for name in Belief._fields
+        ]
+        for name in ("task_context", "trajectory", "execution_log"):
+            own, held = getattr(snap, name), getattr(b, name)
+            assert type(own) is list and own is not held
+            assert all(s is r for s, r in zip(own, held))
+        assert snap.inputs is b.inputs and snap._parsed is b._parsed
+        assert not containers(snap.kv) & containers(b.kv)
+        edit_in_place(b)
+        assert snap == ref and snap._parsed is ref._parsed
 
 
 class TestEdges:

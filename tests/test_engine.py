@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from machina.actions import builtin_registry
+from machina.actions import ActionRegistry, builtin_registry
 from machina.belief import StepOutOfOrder, belief_to_trace, kv_get, kv_set, new_belief, snapshot
 from machina.engine import (
     ActionFailure,
@@ -426,6 +426,25 @@ class TestExecuteAction:
                 **where,
             )
         assert calls == [] and belief.kv == {} and belief.execution_log == []
+
+    def test_a_registry_subclass_lookup_is_consulted(self):
+        class Aliases(ActionRegistry):
+            """Serves ``shout`` through ``lookup`` alone: its ``_actions`` lack it."""
+
+            __slots__ = ()
+
+            def lookup(self, name):
+                return super().lookup("note" if name == "shout" else name)
+
+        registry = Aliases(dict(builtin_registry()._actions))
+        assert "shout" not in registry._actions
+        spec = ActionSpec("shout", params=(ParameterSpec("text", "external", "string"),))
+        belief = new_belief()
+        record = execute_action(
+            registry, spec, {"text": "hi"}, belief, ScriptedProvider.from_replies([])
+        )
+        assert (record.action, record.output) == ("shout", "hi")
+        assert belief.kv == {"shout": "hi"}
 
     def test_inputs_restricted_to_declared_params(self):
         spec = ActionSpec("note", params=(ParameterSpec("text", "external", "string"),))

@@ -63,6 +63,8 @@ class TestValidate:
         for name in ("routing", "react", "planning", "h3", "test_driven", "agent_coder", "class_name"):
             report = validate_machine(builtin_machine(name), BUILTINS)
             assert report.ok, f"{name}: {[str(v) for v in report]}"
+            # nor warnings: CI's package smoke step requires "ok (0 warnings)"
+            assert report.warnings == (), f"{name}: {[str(v) for v in report]}"
 
     def test_end_with_outgoing(self):
         sm = machine_from(
@@ -159,6 +161,56 @@ class TestValidate:
         report = validate_machine(sm, BUILTINS)
         assert report.ok
         assert [v.cls for v in report.warnings] == ["UnreachableState"]
+
+    @staticmethod
+    def shadow_report(first: dict, second: dict, on_parent: bool = False):
+        """Validate ``a`` (start) with two ``go`` transitions, to ``b`` and
+        ``c`` (both end), declared in that order on ``a`` or, with
+        ``on_parent``, the second on ``a``'s parent ``p``."""
+        go = {"source": "a", "target": "b", "event": "go", **first}
+        later = {"source": "p" if on_parent else "a", "target": "c", "event": "go", **second}
+        doc = {
+            "name": "m",
+            "states": [
+                state("p", tags=["start"], initial="a", substates=[state("a")]),
+                state("b", tags=["end"]),
+                state("c", tags=["end"]),
+            ],
+            "transitions": [go, later],
+        }
+        report = validate_machine(machine_from(doc), BUILTINS)
+        assert report.ok
+        return [str(v) for v in report.warnings]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({}, {}),
+            ({}, {"trigger": "external"}),
+            ({"trigger": "external"}, {"trigger": "external"}),
+            ({}, {"guard": {"expr": "x == 1"}}),
+        ],
+        ids=["internal-internal", "internal-external", "external-external", "guarded-later"],
+    )
+    def test_a_transition_after_an_unguarded_one_with_its_event_is_shadowed(self, first, second):
+        assert self.shadow_report(first, second) == [
+            "[warning] ShadowedTransition: transition a--go-->c can never fire: "
+            "the earlier transition a--go-->b has the same event and no guard"
+        ]
+
+    @pytest.mark.parametrize(
+        "first, second, on_parent",
+        [
+            ({"guard": {"expr": "x == 1"}}, {}, False),
+            ({"trigger": "external"}, {}, False),
+            ({}, {}, True),
+        ],
+        ids=["guarded-earlier", "external-then-internal", "ancestor"],
+    )
+    def test_no_shadow_where_the_later_transition_can_still_fire(self, first, second, on_parent):
+        # a decision chooses the internal go past an external one; the parent's
+        # go fires at leaves that do not declare go themselves
+        assert self.shadow_report(first, second, on_parent) == []
 
     def test_order_independent_violation_multiset(self):
         doc = {

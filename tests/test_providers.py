@@ -10,6 +10,7 @@ from machina.errors import MachinaError, SchemaError, UnencodableText
 from machina.providers import (
     _BODY_CAP_BYTES,
     _BODY_CHUNK_BYTES,
+    CallStats,
     CompletionRequest,
     HttpError,
     HttpProvider,
@@ -74,6 +75,15 @@ class TestScripted:
         before = p.snapshot_stats()
         p.complete(req())
         assert before.calls == 0
+
+    def test_a_stats_copy_does_not_follow_later_counting(self):
+        p = ScriptedProvider.from_replies(["ab", "cde"])
+        p.complete(req("abcd"))
+        before = p.snapshot_stats()
+        p.complete(req("efg", system="s"))
+        assert type(before) is CallStats and before is not p.snapshot_stats()
+        assert before == CallStats(calls=1, prompt_bytes=4, reply_bytes=2)
+        assert p.snapshot_stats() == CallStats(calls=2, prompt_bytes=8, reply_bytes=5)
 
     def test_reply_clipped_to_max_bytes(self):
         p = ScriptedProvider.from_replies(["x" * 20_000])

@@ -16,6 +16,7 @@ from machina.model import (
     GUARD_EXPRESSION,
     TAG_END,
     TAG_START,
+    TRIGGERS,
     ActionSpec,
     Condition,
     State,
@@ -39,6 +40,7 @@ VIOLATION_CLASSES = {
     model.UNKNOWN_ACTION,
     model.BAD_GUARD,
     model.UNREACHABLE_STATE,
+    model.SHADOWED_TRANSITION,
 }
 
 
@@ -46,7 +48,8 @@ def random_machine(rnd: random.Random, index: int, reverse: bool) -> StateMachin
     """Up to four levels of states whose names sometimes repeat, with stray
     ``start`` and ``end`` tags, ``initial`` links that are missing, name no
     child or sit on a simple state, known and unknown entry, exit and
-    transition actions, dangling endpoints and every kind of guard."""
+    transition actions, dangling endpoints, every kind of guard, and events
+    that repeat on one source with either trigger."""
     counter = itertools.count()
     names: list[str] = []
 
@@ -91,11 +94,12 @@ def random_machine(rnd: random.Random, index: int, reverse: bool) -> StateMachin
         Transition(
             endpoint(),
             endpoint(),
-            f"e{i}",
+            f"e{rnd.randint(0, 2)}",
             guard=guard(),
             actions=tuple(ActionSpec(rnd.choice(ACTION_NAMES)) for _ in range(rnd.randint(0, 2))),
+            trigger=rnd.choice(TRIGGERS),
         )
-        for i in range(rnd.randint(0, 2 * len(names)))
+        for _ in range(rnd.randint(0, 2 * len(names)))
     ]
     if reverse:
         tops.reverse()

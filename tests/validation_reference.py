@@ -1,12 +1,14 @@
 """The six-walk ``validate_machine`` that ``machina.model.validate_machine``
 replaced with one walk over the states and one pass over the transitions,
-kept verbatim as the reference the new checker must match as a multiset of
+kept as the reference the new checker must match as a multiset of
 violations on every machine.
 
 It walks the state tree once per rule (name counts, nested starts, any end,
 end states with outgoing transitions, composite ``initial`` links, and
 entry/exit actions) and passes over the transitions once each for dangling
-endpoints, transition actions and guards.
+endpoints, transition actions and guards. The ``ShadowedTransition`` warning
+was added to the checker and to this reference together, here as a pass of
+its own that looks back from each transition over the ones before it.
 """
 
 from typing import Iterator
@@ -24,8 +26,11 @@ from machina.model import (
     MISSING_START,
     MULTIPLE_START,
     SEVERITY_ERROR,
+    SEVERITY_WARNING,
+    SHADOWED_TRANSITION,
     TAG_END,
     TAG_START,
+    TRIGGER_INTERNAL,
     UNKNOWN_ACTION,
     ActionSpec,
     StateMachine,
@@ -51,9 +56,10 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
     """Check every structural rule; violations are data, not exceptions.
 
     The report contains at most one ``DuplicateState`` per repeated name and
-    is invariant (as a multiset) under reordering of states and transitions.
-    Unreachable states are reported as warnings so that machines may ship
-    optional externally-triggered branches.
+    is invariant (as a multiset) under reordering of states and transitions,
+    except for ``ShadowedTransition``. Unreachable states are reported as
+    warnings so that machines may ship optional externally-triggered
+    branches.
     """
     violations: list[Violation] = []
 
@@ -217,6 +223,26 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                     BAD_GUARD, SEVERITY_ERROR, subject, f"unknown guard kind {t.guard.kind!r}"
                 )
             )
+
+    transitions = list(sm.transitions)
+    for i, t in enumerate(transitions):
+        for earlier in transitions[:i]:
+            if (earlier.source, earlier.event) != (t.source, t.event) or earlier.guard is not None:
+                continue
+            if earlier.trigger != TRIGGER_INTERNAL and t.trigger == TRIGGER_INTERNAL:
+                continue  # a decision can still choose t
+            subject = f"{t.source}--{t.event}-->{t.target}"
+            violations.append(
+                Violation(
+                    SHADOWED_TRANSITION,
+                    SEVERITY_WARNING,
+                    subject,
+                    f"transition {subject} can never fire: the earlier transition "
+                    f"{earlier.source}--{earlier.event}-->{earlier.target} "
+                    "has the same event and no guard",
+                )
+            )
+            break
 
     if len(top_starts) == 1:
         violations.extend(_reachability_warnings(sm, top_starts[0]))
