@@ -12,7 +12,6 @@ rest. :func:`json_writer` builds a ``dumps`` for one encoder configuration.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -42,14 +41,6 @@ def _finite(text: str) -> float:
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-class _LoneSurrogate(ValueError):
-    """A value decoded up to ``end`` holds a string with no UTF-8 form."""
-
-    def __init__(self, end: int):
-        super().__init__("a string holds a lone surrogate")
-        self.end = end
-
-
 class _StrictDecoder(json.JSONDecoder):
     def raw_decode(self, s: str, idx: int = 0):
         value, end = super().raw_decode(s, idx)
@@ -61,7 +52,7 @@ class _StrictDecoder(json.JSONDecoder):
             if _SURROGATE_ESCAPE.search(s, idx, end):
                 json.dumps(value, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
-            raise _LoneSurrogate(end) from None
+            raise ValueError("a string holds a lone surrogate") from None
         return value, end
 
 
@@ -89,17 +80,9 @@ def read_json(text: str | bytes):
         raise JsonSyntaxError(1, 1, "document nested too deeply") from None
 
 
-@functools.cache
-def _rest_of_search():
-    """:func:`machina.json_search.search`, imported the first time a reply's
-    first bracket fails to decode."""
-    from .json_search import search
-
-    return search
-
-
 # Each finder decodes its first bracket itself, so a reply that decodes at
-# once costs no call beyond the decoding.
+# once costs no call beyond the decoding, and imports the search for the rest
+# only when that fails.
 def first_json_object(text: str) -> dict | None:
     """First ``{...}`` span that parses as a JSON object."""
     start = text.find("{")
@@ -109,7 +92,9 @@ def first_json_object(text: str) -> dict | None:
         return _DECODER.raw_decode(text, start)[0]
     except (ValueError, RecursionError) as exc:
         failure = exc
-    return _rest_of_search()(text, "{", start, failure)
+    from .json_search import search
+
+    return search(text, "{", start, failure)
 
 
 def first_json_array(text: str) -> list | None:
@@ -121,7 +106,9 @@ def first_json_array(text: str) -> list | None:
         return _DECODER.raw_decode(text, start)[0]
     except (ValueError, RecursionError) as exc:
         failure = exc
-    return _rest_of_search()(text, "[", start, failure)
+    from .json_search import search
+
+    return search(text, "[", start, failure)
 
 
 def json_writer(**settings) -> Callable[[object], str]:

@@ -1,8 +1,14 @@
 """The search for the first JSON value in a reply, after its first opening
 bracket failed to decode. :func:`machina.json_extract.first_json_object` and
-``first_json_array`` decode the first bracket themselves and load this module
-only when that fails, so a process whose replies decode at once never loads
-it.
+``first_json_array`` decode the first bracket themselves and import this
+module only when that fails, so a process whose replies decode at once never
+loads it.
+
+A failed decoding rules out, without decoding them, the brackets that must
+fail with it, by one of two rules: the brackets still open at the first token
+the decoder refuses (a syntax error, or a number, constant or string it will
+not convert), and, for a value too deep for the decoder, the brackets nested
+deeper than it goes.
 """
 
 from __future__ import annotations
@@ -45,28 +51,31 @@ def _refused(leaf: str) -> bool:
     return 0 < most < len(leaf) - (leaf[0] == "-")
 
 
-def _read(text: str, start: int, stop: int, leaves: bool = False):
+def _read(text: str, start: int, stop: int, refused: bool = False):
     """Read ``text[start:stop]`` as the decoder does from the opening bracket
-    at ``start``, up to a string with no end or, with ``leaves``, the first
-    number or constant the decoder refuses, and list the brackets outside
-    strings: ``closed``, ``(position, end, depth)`` of each one that closes
-    (its depth counts itself), and ``open``, the position of each one still
-    open where the reading stops, as well as the ``strings``, each
-    ``(start, end)``.
+    at ``start``, up to a string with no end or, with ``refused``, the first
+    number, constant or string the decoder refuses (a string it refuses is
+    one UTF-8 cannot encode: it holds a lone surrogate), and list the
+    brackets outside strings: ``closed``, ``(position, end, depth)`` of each
+    one that closes (its depth counts itself), and ``open``, the position of
+    each one still open where the reading stops.
 
     Where the text is JSON up to a point, this reading and the decoder's
     agree up to it, so a decoding at a bracket still open where a decoding
     failed fails there too. A closer of the other kind closes nothing."""
     closed: list[tuple[int, int, int]] = []
-    strings: list[tuple[int, int]] = []
     stack: list[list] = []  # [position, bracket, depth] of each open bracket
-    for token in (_LEAF_TOKENS if leaves else _TOKENS).finditer(text, start, stop):
+    for token in (_LEAF_TOKENS if refused else _TOKENS).finditer(text, start, stop):
         at = token.start()
         ch = text[at]
         if ch == '"':
             if token.end() - at == 1:  # a string with no end: the rest is in it
                 break
-            strings.append((at, token.end()))
+            if refused:
+                try:
+                    scanstring(text, at + 1, True)[0].encode("utf-8")
+                except UnicodeEncodeError:
+                    break
         elif ch == "[" or ch == "{":
             stack.append([at, ch, 1])
         elif token.lastindex:  # a number or constant
@@ -77,27 +86,7 @@ def _read(text: str, start: int, stop: int, leaves: bool = False):
             closed.append((position, token.end(), depth))
             if stack and stack[-1][2] <= depth:
                 stack[-1][2] = depth + 1
-    return closed, [entry[0] for entry in stack], strings
-
-
-def _holding_lone_surrogates(text: str, start: int, end: int) -> list[int]:
-    """The brackets in the value ``text[start:end]`` whose own value holds a
-    string with no UTF-8 form, which the decoder refuses."""
-    closed, _, strings = _read(text, start, end)
-    bad = []
-    for at, _ in strings:
-        try:
-            scanstring(text, at + 1, True)[0].encode("utf-8")
-        except UnicodeEncodeError:
-            bad.append(at)
-    holding = []
-    i = 0
-    for position, close, _ in sorted(closed):
-        while i < len(bad) and bad[i] < position:
-            i += 1
-        if i < len(bad) and bad[i] < close:
-            holding.append(position)
-    return holding
+    return closed, [entry[0] for entry in stack]
 
 
 def search(text: str, open_ch: str, start: int, failure: Exception):
@@ -105,8 +94,9 @@ def search(text: str, open_ch: str, start: int, failure: Exception):
     at the next ``open_ch`` that decodes, or ``None``.
 
     Each failed decoding names the brackets that must fail too, and those are
-    never decoded: the ones still open where it failed; after a string with a
-    lone surrogate, every bracket whose value holds such a string; after a
+    never decoded. After a syntax error, or a ``ValueError`` for the first
+    number, constant or string the decoder refuses, they are the ones still
+    open at that point, read again from ``start`` with :func:`_read`; after a
     value too deep for the decoder, the ones that never close or nest deeper
     than the decoder goes, which the first such failure measures. So a reply
     of ``MAX_REPLY_BYTES`` decodes at few places however its brackets nest,
@@ -120,10 +110,8 @@ def search(text: str, open_ch: str, start: int, failure: Exception):
     while text.find(open_ch, start + 1) != -1:
         if isinstance(failure, json.JSONDecodeError):
             doomed.update(_read(text, start, failure.pos)[1])
-        elif isinstance(failure, json_extract._LoneSurrogate):
-            doomed.update(_holding_lone_surrogates(text, start, failure.end))
-        elif isinstance(failure, ValueError):  # a number or constant the decoder refuses
-            doomed.update(_read(text, start, len(text), leaves=True)[1])
+        elif isinstance(failure, ValueError):  # a number, constant or string it refuses
+            doomed.update(_read(text, start, len(text), refused=True)[1])
         else:  # nested past the decoder's depth limit
             if depth_limit is None:
                 depth_limit, too_deep = 0, len(text)  # decodes, fails
@@ -134,7 +122,7 @@ def search(text: str, open_ch: str, start: int, failure: Exception):
                         depth_limit = depth
                     except RecursionError:
                         too_deep = depth
-            closed, never, _ = _read(text, start, len(text))
+            closed, never = _read(text, start, len(text))
             doomed.update(never)
             for position, _, depth in closed:
                 if depth > depth_limit:

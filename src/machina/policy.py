@@ -21,7 +21,7 @@ from .guards import GuardExpr, evaluate, parse_guard, resolve_kv_path
 from .json_extract import first_json_object, read_json
 from .keypath import ABSENT, BadPath, JsonValue, split_path
 from .model import TRIGGER_INTERNAL, EventInstance, ParameterSpec, State, Transition
-from .providers import CompletionProvider, CompletionRequest, ReplyNotText
+from .providers import CompletionProvider, _reply_text
 from .values import EMPTY_MAPPING, FrozenValue, distinct, tuple_new
 
 DEFAULT_HISTORY_BUDGET = 3000
@@ -293,13 +293,12 @@ def llm_decide(
     belief: Belief,
 ) -> EventInstance:
     """Prompt, complete, parse; on a bad reply retry with the error appended.
-    A reply that is not a ``str`` raises :class:`ReplyNotText`, not retried."""
+    Each reply comes from ``providers._reply_text``, so one that is not a
+    ``str`` raises :class:`~machina.providers.ReplyNotText`, not retried."""
     prompt = build_policy_prompt(policy, state, candidates, belief)
     last_error: PolicyError | None = None
     for _ in range(PARSE_RETRIES + 1):
-        reply = provider.complete(tuple_new(CompletionRequest, (prompt, None)))
-        if not isinstance(reply, str):
-            raise ReplyNotText(reply)
+        reply = _reply_text(provider, prompt)
         try:
             return parse_policy_response(reply, candidates)
         except (Unparseable, UnknownEvent, MissingArgument, BadArgumentType) as exc:

@@ -98,6 +98,16 @@ class CompletionProvider(Protocol):
     def snapshot_stats(self) -> CallStats: ...
 
 
+def _reply_text(provider: CompletionProvider, prompt: str) -> str:
+    """The reply to ``prompt``, asked of ``provider`` with no system text.
+    Every model reply machina reads comes through here: one that is not a
+    ``str`` raises :class:`ReplyNotText`."""
+    reply = provider.complete(tuple_new(CompletionRequest, (prompt, None)))
+    if not isinstance(reply, str):
+        raise ReplyNotText(reply)
+    return reply
+
+
 def _prompt_bytes(request: CompletionRequest) -> int:
     """UTF-8 bytes a request sends: the prompt plus the system text, if any.
     Text UTF-8 cannot encode raises :class:`~machina.errors.UnencodableText`."""

@@ -19,8 +19,8 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
 from .json_extract import first_json_array, read_json
 from .keypath import JsonValue
-from .providers import CompletionProvider, CompletionRequest, ReplyNotText
-from .values import FrozenValue, distinct, tuple_new
+from .providers import CompletionProvider, _reply_text
+from .values import FrozenValue, distinct
 
 COLORS = ("gray", "red", "blue", "green", "brown", "purple", "cyan", "yellow")
 MATERIALS = ("metal", "rubber")
@@ -360,19 +360,12 @@ def normalize_answer(text: str) -> str:
     return _WORD_DIGITS.get(cleaned, cleaned)
 
 
-def _reply_text(provider: CompletionProvider, prompt: str) -> str:
-    """The reply to ``prompt``; one that is not a ``str`` raises :class:`ReplyNotText`."""
-    reply = provider.complete(tuple_new(CompletionRequest, (prompt, None)))
-    if not isinstance(reply, str):
-        raise ReplyNotText(reply)
-    return reply
-
-
 def classify_question(provider: CompletionProvider, question: str) -> str:
     """Ask the provider for the question type; map the reply to a label.
 
     The reply is matched case-insensitively against the three labels; the
-    label appearing earliest in the reply wins.
+    label appearing earliest in the reply wins. As for every model reply, one
+    that is not a ``str`` raises ``ReplyNotText`` (``providers._reply_text``).
     """
     if not question.strip():
         raise MachinaError("question must be nonempty")
@@ -394,7 +387,8 @@ def extract_objects(provider: CompletionProvider, scene: SceneGraph, question: s
     """Ask the provider for the ids the question refers to.
 
     The first JSON array of strings in the reply is taken; every id must
-    exist in the scene.
+    exist in the scene. A reply that is not a ``str`` raises
+    ``ReplyNotText`` (``providers._reply_text``).
     """
     prompt = (
         "Scene graph:\n"
@@ -415,7 +409,9 @@ def extract_objects(provider: CompletionProvider, scene: SceneGraph, question: s
 
 
 def answer_question(provider: CompletionProvider, scene: SceneGraph, question: str) -> str:
-    """Ask the provider to answer directly from the scene; normalized reply."""
+    """Ask the provider to answer directly from the scene; normalized reply.
+    A reply that is not a ``str`` raises ``ReplyNotText``
+    (``providers._reply_text``)."""
     prompt = (
         "Scene graph:\n"
         f"{scene.json_text}\n\n"

@@ -2,9 +2,10 @@
 
 Tier-1 runs under Hypothesis's default profile. ``deep`` gives every test
 that takes its example count from the profile, such as the statechart
-reference fuzz, ten times as many examples; CI runs the fuzz under it:
+reference fuzz and the reply-search fuzz, ten times as many examples; CI runs
+both under it:
 
-    PYTHONPATH=src python -m pytest tests/test_statechart_reference.py --hypothesis-profile=deep
+    PYTHONPATH=src python -m pytest tests/test_statechart_reference.py tests/test_json_extract.py --hypothesis-profile=deep
 
 When a ``@given`` test fails, Hypothesis's pytest plugin imports
 ``hypothesis.extra._patching`` inside a report hook to write a patch. With

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +95,9 @@ def test_first_json_object_examples(text, expected):
         (first_json_array, '[[2], {"a": -Infinity}] [4]', [2]),
         (first_json_object, '{"a": "\\udc00", "b": {"c": 1}}', {"c": 1}),
         (first_json_object, '{"a": {"n": 1}, "b": 1e999}', {"n": 1}),
+        # a raw lone surrogate, and an escaped one before a refused number
+        (first_json_object, '{"a": {"b": "\ud800"}, "c": {"d": 1}}', {"d": 1}),
+        (first_json_array, '[["a", "\\ud800"], [3], 1e999] [4]', [3]),
     ],
 )
 def test_a_value_inside_one_that_is_refused_is_found(find, text, expected):
@@ -160,7 +167,7 @@ DUMPED_VALUES = st.builds(
 REPLIES = st.lists(REPLY_PIECES | DUMPED_VALUES, max_size=25).map("".join)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=4 * settings.default.max_examples, deadline=None)
 @given(REPLIES)
 def test_finders_agree_with_decoding_at_every_bracket(text):
     assert first_json_object(text) == _reference_first_json(text, "{")
@@ -184,6 +191,9 @@ ADVERSARIAL = {
     "chain-syntax-error": _chain("x"),
     "chain-infinite-number": _chain("1e999"),
     "chain-lone-surrogate": _chain('"\\ud800"'),
+    "surrogate-siblings": '["\\ud800"],' * (MAX_REPLY_BYTES // 11),
+    "raw-surrogate-quotes": '"\ud800"[' * (MAX_REPLY_BYTES // 4),
+    "chain-surrogate-then-infinite-number": _chain('"\\ud800", 1e999'),
 }
 
 
@@ -208,7 +218,8 @@ class _CountingDecoder:
 @pytest.mark.parametrize(
     "name",
     ["open-brackets", "nested-keys"]
-    + ["chain-syntax-error", "chain-infinite-number", "chain-lone-surrogate"],
+    + ["chain-syntax-error", "chain-infinite-number", "chain-lone-surrogate"]
+    + ["chain-surrogate-then-infinite-number"],
 )
 def test_nested_failures_decode_a_few_times_not_once_per_bracket(monkeypatch, name):
     text = ADVERSARIAL[name]
@@ -241,6 +252,29 @@ def test_a_too_deep_start_is_skipped_up_to_the_first_that_fits(monkeypatch):
     monkeypatch.setattr(json_extract, "_DECODER", counter)
     first_json_array(text)
     assert counter.calls <= 2 + MAX_REPLY_BYTES.bit_length()
+
+
+LAZY_SEARCH_PROBE = """
+import sys
+import machina, machina.cli, machina.engine, machina.harness
+from machina.json_extract import first_json_array
+assert first_json_array("[1]") == [1]
+print("machina.json_search" in sys.modules, end=" ")
+assert first_json_array("[x] [1]") == [1]
+print("machina.json_search" in sys.modules)
+"""
+
+
+def test_the_search_loads_when_a_first_bracket_fails():
+    src = Path(json_extract.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", LAZY_SEARCH_PROBE],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        text=True,
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 # json.dumps's default style, and the sorted, compact, non-ASCII style of
