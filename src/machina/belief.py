@@ -16,7 +16,7 @@ from collections import ChainMap
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .errors import MachinaError, utf8
+from .errors import MachinaError, _utf8_len, utf8
 from .json_extract import json_writer
 from .keypath import JsonValue, resolve, split_path
 from .model import is_identifier
@@ -361,7 +361,7 @@ def belief_to_trace(belief: Belief) -> dict:
 
 def estimate_tokens(text: str) -> int:
     """Provider-agnostic token estimate: one token per four UTF-8 bytes."""
-    return math.ceil(len(utf8(text)) / 4)
+    return math.ceil(_utf8_len(text) / 4)
 
 
 # Records hold JSON values: the engine stores copy_json copies, which cannot

@@ -63,7 +63,7 @@ from .model import (
     start_state,
     validate_machine,
 )
-from .policy import CandidateTransition, PolicyStage, decide
+from .policy import CandidateTransition, PolicyStage, _Candidates, decide
 from .providers import CallStats, CompletionProvider
 from .values import FrozenValue, Value, tuple_new
 
@@ -328,7 +328,10 @@ class _LeafPlan(FrozenValue):
     """What ``run`` reads at any leaf, end leaves too; fixed by the machine.
     ``candidates`` are the steps' ``passed`` candidates and ``waits`` says
     whether all of them need an external trigger, both only when no step is
-    guarded (else ``None``): a guard's outcome is never kept."""
+    guarded (else ``None``): a guard's outcome is never kept. The candidates
+    are a :class:`~machina.policy._Candidates`, so what a decision derives
+    from them (the selectable ones, a forced choice, the candidate for each
+    event name, the prompt's transition lines) is computed once per leaf."""
 
     __slots__ = ("state", "steps", "candidates", "waits")
 
@@ -336,7 +339,7 @@ class _LeafPlan(FrozenValue):
         self,
         state: State,
         steps: tuple[_Step, ...],
-        candidates: Optional[tuple[CandidateTransition, ...]],
+        candidates: Optional[_Candidates],
         waits: Optional[bool],
     ):
         self._set(state, steps, candidates, waits)
@@ -352,7 +355,7 @@ def _leaf_plan(sm: StateMachine, leaf: str) -> _LeafPlan:
         steps = tuple(_plan_step(sm, leaf, t) for t in enabled_transitions(sm, leaf))
         candidates = waits = None
         if all(step.transition.guard is None for step in steps):
-            candidates = tuple(step.passed for step in steps)
+            candidates = _Candidates(step.passed for step in steps)
             waits = all(c.transition.trigger == TRIGGER_EXTERNAL for c in candidates)
         plan = sm._memo[leaf] = _LeafPlan(state, steps, candidates, waits)
     return plan
@@ -623,7 +626,7 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
     the trajectory reaches the limit; otherwise :func:`dispatch` resolves a
     pending event by name, or else fires the step of the candidate
     ``decide`` chose. Only a turn with no pending event reads candidates:
-    the plan's fixed tuple at a leaf with no guarded step, else one
+    the plan's fixed sequence at a leaf with no guarded step, else one
     :func:`candidate_transitions` list. The result carries the output of
     the last executed action.
     """

@@ -23,11 +23,16 @@ from . import json_extract
 
 # What fixes where a value ends, read on from an opening bracket: a whole
 # string, a quote whose string has no end and a bracket; with ``_LEAF_TOKENS``
-# also (group 1) a number or constant the decoder converts.
+# also (group 1) a number or constant the decoder may refuse: a constant, a
+# number with an exponent, or one with 309 or more integer digits. Any other
+# number is below 1e308, so finite, and an integer of at most 308 digits,
+# below the lowest digit limit ``int`` can be given (640), so it is converted.
 _TOKEN = r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}"]'
 _TOKENS = re.compile(_TOKEN, re.DOTALL)
 _LEAF_TOKENS = re.compile(
-    _TOKEN + r"|(NaN|-?Infinity|-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)", re.DOTALL
+    _TOKEN + r"|(NaN|-?Infinity|(?<![0-9.])-?"
+    r"(?:[0-9]+(?:\.[0-9]+)?[eE][-+]?[0-9]+|[0-9]{309,}(?:\.[0-9]+)?))",
+    re.DOTALL,
 )
 # An opening bracket after which a value can follow: JSON whitespace, then
 # a closer, a quote or what can begin a value.

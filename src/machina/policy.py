@@ -166,16 +166,65 @@ class LlmPolicy(FrozenValue):
 class PolicyStage(Protocol):
     """``select`` returns an event among ``selectable``, or ``None`` to pass
     to the next stage; ``decide`` fires the first selectable candidate with
-    that event's name."""
+    that event's name. A stage never edits ``selectable``: at a leaf with no
+    guarded step it is the leaf plan's one read-only selectable sequence,
+    shared by every turn and agent on the machine; elsewhere it is a new
+    list."""
 
     def select(
         self, state: State, selectable: Sequence[CandidateTransition], belief: Belief, provider: CompletionProvider
     ) -> EventInstance | None: ...
 
 
-def _selectable(candidates: Sequence[CandidateTransition]) -> list[CandidateTransition]:
-    """Candidates a policy may fire: guard passed and internally triggered."""
-    return [c for c in candidates if c.guard_passed and c.transition.trigger == TRIGGER_INTERNAL]
+class _Candidates(tuple):
+    """Candidates in resolution order, as one read-only sequence, with what
+    the policy functions derive from them kept as ``cached_property`` memos.
+    A leaf plan whose candidates the machine fixes holds one, so each memo is
+    computed once per machine and shared by every agent and turn; a policy
+    function given any other sequence wraps it once, and its memos last as
+    long as that call."""
+
+    @cached_property
+    def passing(self) -> _Candidates:
+        """The guard-passed candidates."""
+        return _Candidates(c for c in self if c.guard_passed)
+
+    @cached_property
+    def selectable(self) -> _Candidates:
+        """Candidates a policy may fire: guard passed and internally triggered."""
+        return _Candidates(c for c in self.passing if c.transition.trigger == TRIGGER_INTERNAL)
+
+    @cached_property
+    def forced(self) -> EventInstance | None:
+        """The event :func:`fast_forward` fires, or ``None``."""
+        eligible = self.selectable
+        if len(eligible) == 1 and not eligible[0].required_external_params:
+            return EventInstance(eligible[0].transition.event)
+        return None
+
+    @cached_property
+    def by_event(self) -> dict[str, CandidateTransition]:
+        """The first guard-passed candidate with each event name."""
+        return {c.transition.event: c for c in reversed(self.passing)}
+
+    @cached_property
+    def transition_lines(self) -> str:
+        """The prompt's ``# Available transitions`` lines, one per guard-passed
+        candidate."""
+        return "\n".join([c.prompt_line for c in self.passing])
+
+    def first(self, event) -> CandidateTransition | None:
+        """The first guard-passed candidate whose event is ``event``; a name
+        that cannot be hashed names none."""
+        try:
+            return self.by_event.get(event)
+        except TypeError:
+            return None
+
+
+def _plan(candidates: Sequence[CandidateTransition]) -> _Candidates:
+    """``candidates`` as a :class:`_Candidates`, wrapped unless it is one."""
+    return candidates if type(candidates) is _Candidates else _Candidates(candidates)
 
 
 def fast_forward(candidates: Sequence[CandidateTransition]) -> EventInstance | None:
@@ -185,10 +234,7 @@ def fast_forward(candidates: Sequence[CandidateTransition]) -> EventInstance | N
     exists and it needs no external parameters (the shortcut cannot invent
     arguments).
     """
-    eligible = _selectable(candidates)
-    if len(eligible) == 1 and not eligible[0].required_external_params:
-        return tuple_new(EventInstance, (eligible[0].transition.event, EMPTY_MAPPING))
-    return None
+    return _plan(candidates).forced
 
 
 def rule_decide(
@@ -204,15 +250,13 @@ def rule_decide(
     cover the candidate's required parameters, are skipped so one rule list
     can serve many states.
     """
-    passing = [c for c in candidates if c.guard_passed]
+    plan = _plan(candidates)
     for rule in rules:
         if rule.when_state is not None and rule.when_state != state.name:
             continue
         if rule.when_guard is not None and not evaluate(rule.when_guard, lookup_scope(belief)):
             continue
-        candidate = next(
-            (c for c in passing if c.transition.event == rule.emit_event), None
-        )
+        candidate = plan.first(rule.emit_event)
         if candidate is None:
             continue
         arguments: dict[str, JsonValue] = {}
@@ -239,16 +283,15 @@ def build_policy_prompt(
     """Deterministic five-section prompt: task description and the task
     context messages, execution history, current state, available
     transitions, output instruction."""
-    passing = [c for c in candidates if c.guard_passed]
-    if not passing:
+    plan = _plan(candidates)
+    if not plan.passing:
         raise NoCandidates()
     lines = ["# Task", policy.task_description]
     lines += [f"{role}: {text}" for role, text in belief.task_context]
     lines.append("")
     lines += ["# Execution history", render_history(belief, policy.history_token_budget), ""]
     lines += ["# Current state", f"{state.name}: {state.description}", ""]
-    lines.append("# Available transitions")
-    lines += [c.prompt_line for c in passing]
+    lines += ["# Available transitions", plan.transition_lines]
     lines += ["", "# Output instruction", OUTPUT_INSTRUCTION]
     return "\n".join(lines)
 
@@ -269,9 +312,7 @@ def parse_policy_response(
     if not isinstance(arguments, dict):
         raise Unparseable(text)
     event = doc["event"]
-    candidate = next(
-        (c for c in candidates if c.guard_passed and c.transition.event == event), None
-    )
+    candidate = _plan(candidates).first(event)
     if candidate is None:
         raise UnknownEvent(event)
     coerced = dict(arguments)
@@ -295,6 +336,7 @@ def llm_decide(
     """Prompt, complete, parse; on a bad reply retry with the error appended.
     Each reply comes from ``providers._reply_text``, so one that is not a
     ``str`` raises :class:`~machina.providers.ReplyNotText`, not retried."""
+    candidates = _plan(candidates)
     prompt = build_policy_prompt(policy, state, candidates, belief)
     last_error: PolicyError | None = None
     for _ in range(PARSE_RETRIES + 1):
@@ -324,22 +366,25 @@ def decide(
     selection; naming none raises :class:`UnknownEvent`. An empty stack is
     allowed for machines whose every step fast-forwards; any other step then
     exhausts the policy.
+
+    Given a leaf plan's candidates, as :func:`~machina.engine.run` passes
+    them at a leaf with no guarded step, every stage gets the plan's shared,
+    read-only selectable sequence; given any other sequence, a new list.
     """
-    selection = fast_forward(candidates)
+    plan = _plan(candidates)
+    selection = fast_forward(plan)
     if selection is None:
-        selectable = _selectable(candidates)
+        selectable = plan.selectable if plan is candidates else list(plan.selectable)
         for stage in stack:
             selection = stage.select(state, selectable, belief, provider)
             if selection is not None:
                 break
         else:
             raise PolicyExhausted()
-    name = selection.name
-    for c in candidates:
-        t = c.transition
-        if t.event == name and c.guard_passed and t.trigger == TRIGGER_INTERNAL:
-            return c, selection
-    raise UnknownEvent(name)
+    chosen = plan.selectable.first(selection.name)
+    if chosen is None:
+        raise UnknownEvent(selection.name)
+    return chosen, selection
 
 
 # ---------------------------------------------------------------------------

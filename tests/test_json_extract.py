@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -98,10 +99,39 @@ def test_first_json_object_examples(text, expected):
         # a raw lone surrogate, and an escaped one before a refused number
         (first_json_object, '{"a": {"b": "\ud800"}, "c": {"d": 1}}', {"d": 1}),
         (first_json_array, '[["a", "\\ud800"], [3], 1e999] [4]', [3]),
+        # at the thresholds: 308 integer digits stay finite, 309 overflow; the
+        # lowest digit limit ``int`` takes (set below) converts 640, not 641
+        (first_json_array, "[[1, %s.5], 1e999]" % ("9" * 308), [1, float("9" * 308 + ".5")]),
+        (first_json_array, "[[1, %s.5], [2]]" % ("9" * 309), [2]),
+        (first_json_array, "[[1, %s], 1e999]" % ("1" * 640), [1, int("1" * 640)]),
+        (first_json_array, "[[1, %s], [2]]" % ("1" * 641), [2]),
     ],
 )
 def test_a_value_inside_one_that_is_refused_is_found(find, text, expected):
-    assert find(text) == expected
+    with _lowest_int_digit_limit():
+        assert find(text) == expected
+
+
+@contextmanager
+def _lowest_int_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "digits", ["9" * 309 + ".5", "1" * 641], ids=["309-digit-decimal", "641-digit-int"]
+)
+def test_a_number_refused_at_the_threshold_rules_out_the_brackets_open_at_it(monkeypatch, digits):
+    counter = _CountingDecoder()
+    monkeypatch.setattr(json_extract, "_DECODER", counter)
+    with _lowest_int_digit_limit():
+        assert first_json_array("[[1, %s], [2]]" % digits) == [2]
+    # the outer decoding fails at the number, where both brackets are open
+    assert counter.calls == 2
 
 
 def test_first_json_array_examples():

@@ -411,18 +411,30 @@ def test_a_decision_at_an_unguarded_leaf_gets_the_plans_candidates(monkeypatch):
         assert candidates is agent.machine._memo[name].candidates
 
 
-def test_a_stage_at_an_unguarded_leaf_still_gets_a_new_list():
+def test_a_stage_at_an_unguarded_leaf_gets_the_plans_read_only_selectable():
     """Two internal candidates: no fast-forward, so the stage selects. Its
-    ``selectable`` is a new list each time, and emptying it changes nothing
-    the next turn reads."""
-    seen = []
+    ``selectable`` is the plan's one selectable sequence in every turn, and
+    a stage cannot change it: emptying it, assigning an item and appending
+    raise, and the plan's candidates are unchanged afterwards."""
+    seen, refused = [], []
+
+    def clear(selectable):
+        selectable.clear()
+
+    def assign(selectable):
+        selectable[0] = selectable[1]
+
+    def append(selectable):
+        selectable.append(selectable[0])
 
     class FirstStage:
         def select(self, state, selectable, belief, provider):
-            seen.append((selectable, list(selectable)))
-            chosen = selectable[0].transition.event
-            selectable.clear()
-            return EventInstance(chosen)
+            seen.append(selectable)
+            for edit in (clear, assign, append):
+                with pytest.raises((AttributeError, TypeError)) as err:
+                    edit(selectable)
+                refused.append(err.type)
+            return EventInstance(selectable[0].transition.event)
 
     doc = {
         "name": "two",
@@ -435,6 +447,8 @@ def test_a_stage_at_an_unguarded_leaf_still_gets_a_new_list():
     agent = agent_for(doc, policy=[FirstStage()], limits=RunLimits(max_transitions=3))
     assert run(agent).status == engine.STATUS_BUDGET_EXHAUSTED
     plan = agent.machine._memo["A"]
-    assert len(seen) == 3 and len({id(lst) for lst, _ in seen}) == 3
-    assert all(type(lst) is list and copy == list(plan.candidates) for lst, copy in seen)
+    assert len(seen) == 3 and all(selectable is plan.candidates.selectable for selectable in seen)
+    assert refused == [AttributeError, TypeError, AttributeError] * 3
+    assert list(plan.candidates.selectable) == list(plan.candidates)
     assert [c.transition.event for c in plan.candidates] == ["again", "stop"]
+    assert [step.passed for step in plan.steps] == list(plan.candidates)
