@@ -216,11 +216,6 @@ def seed_parsed_input(belief: Belief, path: str, parse: Callable[[JsonValue], ob
     belief._parsed[(path, parse)] = value
 
 
-# JSON scalars shared as they are. An int is shared when ``str`` can write
-# it, and a float when it is finite: NaN and the infinities have no strict
-# JSON form.
-_JSON_SCALARS = frozenset((str, bool, type(None)))
-
 # Python 3.11 and later refuse to write an int of more digits than
 # sys.get_int_max_str_digits(); every limit it accepts is 0 (none) or at
 # least 640 digits, so a shorter int is always written.
@@ -271,13 +266,17 @@ def copy_json(value: object) -> JsonValue:
     try:
         # scalars inline: most members of a JSON document are leaves, and
         # most leaves are strings (86-97% of the members perfbench's
-        # workloads copy), tested first; then a short int, then the set
+        # workloads copy), tested first; then a short int, then None and the
+        # bools. Types and singletons are compared by identity, never looked
+        # up in a set: a class whose metaclass defines __eq__ cannot be hashed
         if kind is dict:
             copied = {
                 k: v
                 if type(v) is str
                 or (type(v) is int and _SHORT_INT_LOW < v < _SHORT_INT_HIGH)
-                or type(v) in _JSON_SCALARS
+                or v is None
+                or v is True
+                or v is False
                 else copy_json(v)
                 for k, v in value.items()
                 if type(k) is str
@@ -291,12 +290,17 @@ def copy_json(value: object) -> JsonValue:
                 v
                 if type(v) is str
                 or (type(v) is int and _SHORT_INT_LOW < v < _SHORT_INT_HIGH)
-                or type(v) in _JSON_SCALARS
+                or v is None
+                or v is True
+                or v is False
                 else copy_json(v)
                 for v in value
             ]
         if (
-            kind in _JSON_SCALARS
+            kind is str
+            or value is None
+            or value is True
+            or value is False
             or (kind is int and _int_has_text(value))
             or (kind is float and math.isfinite(value))
         ):

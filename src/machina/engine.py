@@ -33,16 +33,14 @@ from .belief import (
     ReadOnlyInput,
     StepOutOfOrder,
     TransitionRecord,
-    _JSON_SCALARS,
     copy_json,
-    kv_get,
     lookup_scope,
     parsed_input,
     snapshot,
 )
 from .errors import MachinaError
 from .guards import evaluate, truthy
-from .keypath import ABSENT, JsonValue
+from .keypath import ABSENT, JsonValue, resolve, split_path
 from .model import (
     GUARD_ACTION,
     GUARD_EXPRESSION,
@@ -412,11 +410,14 @@ def _bind(
             recorded[param.name] = copy_json(value)
             continue
         key = param.resolved_source_key
-        value = kv_get(belief, key)
+        # kv_get inlined, so that its test of the first segment also says
+        # whether the value is a task input: a task input is read-only, so
+        # its record names it and its action gets a copy
+        segments = split_path(key)
+        shared = segments[0] in belief.inputs
+        value = resolve(belief.inputs if shared else belief.kv, segments)
         if value is ABSENT:
             raise MissingInternalValue(key)
-        # a task input is read-only: its record names it, its action gets a copy
-        shared = bool(belief.inputs) and key.partition(".")[0] in belief.inputs
         try:
             recorded[param.name] = f"<input:{key}>" if shared else copy_json(value)
         except NotJsonValue as exc:
@@ -484,9 +485,9 @@ def execute_action(
     except Exception as exc:
         raise ActionFailure(spec.name, str(exc)) from exc
     # copy first: a value that is not JSON must not reach the key-value store;
-    # a scalar is immutable, so the record shares it
+    # copy_json shares a scalar, which is immutable, with the record
     try:
-        recorded_output = output if type(output) in _JSON_SCALARS else copy_json(output)
+        recorded_output = copy_json(output)
     except NotJsonValue as exc:
         raise ActionFailure(spec.name, f"output: {exc}") from None
     belief.kv[key] = output

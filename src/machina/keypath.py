@@ -39,10 +39,10 @@ class BadPath(MachinaError):
 
 def split_path(path: str) -> tuple[str, ...]:
     """Split ``path`` on dots, rejecting empty paths and empty segments."""
-    if not isinstance(path, str) or not path:
+    if not isinstance(path, str):
         raise BadPath(f"invalid path: {path!r}")
     segments = tuple(path.split("."))
-    if any(not seg for seg in segments):
+    if "" in segments:  # an empty path, or an empty segment
         raise BadPath(f"invalid path: {path!r}")
     return segments
 

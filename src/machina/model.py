@@ -367,11 +367,27 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
     dispatch by name and a policy decision both take the earlier one, so the
     later one never fires. An earlier transition that is not internally
     triggered does not shadow a later internal one, which a decision can
-    still choose.
+    still choose. A transition on a composite state is shadowed, by the same
+    rule, when at every leaf beneath it a transition of the leaf or of a
+    state between the two comes first: a leaf's candidates list its own
+    transitions, then each ancestor's, innermost first.
     """
     violations: list[Violation] = []
     known = frozenset(known_actions)
-    outgoing = sm._index[2]
+    by_name, parents, outgoing = sm._index
+    # per state, for each leaf beneath it: the states from the leaf up to
+    # (not including) that state, whose transitions a candidate list puts
+    # ahead of the state's own
+    below: dict[str, list[list[str]]] = {}
+    for name, st in by_name.items():
+        if st.is_composite:
+            continue
+        chain = [name]
+        owner = parents[name]
+        while owner is not None:
+            below.setdefault(owner, []).append(chain[:])
+            chain.append(owner)
+            owner = parents[owner]
     # per (source, event): the subject of the first unguarded transition,
     # and of the first unguarded internal one
     unguarded: dict[tuple[str, str], str] = {}
@@ -446,6 +462,25 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                     subject,
                     f"transition {subject} can never fire: the earlier transition "
                     f"{earlier} has the same event and no guard",
+                )
+            )
+        elif t.source in below and all(
+            any(
+                u.event == t.event
+                and u.guard is None
+                and (not internal or u.trigger == TRIGGER_INTERNAL)
+                for state in chain
+                for u in outgoing.get(state, ())
+            )
+            for chain in below[t.source]
+        ):
+            violations.append(
+                Violation(
+                    SHADOWED_TRANSITION,
+                    SEVERITY_WARNING,
+                    subject,
+                    f"transition {subject} can never fire: at every leaf beneath "
+                    f"{t.source!r} an earlier transition has the same event and no guard",
                 )
             )
         guard = t.guard

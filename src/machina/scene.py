@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -313,17 +314,23 @@ def scene_to_json_value(scene: SceneGraph) -> dict:
 def filter_objects(scene: SceneGraph, predicate: Mapping[str, str]) -> list[str]:
     """Ids of objects matching every attribute/value pair, in scene order.
 
-    Values outside the attribute vocabulary simply match nothing; attribute
-    names must be valid.
+    An object matches when each attribute the predicate names equals the
+    value given for it, so an empty predicate matches every object. Values
+    outside the attribute vocabulary, and values that are not ``str``,
+    simply match nothing; attribute names must be valid, and the first
+    invalid one raises :class:`UnknownAttribute`.
     """
     for attr in predicate:
         if attr not in ATTRIBUTES:
             raise UnknownAttribute(attr)
-    return [
-        o.id
-        for o in scene.objects
-        if all(getattr(o, attr) == value for attr, value in predicate.items())
-    ]
+    if not predicate:
+        return [o.id for o in scene.objects]
+    # one fetch and one comparison per object: attrgetter of one name
+    # returns the bare value, of several a tuple
+    fetch = attrgetter(*predicate)
+    values = tuple(predicate.values())
+    wanted = values if len(values) > 1 else values[0]
+    return [o.id for o in scene.objects if fetch(o) == wanted]
 
 
 def related_objects(scene: SceneGraph, object_id: str, relation: str) -> list[str]:
@@ -338,7 +345,9 @@ def same_attribute(scene: SceneGraph, object_id: str, attribute: str) -> list[st
     """Other objects sharing the attribute value with the given object."""
     anchor = scene.get(object_id)
     value = anchor.attribute(attribute)
-    return [o.id for o in scene.objects if o.id != object_id and getattr(o, attribute) == value]
+    # one fetch per object, and its value tested before its id: most
+    # objects differ in value, so they cost one comparison
+    return [o.id for o in scene.objects if getattr(o, attribute) == value and o.id != object_id]
 
 
 def query_attribute(scene: SceneGraph, object_id: str, attribute: str) -> str:

@@ -8,7 +8,12 @@ import sys
 
 from machina.belief import NestingTooDeep, NotJsonValue
 
-_JSON_SCALARS = frozenset((str, bool, type(None)))
+
+def _is_scalar(value) -> bool:
+    # types compared by identity: a class whose metaclass defines __eq__
+    # cannot be hashed, so it cannot be looked up in a set
+    kind = type(value)
+    return kind is str or kind is bool or value is None
 
 
 def _int_has_text(value: int) -> bool:
@@ -24,7 +29,7 @@ def reference_copy_json(value: object):
     try:
         if kind is dict:
             copied = {
-                k: v if type(v) in _JSON_SCALARS else reference_copy_json(v)
+                k: v if _is_scalar(v) else reference_copy_json(v)
                 for k, v in value.items()
                 if type(k) is str
             }
@@ -33,9 +38,9 @@ def reference_copy_json(value: object):
                 raise NotJsonValue(f"key {key!r} is not a string")
             return copied
         if kind is list:
-            return [v if type(v) in _JSON_SCALARS else reference_copy_json(v) for v in value]
+            return [v if _is_scalar(v) else reference_copy_json(v) for v in value]
         if (
-            kind in _JSON_SCALARS
+            _is_scalar(value)
             or (kind is int and _int_has_text(value))
             or (kind is float and math.isfinite(value))
         ):

@@ -86,6 +86,19 @@ class RecordingProvider:
         return self.inner.snapshot_stats()
 
 
+class _EqualToAll(type):
+    """Defines ``__eq__`` and so sets ``__hash__`` to None: the classes it
+    makes cannot be hashed, and compare equal to every type."""
+
+    def __eq__(cls, other):
+        return True
+
+
+class Unhashable(metaclass=_EqualToAll):
+    """A value whose type cannot be looked up in a set (``type(v) in s``
+    raises ``TypeError``) and equals ``str``, ``bool`` and every other type."""
+
+
 def h3_agent(limits: RunLimits | None = None) -> Agent:
     return Agent(
         machine=builtin_machine("h3"),

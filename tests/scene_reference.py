@@ -3,7 +3,12 @@ kept as the reference the scene checker must match: every object attribute
 and every relation member is tested one at a time, and each inverse pair is
 compared by building the inverse of its forward side. A scene either fails
 here and in ``SceneGraph`` with the same error class, pointer and message,
-or passes both with the same relation tables."""
+or passes both with the same relation tables.
+
+``filter_objects`` and ``same_attribute`` are the scene operations as they
+were before each object cost one attribute fetch: one generator per object,
+testing the predicate's pairs one at a time. The operations must give the
+same ids, or raise the same error class, for every scene and argument."""
 
 from machina.scene import (
     ATTRIBUTE_VALUES,
@@ -11,6 +16,7 @@ from machina.scene import (
     RELATIONS,
     InvalidScene,
     InverseConflict,
+    UnknownAttribute,
 )
 
 
@@ -59,3 +65,20 @@ def checked_relations(objects, relations):
                 f"relations {forward!r} and {backward!r} are not mutual inverses"
             )
     return tables
+
+
+def filter_objects(scene, predicate):
+    for attr in predicate:
+        if attr not in ATTRIBUTES:
+            raise UnknownAttribute(attr)
+    return [
+        o.id
+        for o in scene.objects
+        if all(getattr(o, attr) == value for attr, value in predicate.items())
+    ]
+
+
+def same_attribute(scene, object_id, attribute):
+    anchor = scene.get(object_id)
+    value = anchor.attribute(attribute)
+    return [o.id for o in scene.objects if o.id != object_id and getattr(o, attribute) == value]

@@ -33,7 +33,7 @@ from machina.keypath import ABSENT
 from machina.model import ActionSpec, EventInstance, Transition
 from machina.providers import CallStats, ScriptedProvider
 from machina.scene import scene_to_json_value
-from helpers import s1_scene
+from helpers import Unhashable, s1_scene
 from copy_json_reference import reference_copy_json
 from history_reference import reference_render_history
 from snapshot_reference import reference_snapshot
@@ -417,6 +417,7 @@ MIXED_VALUES = st.recursive(
         st.floats(allow_nan=False).map(_Float),
         st.binary(max_size=4),
         st.sets(st.integers(), max_size=3),
+        st.builds(Unhashable),
     ),
     lambda children: st.lists(children)
     | st.dictionaries(st.text(), children)

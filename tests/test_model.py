@@ -163,20 +163,26 @@ class TestValidate:
         assert [v.cls for v in report.warnings] == ["UnreachableState"]
 
     @staticmethod
-    def shadow_report(first: dict, second: dict, on_parent: bool = False):
+    def shadow_report(first: dict, second: dict, on_parent: bool = False, leaves: int = 1):
         """Validate ``a`` (start) with two ``go`` transitions, to ``b`` and
         ``c`` (both end), declared in that order on ``a`` or, with
-        ``on_parent``, the second on ``a``'s parent ``p``."""
+        ``on_parent``, the second on ``a``'s parent ``p``. With two
+        ``leaves``, ``p`` holds a second leaf ``a2``, which ``a`` reaches by
+        ``next`` and which declares no ``go``."""
         go = {"source": "a", "target": "b", "event": "go", **first}
         later = {"source": "p" if on_parent else "a", "target": "c", "event": "go", **second}
+        substates = [state("a"), state("a2")][:leaves]
+        transitions = [go, later]
+        if leaves > 1:
+            transitions.append({"source": "a", "target": "a2", "event": "next"})
         doc = {
             "name": "m",
             "states": [
-                state("p", tags=["start"], initial="a", substates=[state("a")]),
+                state("p", tags=["start"], initial="a", substates=substates),
                 state("b", tags=["end"]),
                 state("c", tags=["end"]),
             ],
-            "transitions": [go, later],
+            "transitions": transitions,
         }
         report = validate_machine(machine_from(doc), BUILTINS)
         assert report.ok
@@ -199,18 +205,46 @@ class TestValidate:
         ]
 
     @pytest.mark.parametrize(
-        "first, second, on_parent",
+        "first, second",
         [
-            ({"guard": {"expr": "x == 1"}}, {}, False),
-            ({"trigger": "external"}, {}, False),
-            ({}, {}, True),
+            ({}, {}),
+            ({}, {"trigger": "external"}),
+            ({"trigger": "external"}, {"trigger": "external"}),
+            ({}, {"guard": {"expr": "x == 1"}}),
         ],
-        ids=["guarded-earlier", "external-then-internal", "ancestor"],
+        ids=["ancestor", "ancestor-external", "ancestor-external-external", "ancestor-guarded"],
     )
-    def test_no_shadow_where_the_later_transition_can_still_fire(self, first, second, on_parent):
+    def test_an_ancestor_transition_every_leaf_shadows_is_shadowed(self, first, second):
+        # p's only leaf a declares go itself, so a decision and dispatch by
+        # name both take a's go before p's
+        assert self.shadow_report(first, second, on_parent=True) == [
+            "[warning] ShadowedTransition: transition p--go-->c can never fire: "
+            "at every leaf beneath 'p' an earlier transition has the same event and no guard"
+        ]
+
+    @pytest.mark.parametrize(
+        "first, second, on_parent, leaves",
+        [
+            ({"guard": {"expr": "x == 1"}}, {}, False, 1),
+            ({"trigger": "external"}, {}, False, 1),
+            ({}, {}, True, 2),
+            ({"guard": {"expr": "x == 1"}}, {}, True, 1),
+            ({"trigger": "external"}, {}, True, 1),
+        ],
+        ids=[
+            "guarded-earlier",
+            "external-then-internal",
+            "ancestor-with-a-leaf-without-go",
+            "ancestor-guarded-earlier",
+            "ancestor-external-then-internal",
+        ],
+    )
+    def test_no_shadow_where_the_later_transition_can_still_fire(
+        self, first, second, on_parent, leaves
+    ):
         # a decision chooses the internal go past an external one; the parent's
         # go fires at leaves that do not declare go themselves
-        assert self.shadow_report(first, second, on_parent) == []
+        assert self.shadow_report(first, second, on_parent, leaves) == []
 
     def test_order_independent_violation_multiset(self):
         doc = {

@@ -36,7 +36,7 @@ from machina.keypath import ABSENT
 from machina.model import ActionSpec, ParameterSpec
 from machina.policy import PARSE_RETRIES, LlmPolicy, RulePolicy, rules_from_value
 from machina.providers import ScriptedProvider
-from helpers import agent_for, h3_agent, machine_from, s1_scene, state
+from helpers import Unhashable, agent_for, h3_agent, machine_from, s1_scene, state
 
 DEEP_ARRAY_TEXT = "[" * 3000 + "]" * 3000
 LONG_INTEGER_TEXT = "1" * 5000
@@ -126,6 +126,7 @@ class TestBadPayload:
         pytest.param({1: "x"}, id="int-key"),
         pytest.param({"o": {None: 1}}, id="nested-none-key"),
         pytest.param({"n": [10**5000]}, id="long-int", marks=needs_int_digit_limit),
+        pytest.param({"x": [Unhashable()]}, id="unhashable-type"),
     ]
 
     @pytest.mark.parametrize("payload", BAD)
@@ -164,6 +165,7 @@ class TestBadPayload:
 NOT_JSON = [p for p in TestBadPayload.BAD if p.id not in ("list", "str", "none")] + [
     pytest.param(MappingProxyType({"k": 1}), id="mappingproxy"),
     pytest.param((i for i in range(3)), id="generator"),
+    pytest.param(Unhashable(), id="bare-unhashable-type"),
 ]
 
 

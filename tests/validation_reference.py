@@ -8,7 +8,9 @@ end states with outgoing transitions, composite ``initial`` links, and
 entry/exit actions) and passes over the transitions once each for dangling
 endpoints, transition actions and guards. The ``ShadowedTransition`` warning
 was added to the checker and to this reference together, here as a pass of
-its own that looks back from each transition over the ones before it.
+its own that looks back from each transition over the ones before it, and,
+for a transition no earlier one on its own state shadows, over the
+candidates that come before it at each leaf beneath its source.
 """
 
 from typing import Iterator
@@ -38,6 +40,8 @@ from machina.model import (
     Violation,
     _reachability_warnings,
     _walk_with_parents,
+    enabled_transitions,
+    parent_chain,
 )
 
 
@@ -50,6 +54,21 @@ def _iter_action_specs(sm: StateMachine) -> Iterator[tuple[str, ActionSpec]]:
     for t in sm.transitions:
         for spec in t.actions:
             yield f"transition {t.source}--{t.event}-->{t.target}", spec
+
+
+def _shadowed_at(sm: StateMachine, leaf: str, t) -> bool:
+    """Whether, among the candidates at ``leaf``, a transition listed before
+    the first one of ``t``'s source has ``t``'s event and no guard, and can
+    be chosen wherever ``t`` can (any such one when ``t`` is external, an
+    internal one when ``t`` is internal)."""
+    enabled = enabled_transitions(sm, leaf)
+    ahead = enabled[: next(i for i, u in enumerate(enabled) if u.source == t.source)]
+    return any(
+        u.event == t.event
+        and u.guard is None
+        and (u.trigger == TRIGGER_INTERNAL or t.trigger != TRIGGER_INTERNAL)
+        for u in ahead
+    )
 
 
 def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str]) -> ValidationReport:
@@ -243,6 +262,23 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                 )
             )
             break
+        else:
+            leaves = [
+                name
+                for name, st in sm._index[0].items()
+                if not st.is_composite and t.source in parent_chain(sm, name)
+            ]
+            if leaves and all(_shadowed_at(sm, leaf, t) for leaf in leaves):
+                subject = f"{t.source}--{t.event}-->{t.target}"
+                violations.append(
+                    Violation(
+                        SHADOWED_TRANSITION,
+                        SEVERITY_WARNING,
+                        subject,
+                        f"transition {subject} can never fire: at every leaf beneath "
+                        f"{t.source!r} an earlier transition has the same event and no guard",
+                    )
+                )
 
     if len(top_starts) == 1:
         violations.extend(_reachability_warnings(sm, top_starts[0]))
