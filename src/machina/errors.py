@@ -67,10 +67,3 @@ def utf8(text: str) -> bytes:
             f"text holds {exc.object[exc.start:exc.end]!r} at character {exc.start},"
             " which UTF-8 cannot encode"
         ) from None
-
-
-def _utf8_len(text: str) -> int:
-    """``len(utf8(text))``, without encoding ASCII text: its length is its
-    size. A lone surrogate raises :class:`UnencodableText`, as in
-    :func:`utf8`."""
-    return len(text) if text.isascii() else len(utf8(text))

@@ -15,7 +15,6 @@ import math
 import operator
 import random
 import re
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
@@ -199,7 +198,8 @@ def _oracle_matches(scene: SceneGraph, spec: QuestionSpec) -> list[SceneObject]:
     objects = scene.objects
     predicate = spec.predicate
     if predicate:
-        # attrgetter of one name returns the bare value, of several a tuple
+        # attrgetter of one name returns the bare value, of several a tuple;
+        # worth 2.5% of oracle-mix's items/s (BENCH_ablation.json)
         key = operator.attrgetter(*predicate)
         values = tuple(predicate.values())
         wanted = values if len(values) > 1 else values[0]
@@ -393,6 +393,7 @@ def read_dataset(jsonl_path: str | Path) -> Dataset:
 def builtin_machine(name: str) -> StateMachine:
     """The bundled machine ``name``, parsed on the first call and shared,
     frozen, by every later one."""
+    from importlib import resources  # here: on Python 3.12 and later it loads inspect
     data = resources.files("machina").joinpath(f"machines/{name}.sm.json").read_bytes()
     return parse_machine(data)
 
@@ -401,6 +402,7 @@ def builtin_machine(name: str) -> StateMachine:
 def builtin_rules(name: str) -> tuple:
     """The bundled rules file ``name``, loaded on the first call and shared
     by every later one."""
+    from importlib import resources
     data = resources.files("machina").joinpath(f"rules/{name}.rules.json").read_bytes()
     return rules_from_value(read_json(data))
 

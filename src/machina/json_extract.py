@@ -118,8 +118,9 @@ def json_writer(**settings) -> Callable[[object], str]:
 
     ``JSONEncoder.encode`` builds a C encoder for every list or dict it
     dumps, which costs as much as dumping a small value; the writer builds
-    one here, with the arguments ``JSONEncoder.iterencode`` gives it. It
-    does not look for cycles, so a value must hold none (a cyclic value
+    one here, with the arguments ``JSONEncoder.iterencode`` gives it: worth
+    11% of oracle-mix's items/s against ``json.dumps`` (BENCH_ablation.json).
+    It does not look for cycles, so a value must hold none (a cyclic value
     raises ``RecursionError``, not ``ValueError``). Where ``json`` has no C
     accelerator, the writer is the encoder's own ``encode``.
     """

@@ -182,7 +182,9 @@ class _Candidates(tuple):
     A leaf plan whose candidates the machine fixes holds one, so each memo is
     computed once per machine and shared by every agent and turn; a policy
     function given any other sequence wraps it once, and its memos last as
-    long as that call."""
+    long as that call. Each memo's worth in oracle-mix's items/s, against a
+    plain property: passing 2.0%, selectable 22%, forced 1.0%, by_event 3.4%
+    and transition_lines 2.7% (BENCH_ablation.json)."""
 
     @cached_property
     def passing(self) -> _Candidates:

@@ -15,7 +15,7 @@ import urllib.parse
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol, Sequence
 
-from .errors import MachinaError, _utf8_len, check_keys, require_list, require_object, require_string, utf8
+from .errors import MachinaError, check_keys, require_list, require_object, require_string, utf8
 from .json_extract import JsonSyntaxError, read_json
 from .values import Value, distinct, tuple_new
 
@@ -82,9 +82,8 @@ class CallStats(Value):
 
     def snapshot(self) -> "CallStats":
         """A copy that later counting does not reach. Every ``run`` takes
-        one, so it is built with ``object.__new__`` and a store per slot
-        (the rule in :mod:`machina.values`): ``__init__`` checks nothing,
-        and every field is stored here."""
+        one, so it is built with ``object.__new__`` and a store per slot, as
+        ``belief.snapshot`` is (the rule in :mod:`machina.values`)."""
         copy = _new(CallStats)
         copy.calls = self.calls
         copy.prompt_bytes = self.prompt_bytes
@@ -111,17 +110,15 @@ def _reply_text(provider: CompletionProvider, prompt: str) -> str:
 def _prompt_bytes(request: CompletionRequest) -> int:
     """UTF-8 bytes a request sends: the prompt plus the system text, if any.
     Text UTF-8 cannot encode raises :class:`~machina.errors.UnencodableText`."""
-    size = _utf8_len(request.prompt)
+    size = len(utf8(request.prompt))
     if request.system:
-        size += _utf8_len(request.system)
+        size += len(utf8(request.system))
     return size
 
 
 def _clip_reply(text: str) -> tuple[str, int]:
     """The reply cut to its first ``MAX_REPLY_BYTES`` UTF-8 bytes, dropping a
     character the cut splits, and the size of what is kept in UTF-8 bytes."""
-    if len(text) <= MAX_REPLY_BYTES and text.isascii():
-        return text, len(text)
     encoded = utf8(text)
     if len(encoded) <= MAX_REPLY_BYTES:
         return text, len(encoded)

@@ -326,7 +326,8 @@ def filter_objects(scene: SceneGraph, predicate: Mapping[str, str]) -> list[str]
     if not predicate:
         return [o.id for o in scene.objects]
     # one fetch and one comparison per object: attrgetter of one name
-    # returns the bare value, of several a tuple
+    # returns the bare value, of several a tuple. Worth 1.1% of oracle-mix's
+    # items/s over an all(getattr(...)) test per object (BENCH_ablation.json)
     fetch = attrgetter(*predicate)
     values = tuple(predicate.values())
     wanted = values if len(values) > 1 else values[0]

@@ -15,19 +15,17 @@ attribute lookup with no call.
 Types built often and read rarely are ``typing.NamedTuple`` classes marked
 :func:`distinct`, so that they equal only instances of their own class.
 
-Where the run loop builds a named tuple on every step, the dataset
-generator one per scene object and per item, or a scripted provider one per
-reply, it calls ``tuple_new(Cls, (field, ...))`` with the fields in
-``_fields`` order: one C call, in place of the class's generated
-``__new__``. That call checks nothing, so every field is passed, defaults
-included; a field left out makes a short tuple, not an error.
+Two rules skip a constructor, each only where that constructor checks
+nothing (worths from ``BENCH_ablation.json``):
 
-The same rule holds for a slotted value: where the engine copies one it
-already holds on every step or run (``belief.snapshot``,
-``CallStats.snapshot``), the copy is built with ``object.__new__`` and a
-direct store per slot, skipping ``__init__``. That is done only where
-``__init__`` checks nothing and every field is stored, so the copy is what
-``__init__`` would have built.
+- where the run loop, a policy, a provider or the dataset generator builds
+  a named tuple per step, reply or item, it calls ``tuple_new(Cls, (field,
+  ...))`` with every field in ``_fields`` order, defaults included, as a
+  field left out makes a short tuple, not an error (worth 10% of
+  resume-loop's items/s);
+- ``belief.snapshot`` and ``CallStats.snapshot`` build their copy with
+  ``object.__new__`` and a store per slot, so every slot must be stored
+  (worth 2.6% of resume-loop's items/s).
 """
 
 

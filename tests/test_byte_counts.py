@@ -1,7 +1,7 @@
-"""UTF-8 byte counts that skip encoding ASCII text: ``errors._utf8_len``
-is the size of the encoding and raises as ``utf8`` does on a lone
-surrogate, and ``providers._clip_reply`` cuts a reply as it did when it
-encoded every one."""
+"""UTF-8 byte counts: a prompt's size and its token estimate are the size
+of the encoding, and raise as ``utf8`` does on a lone surrogate; and
+``providers._clip_reply`` cuts a reply as the encoding of every reply
+does."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from machina.belief import estimate_tokens
-from machina.errors import UnencodableText, _utf8_len, utf8
+from machina.errors import UnencodableText, utf8
 from machina.providers import MAX_REPLY_BYTES, CompletionRequest, _clip_reply, _prompt_bytes
 
 # ASCII, two-, three- and four-byte characters, lone surrogates of both
@@ -34,17 +34,16 @@ def test_utf8_len_is_the_size_of_the_encoding(text):
     expected = encoded_size(text)
     if expected is None:
         with pytest.raises(UnencodableText):
-            _utf8_len(text)
+            estimate_tokens(text)
         with pytest.raises(UnencodableText):
             _prompt_bytes(CompletionRequest(text))
         return
-    assert _utf8_len(text) == expected
     assert estimate_tokens(text) == math.ceil(expected / 4)
     assert _prompt_bytes(CompletionRequest("ok", text)) == 2 + expected
 
 
 def reference_clip(text):
-    """``_clip_reply`` as it was when it encoded every reply."""
+    """``_clip_reply`` written with no shortcut: encode, then cut."""
     encoded = utf8(text)
     if len(encoded) <= MAX_REPLY_BYTES:
         return text, len(encoded)

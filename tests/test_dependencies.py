@@ -24,13 +24,14 @@ print(json.dumps(sorted(added - set(sys.stdlib_module_names))))
 
 
 def run_probe(code: str):
-    """The JSON a fresh interpreter prints after running ``code``."""
+    """The JSON a fresh interpreter prints after running ``code``, with
+    ``src`` ahead of this interpreter's own import path."""
     src = str(Path(machina.__file__).resolve().parent.parent)
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])},
         text=True,
     ).stdout
     return json.loads(out)

@@ -301,7 +301,7 @@ def test_the_search_loads_when_a_first_bracket_fails():
         [sys.executable, "-c", LAZY_SEARCH_PROBE],
         capture_output=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(src), *sys.path])},
         text=True,
     ).stdout
     assert out.split() == ["False", "True"]

@@ -219,7 +219,29 @@ class TestValidate:
         # name both take a's go before p's
         assert self.shadow_report(first, second, on_parent=True) == [
             "[warning] ShadowedTransition: transition p--go-->c can never fire: "
-            "at every leaf beneath 'p' an earlier transition has the same event and no guard"
+            "at every leaf beneath 'p' a run has ended or an earlier transition has the same "
+            "event and no guard"
+        ]
+
+    def test_an_end_leaf_beneath_the_source_counts_as_shadowing(self):
+        # at a, a's go comes first; at the end leaf e the run has ended
+        doc = {
+            "name": "m",
+            "states": [
+                state("p", tags=["start"], initial="a", substates=[state("a"), state("e", tags=["end"])]),
+                state("c", tags=["end"]),
+            ],
+            "transitions": [
+                {"source": "a", "target": "e", "event": "go"},
+                {"source": "p", "target": "c", "event": "go"},
+            ],
+        }
+        report = validate_machine(machine_from(doc), BUILTINS)
+        assert report.ok
+        assert [str(v) for v in report.warnings] == [
+            "[warning] ShadowedTransition: transition p--go-->c can never fire: "
+            "at every leaf beneath 'p' a run has ended or an earlier transition has the same "
+            "event and no guard"
         ]
 
     @pytest.mark.parametrize(

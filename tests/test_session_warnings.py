@@ -44,7 +44,7 @@ def test_passing():
 
 def test_a_failing_property_test_does_not_end_the_session(tmp_path):
     (tmp_path / "test_cases.py").write_text(CASES)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TESTS)]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TESTS), *sys.path]))
     command = [
         sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "conftest",
         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_cases.py",

@@ -10,7 +10,8 @@ endpoints, transition actions and guards. The ``ShadowedTransition`` warning
 was added to the checker and to this reference together, here as a pass of
 its own that looks back from each transition over the ones before it, and,
 for a transition no earlier one on its own state shadows, over the
-candidates that come before it at each leaf beneath its source.
+candidates that come before it at each leaf beneath its source; an end
+leaf, where a run has ended, shadows it too.
 """
 
 from typing import Iterator
@@ -57,10 +58,13 @@ def _iter_action_specs(sm: StateMachine) -> Iterator[tuple[str, ActionSpec]]:
 
 
 def _shadowed_at(sm: StateMachine, leaf: str, t) -> bool:
-    """Whether, among the candidates at ``leaf``, a transition listed before
-    the first one of ``t``'s source has ``t``'s event and no guard, and can
-    be chosen wherever ``t`` can (any such one when ``t`` is external, an
-    internal one when ``t`` is internal)."""
+    """Whether ``leaf`` is an end state, where a run has ended, or, among
+    the candidates at ``leaf``, a transition listed before the first one of
+    ``t``'s source has ``t``'s event and no guard, and can be chosen wherever
+    ``t`` can (any such one when ``t`` is external, an internal one when
+    ``t`` is internal)."""
+    if sm.state(leaf).is_end:
+        return True
     enabled = enabled_transitions(sm, leaf)
     ahead = enabled[: next(i for i, u in enumerate(enabled) if u.source == t.source)]
     return any(
@@ -276,7 +280,8 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                         SEVERITY_WARNING,
                         subject,
                         f"transition {subject} can never fire: at every leaf beneath "
-                        f"{t.source!r} an earlier transition has the same event and no guard",
+                        f"{t.source!r} a run has ended or an earlier transition has the same "
+                        "event and no guard",
                     )
                 )
 
