@@ -372,7 +372,8 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
     rule, when at every leaf beneath it a transition of the leaf or of a
     state between the two comes first: a leaf's candidates list its own
     transitions, then each ancestor's, innermost first. An end leaf counts
-    as shadowing it, since a run has ended there.
+    as shadowing it, since :func:`~machina.engine.run` stops there; a caller
+    of :func:`~machina.engine.dispatch` at an end leaf can still fire it.
     """
     violations: list[Violation] = []
     known = frozenset(known_actions)
@@ -482,7 +483,7 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                     SHADOWED_TRANSITION,
                     SEVERITY_WARNING,
                     subject,
-                    f"transition {subject} can never fire: at every leaf beneath "
+                    f"transition {subject} can never fire in a run: at every leaf beneath "
                     f"{t.source!r} a run has ended or an earlier transition has the same event "
                     "and no guard",
                 )

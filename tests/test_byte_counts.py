@@ -6,7 +6,7 @@ does."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from machina.belief import estimate_tokens
@@ -42,17 +42,6 @@ def test_utf8_len_is_the_size_of_the_encoding(text):
     assert _prompt_bytes(CompletionRequest("ok", text)) == 2 + expected
 
 
-def reference_clip(text):
-    """``_clip_reply`` written with no shortcut: encode, then cut."""
-    encoded = utf8(text)
-    if len(encoded) <= MAX_REPLY_BYTES:
-        return text, len(encoded)
-    cut = MAX_REPLY_BYTES
-    while encoded[cut] & 0xC0 == 0x80:
-        cut -= 1
-    return encoded[:cut].decode("utf-8"), cut
-
-
 # Replies around the limit: an ASCII run that puts the text's end, or a
 # multi-byte character, on either side of the cut.
 REPLIES = TEXT | st.builds(
@@ -62,14 +51,30 @@ REPLIES = TEXT | st.builds(
 )
 
 
-@settings(max_examples=4 * settings.default.max_examples)
 @given(REPLIES)
 def test_clip_reply_matches_encoding_every_reply(text):
+    """What is kept is the longest prefix whose encoding fits the limit, and
+    the size returned is that encoding's: a character the cut splits is
+    dropped whole."""
     try:
-        expected = reference_clip(text)
+        encoded = utf8(text)
     except UnencodableText as exc:
         with pytest.raises(UnencodableText) as err:
             _clip_reply(text)
         assert str(err.value) == str(exc)
         return
-    assert _clip_reply(text) == expected
+    kept, size = _clip_reply(text)
+    assert text.startswith(kept)
+    assert size == len(utf8(kept)) <= MAX_REPLY_BYTES
+    if len(encoded) <= MAX_REPLY_BYTES:
+        assert kept == text
+    else:
+        assert size + len(utf8(text[len(kept)])) > MAX_REPLY_BYTES
+
+
+@pytest.mark.parametrize("width", [2, 3, 4], ids=["two-byte", "three-byte", "four-byte"])
+def test_clip_reply_drops_a_character_the_cut_splits(width):
+    char = {2: "é", 3: "中", 4: "😀"}[width]
+    prefix = "a" * (MAX_REPLY_BYTES - 1)
+    assert _clip_reply(prefix + char + "b") == (prefix, MAX_REPLY_BYTES - 1)
+    assert _clip_reply(prefix[: 1 - width] + char + "b") == (prefix[: 1 - width] + char, MAX_REPLY_BYTES)

@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from machina.actions import builtin_registry
+from machina.engine import dispatch, run, start
 from machina.errors import MachinaError
 from machina.harness import builtin_machine
 from machina.model import (
+    EventInstance,
     UnknownState,
     _walk_with_parents,
     enabled_transitions,
@@ -19,7 +21,7 @@ from machina.model import (
     start_state,
     validate_machine,
 )
-from helpers import MINIMAL_DOC, machine_from, state
+from helpers import MINIMAL_DOC, agent_for, machine_from, state
 
 BUILTINS = builtin_registry().names()
 
@@ -218,31 +220,43 @@ class TestValidate:
         # p's only leaf a declares go itself, so a decision and dispatch by
         # name both take a's go before p's
         assert self.shadow_report(first, second, on_parent=True) == [
-            "[warning] ShadowedTransition: transition p--go-->c can never fire: "
+            "[warning] ShadowedTransition: transition p--go-->c can never fire in a run: "
             "at every leaf beneath 'p' a run has ended or an earlier transition has the same "
             "event and no guard"
         ]
 
+    # p holds a and the end leaf e: at a, a's go comes first; at e a run has ended
+    END_LEAF_DOC = {
+        "name": "m",
+        "states": [
+            state("p", tags=["start"], initial="a", substates=[state("a"), state("e", tags=["end"])]),
+            state("c", tags=["end"]),
+        ],
+        "transitions": [
+            {"source": "a", "target": "e", "event": "go"},
+            {"source": "p", "target": "c", "event": "go"},
+        ],
+    }
+
     def test_an_end_leaf_beneath_the_source_counts_as_shadowing(self):
-        # at a, a's go comes first; at the end leaf e the run has ended
-        doc = {
-            "name": "m",
-            "states": [
-                state("p", tags=["start"], initial="a", substates=[state("a"), state("e", tags=["end"])]),
-                state("c", tags=["end"]),
-            ],
-            "transitions": [
-                {"source": "a", "target": "e", "event": "go"},
-                {"source": "p", "target": "c", "event": "go"},
-            ],
-        }
-        report = validate_machine(machine_from(doc), BUILTINS)
+        report = validate_machine(machine_from(self.END_LEAF_DOC), BUILTINS)
         assert report.ok
         assert [str(v) for v in report.warnings] == [
-            "[warning] ShadowedTransition: transition p--go-->c can never fire: "
+            "[warning] ShadowedTransition: transition p--go-->c can never fire in a run: "
             "at every leaf beneath 'p' a run has ended or an earlier transition has the same "
             "event and no guard"
         ]
+
+    def test_the_end_leaf_shadowing_holds_for_runs_not_for_dispatch(self):
+        # run stops at e, so p's go never fires in a run; dispatch called
+        # directly at e still fires it, as the warning's wording allows
+        result = run(agent_for(self.END_LEAF_DOC), EventInstance("go"))
+        assert (result.status, result.belief_snapshot.current_state) == ("completed", "e")
+        agent = agent_for(self.END_LEAF_DOC)
+        start(agent)
+        assert dispatch(agent, EventInstance("go")).target_leaf == "e"
+        assert dispatch(agent, EventInstance("go")).transition.source == "p"
+        assert agent.belief.current_state == "c"
 
     @pytest.mark.parametrize(
         "first, second, on_parent, leaves",

@@ -1,8 +1,10 @@
 """``tools/pairs.py``'s summary: medians and quartiles per side, pairs won in
 each metric's direction, and the gap read against the ``before`` side's
-interquartile range."""
+interquartile range; and a failed run, which is not correct and
+leaves its pair out of the summary."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,55 @@ def test_wins_follow_the_metric_direction_and_ties_count_for_neither(metric, bef
 def test_gap_against_the_before_iqr(before, after, exceeds, inside):
     s = summary(before, after)
     assert (s["gap_exceeds_iqr"], s["after_inside_iqr"]) == (exceeds, inside)
+
+
+def test_a_pair_with_a_failed_run_is_left_out():
+    runs = {
+        "before": [{"metrics": {"items_per_s": v}} for v in (1, 2, 3)] + [{"metrics": {}}],
+        "after": [{"metrics": {"items_per_s": v}} for v in (2, 3, 4)] + [{"metrics": {"items_per_s": 99}}],
+    }
+    s = pairs.summarize(runs, {"items_per_s": "higher", "exact_match": "higher"})
+    assert list(s) == ["items_per_s"]
+    assert (s["items_per_s"]["pairs"], s["items_per_s"]["after_median"]) == (3, 3)
+
+
+GOOD_RUN = """import json
+print("inputs 3 items")
+print(json.dumps({"correct": True, "metrics": {"items_per_s": {"value": 5.0}}}))
+"""
+
+
+def fake_tree(root, script):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(script)
+    return root
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "print('  items_per_s  5.0'); raise SystemExit(1)",
+        "import json; print(json.dumps({'correct': True, 'metrics': {}})); raise SystemExit(2)",
+        "",
+        "print('not a report')",
+    ],
+    ids=["table-row-then-exit-1", "report-then-exit-2", "no-output", "no-report"],
+)
+def test_a_failed_run_is_not_correct_and_has_no_metrics(tmp_path, script):
+    run = pairs.run_once(fake_tree(tmp_path, script), "w", 7)
+    assert (run["correct"], run["metrics"]) == (False, {})
+    assert "error" in run
+
+
+def test_a_good_run_reads_its_report(tmp_path):
+    run = pairs.run_once(fake_tree(tmp_path, GOOD_RUN), "w", 7)
+    assert run == {"exit": 0, "correct": True, "inputs": "inputs 3 items", "metrics": {"items_per_s": 5.0}}
+
+
+def test_failed_runs_still_give_a_report_and_exit_1(tmp_path, capsys):
+    before = fake_tree(tmp_path / "before", GOOD_RUN)
+    after = fake_tree(tmp_path / "after", "raise SystemExit(1)")
+    assert pairs.main(["--before", str(before), "--after", str(after), "--workload", "w"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["pairs"], report["all_correct"], report["summary"]) == (pairs.PAIRS, False, {})
+    assert len(report["runs"]["before"]) == len(report["runs"]["after"]) == pairs.PAIRS

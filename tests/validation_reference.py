@@ -279,7 +279,7 @@ def validate_machine(sm: StateMachine, known_actions: frozenset[str] | set[str])
                         SHADOWED_TRANSITION,
                         SEVERITY_WARNING,
                         subject,
-                        f"transition {subject} can never fire: at every leaf beneath "
+                        f"transition {subject} can never fire in a run: at every leaf beneath "
                         f"{t.source!r} a run has ended or an earlier transition has the same "
                         "event and no guard",
                     )

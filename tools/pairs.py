@@ -2,10 +2,12 @@
 
     python3 tools/pairs.py --before PARENT --after CHANGE --workload oracle-mix > pairs.json
 
-Runs ``python3 perfbench/run.py --workload W --seed N --seconds S`` once in
-each checkout per pair, one run at a time, ``--before`` first in even pairs
-and ``--after`` first in odd ones, so a drift in host load lands on both
-sides. Each run uses its own checkout's ``perfbench/`` and ``src/``.
+Runs ``python3 perfbench/run.py --workload W --seed N --seconds 20`` once in
+each checkout for each of 10 pairs, one run at a time, ``--before`` first in
+even pairs and ``--after`` first in odd ones, so a drift in host load lands
+on both sides. Each run uses its own checkout's ``perfbench/`` and ``src/``.
+A run that exits non-zero or prints no report counts as not correct and its
+pair is left out of the summary; the exit code is then 1.
 
 Per end-to-end metric of ``BENCHMARK.json`` the summary gives each side's
 median and quartiles, how many pairs each side won (the better value of the
@@ -39,18 +41,18 @@ def end_to_end() -> dict[str, str]:
     return {m["name"]: m["better"] for m in declared}
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
-    report = json.loads(lines[-1]) if lines else {}
     inputs = [line for line in lines if line.startswith("inputs ")]
-    return {
-        "exit": done.returncode,
-        "correct": report.get("correct", False),
-        "inputs": inputs[0] if inputs else None,
-        "metrics": {name: m["value"] for name, m in report.get("metrics", {}).items()},
-    }
+    run = {"exit": done.returncode, "correct": False, "inputs": inputs[0] if inputs else None, "metrics": {}}
+    try:
+        report = json.loads(lines[-1]) if done.returncode == 0 else None
+        metrics = {name: m["value"] for name, m in report["metrics"].items()}
+    except (IndexError, ValueError, KeyError, TypeError, AttributeError):
+        return {**run, "error": done.stderr.strip().splitlines()[-5:]}
+    return {**run, "correct": report.get("correct", False), "metrics": metrics}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -63,17 +65,27 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     """Per metric: medians, quartiles, pairs won and the gap against the
     ``before`` side's interquartile range. ``runs`` maps ``before`` and
-    ``after`` to one ``{"metrics": {...}}`` per pair, in pair order."""
+    ``after`` to one ``{"metrics": {...}}`` per pair, in pair order. A pair
+    in which either run lacks the metric (it failed) is left out; a metric
+    no pair has is not summarized."""
     summary = {}
     for name, direction in better.items():
-        before = [r["metrics"][name] for r in runs["before"]]
-        after = [r["metrics"][name] for r in runs["after"]]
+        kept = [
+            (b["metrics"][name], a["metrics"][name])
+            for b, a in zip(runs["before"], runs["after"])
+            if name in b["metrics"] and name in a["metrics"]
+        ]
+        if not kept:
+            continue
+        before = [b for b, _ in kept]
+        after = [a for _, a in kept]
         sign = 1 if direction == "higher" else -1
         after_wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
         before_wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
         b_med, a_med = statistics.median(before), statistics.median(after)
         q1, q3 = quartiles(before)
         summary[name] = {
+            "pairs": len(kept),
             "before_median": b_med,
             "after_median": a_med,
             "before_quartiles": [q1, q3],
@@ -93,18 +105,16 @@ def main(argv=None) -> int:
     parser.add_argument("--after", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--pairs", type=int, default=PAIRS)
-    parser.add_argument("--seconds", type=float, default=SECONDS)
     args = parser.parse_args(argv)
 
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     runs = {"before": [], "after": []}
     first = []
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         order = ("before", "after") if pair % 2 == 0 else ("after", "before")
         first.append(order[0])
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+            runs[side].append(run_once(sides[side], args.workload, args.seed))
             print(f"pair {pair} {side}: {runs[side][-1]['metrics'].get('items_per_s')}", file=sys.stderr)
     summary = summarize(runs, end_to_end())
     for name, s in summary.items():
@@ -115,8 +125,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     report = {
-        "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} --seconds {args.seconds:g}",
-        "pairs": args.pairs,
+        "command": f"perfbench/run.py --workload {args.workload} --seed {args.seed} --seconds {SECONDS}",
+        "pairs": PAIRS,
         "first_in_pair": first,
         "all_correct": all(r["correct"] for side in runs.values() for r in side),
         "inputs": sorted({r["inputs"] for side in runs.values() for r in side if r["inputs"]}),
