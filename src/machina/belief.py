@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import ChainMap
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -188,8 +187,9 @@ def kv_get(belief: Belief, path: str):
 
 
 def lookup_scope(belief: Belief) -> Mapping[str, JsonValue]:
-    """What guard expressions read: the store, plus the task inputs."""
-    return ChainMap(belief.inputs, belief.kv) if belief.inputs else belief.kv
+    """What guards and rule ``$ref`` paths read: the store, or a dict of it
+    with the task inputs laid over it (an input wins, as in :func:`kv_get`)."""
+    return {**belief.kv, **belief.inputs} if belief.inputs else belief.kv
 
 
 def parsed_input(belief: Belief, path: str, parse: Callable[[JsonValue], object]):

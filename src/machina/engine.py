@@ -47,7 +47,6 @@ from .model import (
     GUARD_EXPRESSION,
     SOURCE_EXTERNAL,
     SOURCE_INTERNAL,
-    TRIGGER_EXTERNAL,
     ActionSpec,
     Condition,
     EventInstance,
@@ -325,23 +324,15 @@ def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
 
 class _LeafPlan(FrozenValue):
     """What ``run`` reads at any leaf, end leaves too; fixed by the machine.
-    ``candidates`` are the steps' ``passed`` candidates and ``waits`` says
-    whether all of them need an external trigger, both only when no step is
-    guarded (else ``None``): a guard's outcome is never kept. The candidates
-    are a :class:`~machina.policy._Candidates`, so what a decision derives
-    from them (the selectable ones, a forced choice, the candidate for each
-    event name, the prompt's transition lines) is computed once per leaf."""
+    ``candidates``, a :class:`~machina.policy._Candidates` of the steps'
+    ``passed`` candidates, only when no step is guarded (else ``None``): a
+    guard's outcome is never kept, and what a turn derives from them (the
+    wait test, a forced choice, ...) is computed once per leaf."""
 
-    __slots__ = ("state", "steps", "candidates", "waits")
+    __slots__ = ("state", "steps", "candidates")
 
-    def __init__(
-        self,
-        state: State,
-        steps: tuple[_Step, ...],
-        candidates: Optional[_Candidates],
-        waits: Optional[bool],
-    ):
-        self._set(state, steps, candidates, waits)
+    def __init__(self, state: State, steps: tuple[_Step, ...], candidates: Optional[_Candidates]):
+        self._set(state, steps, candidates)
 
 
 def _leaf_plan(sm: StateMachine, leaf: str) -> _LeafPlan:
@@ -352,35 +343,32 @@ def _leaf_plan(sm: StateMachine, leaf: str) -> _LeafPlan:
     if plan is None:
         state = sm.state(leaf)
         steps = tuple(_plan_step(sm, leaf, t) for t in enabled_transitions(sm, leaf))
-        candidates = waits = None
+        candidates = None
         if all(step.transition.guard is None for step in steps):
             candidates = _Candidates(step.passed for step in steps)
-            waits = all(c.transition.trigger == TRIGGER_EXTERNAL for c in candidates)
-        plan = sm._memo[leaf] = _LeafPlan(state, steps, candidates, waits)
+        plan = sm._memo[leaf] = _LeafPlan(state, steps, candidates)
     return plan
 
 
-def candidate_transitions(agent: Agent) -> list[CandidateTransition]:
-    """All transitions enabled at the active leaf, in a new list, each with
-    its guard evaluated exactly once and its required external parameters
-    computed from the actions the step would fire. The candidates are the
-    leaf plan's own frozen objects, shared by every agent on the machine; at
-    a leaf with no guarded step the list is a copy of the plan's fixed
-    candidates, and at any other leaf every guard is evaluated anew;
-    :func:`run` calls it only there, in a turn with no pending event."""
+def candidate_transitions(agent: Agent) -> _Candidates:
+    """All transitions enabled at the active leaf, as one read-only
+    :class:`~machina.policy._Candidates` of the leaf plan's own frozen
+    candidates, each with its guard evaluated exactly once. At a leaf with
+    no guarded step it is the plan's sequence; at any other leaf a new one,
+    and :func:`run` calls it only there, in a turn with no pending event."""
     leaf = agent.belief.current_state
     if leaf is None:
         raise AgentNotStarted()
     plan = _leaf_plan(agent.machine, leaf)
     if plan.candidates is not None:
-        return list(plan.candidates)
-    return [
+        return plan.candidates
+    return _Candidates(
         step.passed
         if step.transition.guard is None
         or eval_guard(step.transition.guard, agent.belief, agent.registry, agent.provider)
         else step.blocked
         for step in plan.steps
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +609,10 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
     ``run(agent, event)`` resumes); the transition budget ends the run once
     the trajectory reaches the limit; otherwise :func:`dispatch` resolves a
     pending event by name, or else fires the step of the candidate
-    ``decide`` chose. Only a turn with no pending event reads candidates:
-    the plan's fixed sequence at a leaf with no guarded step, else one
-    :func:`candidate_transitions` list. The result carries the output of
+    ``decide`` chose. Only a turn with no pending event reads candidates,
+    one read-only sequence whose ``waits`` memo is the wait test: the plan's
+    own at a leaf with no guarded step, else the one that
+    :func:`candidate_transitions` builds. The result carries the output of
     the last executed action.
     """
     try:
@@ -641,13 +630,10 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
                 return _result(agent, STATUS_COMPLETED)
             event, pending = pending, None
             if event is None:
-                candidates, waits = plan.candidates, plan.waits
+                candidates = plan.candidates
                 if candidates is None:
                     candidates = candidate_transitions(agent)
-                    waits = all(
-                        c.transition.trigger == TRIGGER_EXTERNAL for c in candidates if c.guard_passed
-                    )
-                if waits:
+                if candidates.waits:
                     return _result(agent, STATUS_WAITING)
             if len(agent.belief.trajectory) >= agent.limits.max_transitions:
                 return _result(agent, STATUS_BUDGET_EXHAUSTED)

@@ -20,7 +20,7 @@ from .errors import MachinaError, SchemaError, check_keys, require_list, require
 from .guards import GuardExpr, evaluate, parse_guard, resolve_kv_path
 from .json_extract import first_json_object, read_json
 from .keypath import ABSENT, BadPath, JsonValue, split_path
-from .model import TRIGGER_INTERNAL, EventInstance, ParameterSpec, State, Transition
+from .model import TRIGGER_EXTERNAL, TRIGGER_INTERNAL, EventInstance, ParameterSpec, State, Transition
 from .providers import CompletionProvider, _reply_text
 from .values import EMPTY_MAPPING, FrozenValue, distinct, tuple_new
 
@@ -166,10 +166,9 @@ class LlmPolicy(FrozenValue):
 class PolicyStage(Protocol):
     """``select`` returns an event among ``selectable``, or ``None`` to pass
     to the next stage; ``decide`` fires the first selectable candidate with
-    that event's name. A stage never edits ``selectable``: at a leaf with no
-    guarded step it is the leaf plan's one read-only selectable sequence,
-    shared by every turn and agent on the machine; elsewhere it is a new
-    list."""
+    that event's name. A stage always gets a read-only sequence. At a leaf
+    with no guarded step it is the leaf plan's, shared by every turn and
+    agent on the machine."""
 
     def select(
         self, state: State, selectable: Sequence[CandidateTransition], belief: Belief, provider: CompletionProvider
@@ -180,11 +179,16 @@ class _Candidates(tuple):
     """Candidates in resolution order, as one read-only sequence, with what
     the policy functions derive from them kept as ``cached_property`` memos.
     A leaf plan whose candidates the machine fixes holds one, so each memo is
-    computed once per machine and shared by every agent and turn; a policy
-    function given any other sequence wraps it once, and its memos last as
-    long as that call. Each memo's worth in oracle-mix's items/s, against a
-    plain property: passing 2.0%, selectable 22%, forced 1.0%, by_event 3.4%
+    computed once per machine and shared by every agent and turn; any other
+    lasts one turn (at a guarded leaf) or one call of a policy function
+    given a list. Each memo's worth in oracle-mix's items/s, against a plain
+    property: passing 2.0%, selectable 22%, forced 1.0%, by_event 3.4%
     and transition_lines 2.7% (BENCH_ablation.json)."""
+
+    @cached_property
+    def waits(self) -> bool:
+        """Every guard-passed candidate needs an external trigger."""
+        return all(c.transition.trigger == TRIGGER_EXTERNAL for c in self.passing)
 
     @cached_property
     def passing(self) -> _Candidates:
@@ -253,10 +257,11 @@ def rule_decide(
     can serve many states.
     """
     plan = _plan(candidates)
+    scope = lookup_scope(belief)
     for rule in rules:
         if rule.when_state is not None and rule.when_state != state.name:
             continue
-        if rule.when_guard is not None and not evaluate(rule.when_guard, lookup_scope(belief)):
+        if rule.when_guard is not None and not evaluate(rule.when_guard, scope):
             continue
         candidate = plan.first(rule.emit_event)
         if candidate is None:
@@ -264,7 +269,7 @@ def rule_decide(
         arguments: dict[str, JsonValue] = {}
         for name, source in rule.emit_arguments.items():
             if isinstance(source, PathRef):
-                value = resolve_kv_path(lookup_scope(belief), split_path(source.path))
+                value = resolve_kv_path(scope, split_path(source.path))
                 if value is ABSENT:
                     raise RuleArgumentUnresolvable(source.path)
                 arguments[name] = value
@@ -369,16 +374,14 @@ def decide(
     allowed for machines whose every step fast-forwards; any other step then
     exhausts the policy.
 
-    Given a leaf plan's candidates, as :func:`~machina.engine.run` passes
-    them at a leaf with no guarded step, every stage gets the plan's shared,
-    read-only selectable sequence; given any other sequence, a new list.
+    Every stage gets the one read-only ``selectable`` of the candidates as
+    a :class:`_Candidates`; given a leaf plan's, the plan's own.
     """
     plan = _plan(candidates)
     selection = fast_forward(plan)
     if selection is None:
-        selectable = plan.selectable if plan is candidates else list(plan.selectable)
         for stage in stack:
-            selection = stage.select(state, selectable, belief, provider)
+            selection = stage.select(state, plan.selectable, belief, provider)
             if selection is not None:
                 break
         else:

@@ -300,7 +300,7 @@ def test_candidates_match_reference(sm):
                     CandidateTransition(t, passed, reference_required(specs), sm.state(t.target).description)
                 )
             first, second = (candidate_transitions(a) for a in agents)
-            assert first == expected
+            assert list(first) == expected
             assert all(a is b for a, b in zip(first, second, strict=True))
 
 

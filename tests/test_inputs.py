@@ -14,21 +14,24 @@ from click.testing import CliRunner
 import machina.scene
 from machina.actions import ActionRegistry, builtin_registry
 from machina.belief import (
+    Belief,
     NestingTooDeep,
     ReadOnlyInput,
     belief_to_trace,
     kv_get,
     kv_set,
+    lookup_scope,
     new_belief,
     render_history,
     snapshot,
 )
 from machina.cli import main
-from machina.engine import Agent, EventInstance, run
+from machina.engine import Agent, EventInstance, eval_guard, run
 from machina.errors import MachinaError
 from machina.harness import ORACLE_SCRIPTS, generate_mini_clevr, make_qa_agent, qa_belief
-from machina.model import ParameterSpec
-from machina.policy import PathRef, Rule, RulePolicy
+from machina.guards import parse_guard
+from machina.model import GUARD_EXPRESSION, Condition, ParameterSpec, State, Transition
+from machina.policy import CandidateTransition, PathRef, Rule, RulePolicy, rule_decide
 from machina.providers import ScriptedProvider
 from machina.scene import scene_to_json_value
 from helpers import RecordingProvider, agent_for, machine_from, s1_scene, state
@@ -105,6 +108,23 @@ def guarded_doc(guard: str) -> dict:
 
 
 class TestLookups:
+    def test_an_input_wins_a_key_the_store_also_holds(self):
+        """``kv_set`` refuses an input's key, so only a caller builds this
+        belief; ``kv_get``, an expression guard and a rule's ``$ref`` all
+        read the input."""
+        belief = Belief(kv={"k": "store"}, inputs={"k": "input"})
+        assert kv_get(belief, "k") == "input"
+        guard = Condition(GUARD_EXPRESSION, expression="k == 'input'")
+        assert eval_guard(guard, belief, builtin_registry(), ScriptedProvider.from_replies([])) is True
+        rules = (Rule("go", when_guard=parse_guard("k == 'input'"), emit_arguments={"v": PathRef("k")}),)
+        go = CandidateTransition(Transition("a", "a", "go"), True)
+        assert rule_decide(rules, State("a"), [go], belief) == EventInstance("go", {"v": "input"})
+        assert lookup_scope(belief) == {"k": "input"}
+
+    def test_with_no_inputs_the_scope_is_the_store_itself(self):
+        belief = Belief(kv={"k": "store"})
+        assert lookup_scope(belief) is belief.kv
+
     def test_guard_expression_reads_an_input(self):
         belief = new_belief(inputs={"scene": scene_to_json_value(s1_scene())})
         agent = agent_for(guarded_doc("scene.objects.0.color == 'gray'"), belief=belief)

@@ -1,9 +1,10 @@
 """Each leaf is planned once per machine instance, end leaves included: its
-state, its step table, and, when no step is guarded, its candidates and its
-wait test. These tests count what runs instead of timing it: guards are
-evaluated on every call and their outcomes never kept, planning happens once
-per (leaf, transition), every call to ``candidate_transitions`` returns a new
-list equal to a fresh computation, ``run`` lists candidates only in a turn
+state, its step table, and, when no step is guarded, its candidates, which
+keep the wait test as a memo. These tests count what runs instead of timing
+it: guards are evaluated on every call and their outcomes never kept,
+planning happens once per (leaf, transition), ``candidate_transitions``
+returns one read-only sequence equal to a fresh computation, the plan's own
+at an unguarded leaf, ``run`` lists candidates only in a turn
 with no pending event and reads an unguarded leaf's from its plan, a
 decision hands ``dispatch`` its own step while a pending event is resolved
 lazily, and ``run`` still reaches the functions a tracer wraps through the
@@ -123,7 +124,7 @@ def test_flipping_a_guard_value_changes_the_next_run(monkeypatch):
     assert [call[0] for call in guard_calls] == [
         left, tick, left, left, tick, left, left, tick, left, tick,
     ]
-    assert plan.candidates is None and plan.waits is None
+    assert plan.candidates is None
 
 
 @pytest.mark.parametrize("doc", [fork_doc(), guarded_doc()], ids=["fork", "guarded"])
@@ -155,7 +156,7 @@ def test_a_leaf_without_guards_evaluates_none(monkeypatch):
         candidate_transitions(agent)
     assert len(guard_calls) == before
     plan = agent.machine._memo["Left"]
-    assert plan.candidates == tuple(candidate_transitions(agent)) and plan.waits is True
+    assert candidate_transitions(agent) is plan.candidates and plan.candidates.waits is True
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +192,9 @@ def test_two_agents_share_one_plan_per_leaf(monkeypatch, name, script):
 
     def checked_candidates(agent):
         result = candidate_transitions(agent)
-        assert type(result) is list
-        assert all(result is not earlier for earlier in returned)
-        assert result == reference_candidates(agent.machine, agent.belief.current_state)
+        leaf = agent.belief.current_state
+        assert result is agent.machine._memo[leaf].candidates
+        assert list(result) == reference_candidates(agent.machine, leaf)
         returned.append(result)
 
     machine = fresh_machine(name)
@@ -209,7 +210,7 @@ def test_two_agents_share_one_plan_per_leaf(monkeypatch, name, script):
             assert result.status == (engine.STATUS_COMPLETED if last else engine.STATUS_WAITING)
             if not last:
                 checked_candidates(agent)
-    # one list per waiting turn of each agent
+    # one sequence per waiting turn of each agent, the plan's own
     assert len(returned) == 2 * len(events)
     visited = {r.source for a in agents for r in a.belief.trajectory}
     assert set(planned) == {
@@ -217,14 +218,16 @@ def test_two_agents_share_one_plan_per_leaf(monkeypatch, name, script):
     }
     assert set(planned.values()) == {1}
 
-    # a caller's edits to a returned list never reach the next one
+    # a caller cannot edit the shared sequence it is returned
     agent = agent_for(machine)
     run(agent)
     first = candidate_transitions(agent)
     expected = list(first)
-    first.clear()
-    first.append("edited")
-    assert candidate_transitions(agent) == expected
+    with pytest.raises(AttributeError):
+        first.clear()
+    with pytest.raises(AttributeError):
+        first.append("edited")
+    assert list(candidate_transitions(agent)) == expected
     assert set(planned.values()) == {1}
 
 
@@ -412,10 +415,12 @@ def test_a_decision_at_an_unguarded_leaf_gets_the_plans_candidates(monkeypatch):
 
 
 def test_a_stage_at_an_unguarded_leaf_gets_the_plans_read_only_selectable():
-    """Two internal candidates: no fast-forward, so the stage selects. Its
-    ``selectable`` is the plan's one selectable sequence in every turn, and
-    a stage cannot change it: emptying it, assigning an item and appending
-    raise, and the plan's candidates are unchanged afterwards."""
+    """Two internal candidates: no fast-forward, so the stage selects. At
+    the unguarded leaf its ``selectable`` is the plan's one selectable
+    sequence in every turn; at the guarded one it is a new sequence per
+    turn, with the same candidates. Either way a stage cannot change it:
+    emptying it, assigning an item and appending raise, and the plan is
+    unchanged afterwards."""
     seen, refused = [], []
 
     def clear(selectable):
@@ -436,19 +441,28 @@ def test_a_stage_at_an_unguarded_leaf_gets_the_plans_read_only_selectable():
                 refused.append(err.type)
             return EventInstance(selectable[0].transition.event)
 
-    doc = {
-        "name": "two",
-        "states": [state("A", tags=["start"]), state("Done", tags=["end"])],
-        "transitions": [
-            {"source": "A", "target": "A", "event": "again"},
-            {"source": "A", "target": "Done", "event": "stop"},
-        ],
-    }
-    agent = agent_for(doc, policy=[FirstStage()], limits=RunLimits(max_transitions=3))
-    assert run(agent).status == engine.STATUS_BUDGET_EXHAUSTED
-    plan = agent.machine._memo["A"]
-    assert len(seen) == 3 and all(selectable is plan.candidates.selectable for selectable in seen)
-    assert refused == [AttributeError, TypeError, AttributeError] * 3
-    assert list(plan.candidates.selectable) == list(plan.candidates)
-    assert [c.transition.event for c in plan.candidates] == ["again", "stop"]
-    assert [step.passed for step in plan.steps] == list(plan.candidates)
+    def doc(guard):
+        again = {"source": "A", "target": "A", "event": "again"}
+        if guard:
+            again["guard"] = {"expr": guard}
+        return {
+            "name": "two",
+            "states": [state("A", tags=["start"]), state("Done", tags=["end"])],
+            "transitions": [again, {"source": "A", "target": "Done", "event": "stop"}],
+        }
+
+    for guard in (None, "not exists stop"):
+        seen.clear(), refused.clear()
+        agent = agent_for(doc(guard), policy=[FirstStage()], limits=RunLimits(max_transitions=3))
+        assert run(agent).status == engine.STATUS_BUDGET_EXHAUSTED
+        plan = agent.machine._memo["A"]
+        passed = [step.passed for step in plan.steps]
+        assert refused == [AttributeError, TypeError, AttributeError] * 3
+        assert len(seen) == 3 and all(list(selectable) == passed for selectable in seen)
+        assert [c.transition.event for c in passed] == ["again", "stop"]
+        if guard is None:
+            assert all(selectable is plan.candidates.selectable for selectable in seen)
+            assert list(plan.candidates) == passed
+        else:
+            assert plan.candidates is None
+            assert len({id(selectable) for selectable in seen}) == 3

@@ -359,10 +359,15 @@ class TestDecide:
         assert chosen is cands[2] and sel.name == "go"
 
     def test_the_candidate_comes_from_candidates_not_the_stages_list(self):
+        """A stage given a caller's list gets a read-only sequence: its
+        attempt to empty it is refused, and the decision still finds the
+        caller's candidate."""
+
         class Clearing:
             def select(self, state, selectable, belief, provider):
                 chosen = selectable[1].transition.event
-                selectable.clear()
+                with pytest.raises(AttributeError):
+                    selectable.clear()
                 return EventInstance(chosen)
 
         cands = [candidate("a"), candidate("b")]

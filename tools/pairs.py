@@ -7,7 +7,10 @@ each checkout for each of 10 pairs, one run at a time, ``--before`` first in
 even pairs and ``--after`` first in odd ones, so a drift in host load lands
 on both sides. Each run uses its own checkout's ``perfbench/`` and ``src/``.
 A run that exits non-zero or prints no report counts as not correct and its
-pair is left out of the summary; the exit code is then 1.
+pair is left out of the summary; the exit code is then 1. Each run's
+record keeps the host's one-minute load average read just before it
+started (``load_1m``, also on the progress line), so a batch that shared
+the host with other work shows it.
 
 Per end-to-end metric of ``BENCHMARK.json`` the summary gives each side's
 median and quartiles, how many pairs each side won (the better value of the
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -114,8 +118,13 @@ def main(argv=None) -> int:
         order = ("before", "after") if pair % 2 == 0 else ("after", "before")
         first.append(order[0])
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, args.seed))
-            print(f"pair {pair} {side}: {runs[side][-1]['metrics'].get('items_per_s')}", file=sys.stderr)
+            load = os.getloadavg()[0]
+            run = {**run_once(sides[side], args.workload, args.seed), "load_1m": load}
+            runs[side].append(run)
+            print(
+                f"pair {pair} {side}: {run['metrics'].get('items_per_s')} (load {load:.2f})",
+                file=sys.stderr,
+            )
     summary = summarize(runs, end_to_end())
     for name, s in summary.items():
         print(
