@@ -259,7 +259,10 @@ def copy_json(value: object) -> JsonValue:
     :class:`NestingTooDeep`. Every value that enters a belief (task
     inputs, event payloads, bound parameters, action outputs, the
     key-value store at snapshot) goes through here, so a belief holds
-    only what strict JSON can write.
+    only what strict JSON can write, except that strings are shared
+    unchecked: one holding a lone surrogate gets through, and the next
+    prompt refuses it with :class:`~machina.errors.UnencodableText`, unsent
+    (a check here would cost 4-6% of a resume-loop event).
     """
     kind = type(value)
     try:
@@ -328,8 +331,8 @@ def snapshot(belief: Belief) -> Belief:
 
     The engine takes one per ``run`` call, so the copy is built with
     ``object.__new__`` and a store per slot (the rule in
-    :mod:`machina.values`); with ``CallStats.snapshot``'s copy, that is
-    worth 2.6% of resume-loop's items/s (BENCH_ablation.json).
+    :mod:`machina.values`); with a call-count copy then built alike, that
+    was worth 2.6% of resume-loop's items/s (BENCH_ablation.json).
     """
     kv = copy_json(belief.kv)
     copy = _new(Belief)

@@ -142,10 +142,15 @@ class RunLimits(FrozenValue):
 class RunResult(NamedTuple):
     """How a run ended, with a snapshot of the belief at that point.
 
-    A result is a named tuple, as are the records in its snapshot and a
-    :class:`StepOutcome`: immutable, indexable and iterable, equal to a
-    plain tuple of the same values, and copied with a change by
-    ``_replace``.
+    A result is a named tuple, as are the records in its snapshot, its
+    ``stats`` (a ``distinct`` :class:`~machina.providers.CallStats`) and a
+    :class:`StepOutcome`: immutable, indexable and iterable, and copied with
+    a change by ``_replace``. All but ``stats`` equal a plain tuple of the
+    same values.
+
+    ``stats`` is the provider's running total when the run ended: a second
+    ``run`` on the same agent includes the first run's calls, which is why
+    the harness builds one provider per item.
 
     ``belief_snapshot`` does not change afterwards: not through later runs or
     dispatches on the agent, not through actions that edit their inputs in

@@ -80,35 +80,31 @@ def read_json(text: str | bytes):
         raise JsonSyntaxError(1, 1, "document nested too deeply") from None
 
 
-# Each finder decodes its first bracket itself, so a reply that decodes at
-# once costs no call beyond the decoding, and imports the search for the rest
-# only when that fails.
-def first_json_object(text: str) -> dict | None:
-    """First ``{...}`` span that parses as a JSON object."""
-    start = text.find("{")
-    if start == -1:
-        return None
-    try:
-        return _DECODER.raw_decode(text, start)[0]
-    except (ValueError, RecursionError) as exc:
-        failure = exc
-    from .json_search import search
+def _first_json(open_ch: str, name: str, doc: str) -> Callable[[str], object]:
+    """The finder of the first span opened by ``open_ch`` that decodes as
+    JSON. It decodes the first such bracket itself and imports the search for
+    the rest only when that fails. It is a closure, not a function both
+    finders call, so no extra frame lowers the depth the decoder reaches."""
 
-    return search(text, "{", start, failure)
+    def find(text: str):
+        start = text.find(open_ch)
+        if start == -1:
+            return None
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except (ValueError, RecursionError) as exc:
+            failure = exc
+        from .json_search import search
+
+        return search(text, open_ch, start, failure)
+
+    find.__name__ = find.__qualname__ = name
+    find.__doc__ = doc
+    return find
 
 
-def first_json_array(text: str) -> list | None:
-    """First ``[...]`` span that parses as a JSON array."""
-    start = text.find("[")
-    if start == -1:
-        return None
-    try:
-        return _DECODER.raw_decode(text, start)[0]
-    except (ValueError, RecursionError) as exc:
-        failure = exc
-    from .json_search import search
-
-    return search(text, "[", start, failure)
+first_json_object = _first_json("{", "first_json_object", "First ``{...}`` span that is a JSON object.")
+first_json_array = _first_json("[", "first_json_array", "First ``[...]`` span that is a JSON array.")
 
 
 def json_writer(**settings) -> Callable[[object], str]:

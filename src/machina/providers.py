@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Protocol, Sequence
 
 from .errors import MachinaError, check_keys, require_list, require_object, require_string, utf8
 from .json_extract import JsonSyntaxError, read_json
-from .values import Value, distinct, tuple_new
+from .values import distinct, tuple_new
 
 API_KEY_ENV = "SHERPA_API_KEY"
 TEMPERATURE = 0.01
@@ -27,8 +27,6 @@ RETRY_BACKOFF_SECONDS = (0.5, 2.0)
 # over; an HTTP body is read in chunks and never past this cap.
 _BODY_CAP_BYTES = 1 << 20
 _BODY_CHUNK_BYTES = 1 << 16
-
-_new = object.__new__
 
 
 class ProviderError(MachinaError):
@@ -72,23 +70,14 @@ class CompletionRequest(NamedTuple):
     system: str | None = None
 
 
-class CallStats(Value):
-    __slots__ = ("calls", "prompt_bytes", "reply_bytes")
+@distinct
+class CallStats(NamedTuple):
+    """A provider's running totals when ``snapshot_stats`` was called: its
+    calls, and the UTF-8 bytes of their prompts and kept replies."""
 
-    def __init__(self, calls: int = 0, prompt_bytes: int = 0, reply_bytes: int = 0):
-        self.calls = calls
-        self.prompt_bytes = prompt_bytes
-        self.reply_bytes = reply_bytes
-
-    def snapshot(self) -> "CallStats":
-        """A copy that later counting does not reach. Every ``run`` takes
-        one, so it is built with ``object.__new__`` and a store per slot, as
-        ``belief.snapshot`` is (the rule in :mod:`machina.values`)."""
-        copy = _new(CallStats)
-        copy.calls = self.calls
-        copy.prompt_bytes = self.prompt_bytes
-        copy.reply_bytes = self.reply_bytes
-        return copy
+    calls: int = 0
+    prompt_bytes: int = 0
+    reply_bytes: int = 0
 
 
 class CompletionProvider(Protocol):
@@ -146,7 +135,7 @@ class ScriptedProvider:
     def __init__(self, steps: Sequence[ScriptStep]):
         self.steps = list(steps)
         self._cursor = 0
-        self._stats = CallStats()
+        self._calls = self._prompt_bytes = self._reply_bytes = 0
 
     @classmethod
     def from_replies(cls, replies: Sequence[str]) -> "ScriptedProvider":
@@ -164,8 +153,8 @@ class ScriptedProvider:
         return cls(steps)
 
     def complete(self, request: CompletionRequest) -> str:
-        self._stats.prompt_bytes += _prompt_bytes(request)
-        self._stats.calls += 1
+        self._prompt_bytes += _prompt_bytes(request)
+        self._calls += 1
         if self._cursor >= len(self.steps):
             raise ScriptExhausted()
         step = self.steps[self._cursor]
@@ -173,11 +162,11 @@ class ScriptedProvider:
         if step.match is not None and step.match not in request.prompt:
             raise ScriptMismatch(step.match)
         reply, size = _clip_reply(step.reply)
-        self._stats.reply_bytes += size
+        self._reply_bytes += size
         return reply
 
     def snapshot_stats(self) -> CallStats:
-        return self._stats.snapshot()
+        return tuple_new(CallStats, (self._calls, self._prompt_bytes, self._reply_bytes))
 
 
 def load_script(path: str | Path) -> ScriptedProvider:
@@ -272,7 +261,7 @@ class HttpProvider:
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
         self._sleep = sleep
-        self._stats = CallStats()
+        self._calls = self._prompt_bytes = self._reply_bytes = 0
 
     def _messages(self, request: CompletionRequest) -> list[dict]:
         messages = []
@@ -319,8 +308,8 @@ class HttpProvider:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         for backoff in (*RETRY_BACKOFF_SECONDS, None):
-            self._stats.calls += 1
-            self._stats.prompt_bytes += prompt_bytes
+            self._calls += 1
+            self._prompt_bytes += prompt_bytes
             status, raw = self._post(data, headers)
             if status == 200:
                 break
@@ -335,8 +324,8 @@ class HttpProvider:
         if not isinstance(content, str):
             raise HttpError(200, "completion content is not text")
         reply, size = _clip_reply(content)
-        self._stats.reply_bytes += size
+        self._reply_bytes += size
         return reply
 
     def snapshot_stats(self) -> CallStats:
-        return self._stats.snapshot()
+        return tuple_new(CallStats, (self._calls, self._prompt_bytes, self._reply_bytes))

@@ -23,9 +23,9 @@ nothing (worths from ``BENCH_ablation.json``):
   ...))`` with every field in ``_fields`` order, defaults included, as a
   field left out makes a short tuple, not an error (worth 10% of
   resume-loop's items/s);
-- ``belief.snapshot`` and ``CallStats.snapshot`` build their copy with
-  ``object.__new__`` and a store per slot, so every slot must be stored
-  (worth 2.6% of resume-loop's items/s).
+- ``belief.snapshot`` builds its copy with ``object.__new__`` and a store
+  per slot, so every slot must be stored (worth 2.6% of resume-loop's
+  items/s, with a call-count copy then built alike).
 """
 
 

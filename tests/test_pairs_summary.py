@@ -77,6 +77,7 @@ def test_a_pair_with_a_failed_run_is_left_out():
 
 GOOD_RUN = """import json
 print("inputs 3 items")
+print("host factor median 1.0250; unscaled items_per_s 5.1, item_ms_p50 0.2")
 print(json.dumps({"correct": True, "metrics": {"items_per_s": {"value": 5.0}}}))
 """
 
@@ -105,13 +106,29 @@ def test_a_failed_run_is_not_correct_and_has_no_metrics(tmp_path, script):
 
 def test_a_good_run_reads_its_report(tmp_path):
     run = pairs.run_once(fake_tree(tmp_path, GOOD_RUN), "w", 7)
-    assert run == {"exit": 0, "correct": True, "inputs": "inputs 3 items", "metrics": {"items_per_s": 5.0}}
+    assert run == {
+        "exit": 0,
+        "correct": True,
+        "inputs": "inputs 3 items",
+        "host_factor": 1.025,
+        "metrics": {"items_per_s": 5.0},
+    }
+
+
+def test_a_run_that_prints_no_host_factor_records_none(tmp_path):
+    run = pairs.run_once(fake_tree(tmp_path, GOOD_RUN.replace("host factor", "no factor")), "w", 7)
+    assert (run["correct"], run["host_factor"]) == (True, None)
 
 
 def test_failed_runs_still_give_a_report_and_exit_1(tmp_path, capsys):
     before = fake_tree(tmp_path / "before", GOOD_RUN)
     after = fake_tree(tmp_path / "after", "raise SystemExit(1)")
     assert pairs.main(["--before", str(before), "--after", str(after), "--workload", "w"]) == 1
-    report = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    report = json.loads(out)
     assert (report["pairs"], report["all_correct"], report["summary"]) == (pairs.PAIRS, False, {})
     assert len(report["runs"]["before"]) == len(report["runs"]["after"]) == pairs.PAIRS
+    assert {r["host_factor"] for r in report["runs"]["before"]} == {1.025}
+    assert {r["host_factor"] for r in report["runs"]["after"]} == {None}
+    assert all(isinstance(r["load_1m"], float) for side in report["runs"].values() for r in side)
+    assert "host factor 1.025)" in err and "host factor None)" in err

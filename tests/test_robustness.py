@@ -356,6 +356,28 @@ class TestLoneSurrogate:
         assert result.stats.calls == 0
         assert_usable(result)
 
+    def test_in_a_payload_only_recorded_fails_at_the_next_prompt(self):
+        # copy_json does not check strings, so the payload enters the
+        # trajectory; the LLM prompt that renders it refuses it, unsent
+        doc = {
+            "name": "m",
+            "states": [state("a", tags=["start"]), state("b")]
+            + [state("c", tags=["end"]), state("d", tags=["end"])],
+            "transitions": [
+                {"source": "a", "target": "b", "event": "e1", "trigger": "external"},
+                {"source": "b", "target": "c", "event": "go"},
+                {"source": "b", "target": "d", "event": "stop"},
+            ],
+        }
+        provider = ScriptedProvider.from_replies(['{"event": "go"}'])
+        result = run(agent_for(doc, provider, [LlmPolicy("task")]), EventInstance("e1", {"x": "\ud800"}))
+        assert result.belief_snapshot.trajectory[-1].event_payload == {"x": "\ud800"}
+        with pytest.raises(UnencodableText) as info:
+            render_history(result.belief_snapshot, 3000)
+        assert (result.status, result.reason) == ("failed", str(info.value))
+        assert result.stats.calls == 0
+        assert_usable(result)
+
     def test_in_the_question(self):
         with pytest.raises(UnencodableText, match="UTF-8 cannot encode"):
             self.react("how many \ud800 objects?")

@@ -9,8 +9,11 @@ on both sides. Each run uses its own checkout's ``perfbench/`` and ``src/``.
 A run that exits non-zero or prints no report counts as not correct and its
 pair is left out of the summary; the exit code is then 1. Each run's
 record keeps the host's one-minute load average read just before it
-started (``load_1m``, also on the progress line), so a batch that shared
-the host with other work shows it.
+started (``load_1m``) and the median host factor the run printed
+(``host_factor``, ``None`` if it printed none), both also on the progress
+line: a batch that shared the host with other work shows in the first, and
+the host-speed regime a run met, which the load alone does not tell, in
+the second.
 
 Per end-to-end metric of ``BENCHMARK.json`` the summary gives each side's
 median and quartiles, how many pairs each side won (the better value of the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -37,6 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SECONDS = 20
 SEED = 7
+# perfbench/run.py's line "host factor median 1.0234; unscaled ..."
+HOST_FACTOR = re.compile(r"host factor median ([0-9.]+);")
 
 
 def end_to_end() -> dict[str, str]:
@@ -50,7 +56,14 @@ def run_once(tree: Path, workload: str, seed: int) -> dict:
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     inputs = [line for line in lines if line.startswith("inputs ")]
-    run = {"exit": done.returncode, "correct": False, "inputs": inputs[0] if inputs else None, "metrics": {}}
+    factors = [float(m[1]) for m in map(HOST_FACTOR.match, lines) if m]
+    run = {
+        "exit": done.returncode,
+        "correct": False,
+        "inputs": inputs[0] if inputs else None,
+        "host_factor": factors[0] if factors else None,
+        "metrics": {},
+    }
     try:
         report = json.loads(lines[-1]) if done.returncode == 0 else None
         metrics = {name: m["value"] for name, m in report["metrics"].items()}
@@ -122,7 +135,8 @@ def main(argv=None) -> int:
             run = {**run_once(sides[side], args.workload, args.seed), "load_1m": load}
             runs[side].append(run)
             print(
-                f"pair {pair} {side}: {run['metrics'].get('items_per_s')} (load {load:.2f})",
+                f"pair {pair} {side}: {run['metrics'].get('items_per_s')} "
+                f"(load {load:.2f}, host factor {run['host_factor']})",
                 file=sys.stderr,
             )
     summary = summarize(runs, end_to_end())
