@@ -14,7 +14,7 @@ import math
 from typing import Callable, Mapping, NamedTuple
 
 from . import scene as scene_ops
-from .errors import MachinaError, require_object
+from .errors import MachinaError, quoted, require_object
 from .keypath import JsonValue
 from .model import (
     SOURCE_EXTERNAL,
@@ -98,18 +98,17 @@ def coerce_argument(value: JsonValue, datatype: str) -> JsonValue:
     """Fit a JSON value to a declared datatype, with mild coercion.
 
     Numbers and booleans are accepted as JSON values or as their obvious
-    string spellings; ``json`` accepts anything.
+    string spellings; ``json`` accepts anything. A value that does not fit
+    raises :class:`ArgumentTypeError`, quoting it as
+    :func:`~machina.errors.quoted` does.
     """
     if datatype == "json":
         return value
     if datatype == "string":
         if isinstance(value, str):
             return value
-        raise ArgumentTypeError(f"expected a string, got {value!r}")
-    if datatype == "number":
-        if isinstance(value, bool):
-            raise ArgumentTypeError(f"expected a number, got {value!r}")
-        if isinstance(value, (int, float)):
+    elif datatype == "number":
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             return value
         if isinstance(value, str):
             try:
@@ -121,14 +120,14 @@ def coerce_argument(value: JsonValue, datatype: str) -> JsonValue:
                         return number
                 except ValueError:
                     pass
-        raise ArgumentTypeError(f"expected a number, got {value!r}")
-    if datatype == "boolean":
+    elif datatype == "boolean":
         if isinstance(value, bool):
             return value
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
-        raise ArgumentTypeError(f"expected a boolean, got {value!r}")
-    raise ArgumentTypeError(f"unknown datatype {datatype!r}")
+    else:
+        raise ArgumentTypeError(f"unknown datatype {datatype!r}")
+    raise ArgumentTypeError(f"expected a {datatype}, got {quoted(value)}")
 
 
 # ---------------------------------------------------------------------------

@@ -266,25 +266,8 @@ def eval_guard(
 # Step planning
 
 
-class _Step(FrozenValue):
-    """What firing ``transition`` from one leaf does; fixed by the machine.
-    ``passed`` and ``blocked`` are its candidate with the guard passed and
-    failed: only the guard outcome differs from one evaluation to the next."""
-
-    __slots__ = ("transition", "target_leaf", "actions", "passed", "blocked")
-
-    def __init__(
-        self,
-        transition: Transition,
-        target_leaf: str,
-        actions: tuple[tuple[str, ActionSpec], ...],
-        passed: CandidateTransition,
-        blocked: CandidateTransition,
-    ):
-        self._set(transition, target_leaf, actions, passed, blocked)
-
-
-def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
+def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> CandidateTransition:
+    """The guard-passed candidate of ``transition`` at ``leaf``."""
     source_chain = [leaf] + parent_chain(sm, leaf)
     target_ancestors = parent_chain(sm, transition.target)
     chain_set = set(source_chain)
@@ -312,31 +295,27 @@ def _plan_step(sm: StateMachine, leaf: str, transition: Transition) -> _Step:
     for _, spec in actions:
         for param in spec.external_params():
             required.setdefault(param.name, param)
-    passed = CandidateTransition(
-        transition=transition,
-        guard_passed=True,
-        required_external_params=tuple(required.values()),
-        target_description=sm.state(transition.target).description,
-    )
-    return _Step(
-        transition=transition,
-        target_leaf=entry_names[-1],
-        actions=tuple(actions),
-        passed=passed,
-        blocked=passed._replace(guard_passed=False),
+    return CandidateTransition(
+        transition,
+        True,
+        tuple(required.values()),
+        sm.state(transition.target).description,
+        entry_names[-1],
+        tuple(actions),
     )
 
 
 class _LeafPlan(FrozenValue):
     """What ``run`` reads at any leaf, end leaves too; fixed by the machine.
-    ``candidates``, a :class:`~machina.policy._Candidates` of the steps'
-    ``passed`` candidates, only when no step is guarded (else ``None``): a
-    guard's outcome is never kept, and what a turn derives from them (the
-    wait test, a forced choice, ...) is computed once per leaf."""
+    ``steps``, a :class:`~machina.policy._Candidates` of each enabled
+    transition's guard-passed candidate, is also ``candidates`` when no step
+    is guarded (else that is ``None``): a guard's outcome is never kept, and
+    what a turn derives from them (the wait test, a forced choice, ...) is
+    computed once per leaf."""
 
     __slots__ = ("state", "steps", "candidates")
 
-    def __init__(self, state: State, steps: tuple[_Step, ...], candidates: Optional[_Candidates]):
+    def __init__(self, state: State, steps: _Candidates, candidates: Optional[_Candidates]):
         self._set(state, steps, candidates)
 
 
@@ -347,20 +326,19 @@ def _leaf_plan(sm: StateMachine, leaf: str) -> _LeafPlan:
     plan = sm._memo.get(leaf)
     if plan is None:
         state = sm.state(leaf)
-        steps = tuple(_plan_step(sm, leaf, t) for t in enabled_transitions(sm, leaf))
-        candidates = None
-        if all(step.transition.guard is None for step in steps):
-            candidates = _Candidates(step.passed for step in steps)
-        plan = sm._memo[leaf] = _LeafPlan(state, steps, candidates)
+        steps = _Candidates(_plan_step(sm, leaf, t) for t in enabled_transitions(sm, leaf))
+        unguarded = all(step.transition.guard is None for step in steps)
+        plan = sm._memo[leaf] = _LeafPlan(state, steps, steps if unguarded else None)
     return plan
 
 
 def candidate_transitions(agent: Agent) -> _Candidates:
     """All transitions enabled at the active leaf, as one read-only
-    :class:`~machina.policy._Candidates` of the leaf plan's own frozen
-    candidates, each with its guard evaluated exactly once. At a leaf with
-    no guarded step it is the plan's sequence; at any other leaf a new one,
-    and :func:`run` calls it only there, in a turn with no pending event."""
+    :class:`~machina.policy._Candidates`, each with its guard evaluated
+    exactly once. At a leaf with no guarded step it is the plan's steps; at
+    any other leaf a new sequence that holds the plan's own candidate where
+    the guard passes and a copy with ``guard_passed=False`` where it fails.
+    :func:`run` calls it only there, in a turn with no pending event."""
     leaf = agent.belief.current_state
     if leaf is None:
         raise AgentNotStarted()
@@ -368,10 +346,10 @@ def candidate_transitions(agent: Agent) -> _Candidates:
     if plan.candidates is not None:
         return plan.candidates
     return _Candidates(
-        step.passed
+        step
         if step.transition.guard is None
         or eval_guard(step.transition.guard, agent.belief, agent.registry, agent.provider)
-        else step.blocked
+        else step._replace(guard_passed=False)
         for step in plan.steps
     )
 
@@ -491,14 +469,16 @@ def execute_action(
 # Dispatch and run
 
 
-def dispatch(agent: Agent, event: EventInstance, _step: Optional[_Step] = None) -> StepOutcome | None:
+def dispatch(
+    agent: Agent, event: EventInstance, _chosen: Optional[CandidateTransition] = None
+) -> StepOutcome | None:
     """Apply one event to the agent's machine.
 
     The step fired is the first enabled transition for the event, in
-    resolution order, whose guard passes: the steps and what each fires come
-    from the active leaf's memoized plan, and guards are evaluated lazily,
-    each at most once per call, up to the first that passes. No guard
-    outcome outlives the call. :func:`run` passes the ``_step`` of the
+    resolution order, whose guard passes: the candidates and what each fires
+    come from the active leaf's memoized plan, and guards are evaluated
+    lazily, each at most once per call, up to the first that passes. No
+    guard outcome outlives the call. :func:`run` passes ``_chosen``, the
     candidate its policy decided on, which fires as it is, with no lookup.
 
     Returns ``None`` when the event is unhandled and the limits say to
@@ -512,7 +492,7 @@ def dispatch(agent: Agent, event: EventInstance, _step: Optional[_Step] = None) 
     leaf = belief.current_state
     if leaf is None:
         raise AgentNotStarted()
-    chosen = _step
+    chosen = _chosen
     if chosen is None:
         for chosen in _leaf_plan(agent.machine, leaf).steps:
             t = chosen.transition
@@ -613,12 +593,11 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
     external trigger (the belief is preserved, so a later
     ``run(agent, event)`` resumes); the transition budget ends the run once
     the trajectory reaches the limit; otherwise :func:`dispatch` resolves a
-    pending event by name, or else fires the step of the candidate
-    ``decide`` chose. Only a turn with no pending event reads candidates,
-    one read-only sequence whose ``waits`` memo is the wait test: the plan's
-    own at a leaf with no guarded step, else the one that
-    :func:`candidate_transitions` builds. The result carries the output of
-    the last executed action.
+    pending event by name, or else fires the candidate ``decide`` chose.
+    Only a turn with no pending event reads candidates, one read-only
+    sequence whose ``waits`` memo is the wait test: the plan's own at a leaf
+    with no guarded step, else the one that :func:`candidate_transitions`
+    builds. The result carries the output of the last executed action.
     """
     try:
         if agent.belief.current_state is None:
@@ -644,10 +623,7 @@ def run(agent: Agent, initial_event: EventInstance | None = None) -> RunResult:
                 return _result(agent, STATUS_BUDGET_EXHAUSTED)
             if event is None:
                 chosen, event = decide(agent.policy, plan.state, candidates, agent.belief, agent.provider)
-                for step in plan.steps:
-                    if step.passed is chosen:
-                        break
-                dispatch(agent, event, step)
+                dispatch(agent, event, chosen)
             else:
                 dispatch(agent, event)
     except MachinaError as exc:

@@ -20,6 +20,12 @@ class SchemaError(MachinaError):
         self.reason = reason
 
 
+def quoted(value: Any) -> str:
+    """A reply's or payload's value as an error quotes it: the ``repr`` of a
+    string's first 120 characters, else the first 120 of the ``repr``."""
+    return repr(value[:120]) if isinstance(value, str) else repr(value)[:120]
+
+
 def require_object(value: Any, pointer: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(pointer, f"expected an object, got {type(value).__name__}")

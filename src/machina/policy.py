@@ -16,11 +16,11 @@ from typing import Mapping, NamedTuple, Protocol, Sequence, Union
 
 from .actions import ArgumentTypeError, coerce_argument
 from .belief import Belief, lookup_scope, render_history
-from .errors import MachinaError, SchemaError, check_keys, require_list, require_object, require_string
+from .errors import MachinaError, SchemaError, check_keys, quoted, require_list, require_object, require_string
 from .guards import GuardExpr, evaluate, parse_guard, resolve_kv_path
 from .json_extract import first_json_object, read_json
 from .keypath import ABSENT, BadPath, JsonValue, split_path
-from .model import TRIGGER_EXTERNAL, TRIGGER_INTERNAL, EventInstance, ParameterSpec, State, Transition
+from .model import TRIGGER_EXTERNAL, TRIGGER_INTERNAL, ActionSpec, EventInstance, ParameterSpec, State, Transition
 from .providers import CompletionProvider, _reply_text
 from .values import EMPTY_MAPPING, FrozenValue, distinct, tuple_new
 
@@ -43,12 +43,12 @@ class NoCandidates(PolicyError):
 
 class Unparseable(PolicyError):
     def __init__(self, reply: str):
-        super().__init__(f"reply contains no usable JSON object: {reply[:120]!r}")
+        super().__init__(f"reply contains no usable JSON object: {quoted(reply)}")
 
 
 class UnknownEvent(PolicyError):
     def __init__(self, event: str):
-        super().__init__(f"event {event!r} is not among the candidates")
+        super().__init__(f"event {quoted(event)} is not among the candidates")
         self.event = event
 
 
@@ -71,7 +71,8 @@ class RuleArgumentUnresolvable(PolicyError):
 
 
 class PolicyFailure(PolicyError):
-    """The LLM policy could not produce a usable selection after retries."""
+    """A stage produced no usable selection: the LLM policy after retries, or
+    a ``select`` that raised a non-:class:`MachinaError` or returned a non-event."""
 
 
 class PolicyExhausted(PolicyError):
@@ -80,16 +81,21 @@ class PolicyExhausted(PolicyError):
 
 
 class CandidateTransition(FrozenValue):
-    """One enabled transition with its evaluated guard and the external
+    """One enabled transition with its evaluated guard, the external
     parameters that would have to be supplied to select it (union over the
-    transition's actions and the exit/entry actions the step would run).
-    ``target_description`` feeds the policy prompt."""
+    transition's actions and the exit/entry actions the step would run) and
+    the ``target_description`` the prompt shows; and the step it fires: the
+    ``target_leaf`` it ends in and its ``(phase, ActionSpec)`` ``actions``,
+    exit, transition and entry in that order. A leaf plan's candidates pass
+    their guards; a failed guard is a copy with ``guard_passed=False``."""
 
     __slots__ = (
         "transition",
         "guard_passed",
         "required_external_params",
         "target_description",
+        "target_leaf",
+        "actions",
         "__dict__",
     )
 
@@ -99,13 +105,15 @@ class CandidateTransition(FrozenValue):
         guard_passed: bool,
         required_external_params: tuple[ParameterSpec, ...] = (),
         target_description: str = "",
+        target_leaf: str = "",
+        actions: tuple[tuple[str, ActionSpec], ...] = (),
     ):
-        self._set(transition, guard_passed, required_external_params, target_description)
+        self._set(transition, guard_passed, required_external_params, target_description, target_leaf, actions)
 
     @cached_property
     def prompt_line(self) -> str:
-        """This candidate's line under ``# Available transitions``. The step
-        table's candidates are shared by every agent, so each line is
+        """This candidate's line under ``# Available transitions``. The leaf
+        plans' candidates are shared by every agent, so each line is
         formatted once per process."""
         t = self.transition
         if self.required_external_params:
@@ -372,7 +380,9 @@ def decide(
     candidate in ``candidates`` whose event is that selection's, with the
     selection; naming none raises :class:`UnknownEvent`. An empty stack is
     allowed for machines whose every step fast-forwards; any other step then
-    exhausts the policy.
+    exhausts the policy. A stage that raises anything but a ``MachinaError``
+    (which passes through), or returns neither ``None`` nor an
+    :class:`EventInstance`, raises :class:`PolicyFailure` naming the stage.
 
     Every stage gets the one read-only ``selectable`` of the candidates as
     a :class:`_Candidates`; given a leaf plan's, the plan's own.
@@ -381,11 +391,18 @@ def decide(
     selection = fast_forward(plan)
     if selection is None:
         for stage in stack:
-            selection = stage.select(state, plan.selectable, belief, provider)
+            try:
+                selection = stage.select(state, plan.selectable, belief, provider)
+            except MachinaError:
+                raise
+            except Exception as exc:
+                raise PolicyFailure(f"policy stage {type(stage).__name__} raised {quoted(exc)}") from exc
             if selection is not None:
                 break
         else:
             raise PolicyExhausted()
+        if not isinstance(selection, EventInstance):
+            raise PolicyFailure(f"policy stage {type(stage).__name__} returned {quoted(selection)}")
     chosen = plan.selectable.first(selection.name)
     if chosen is None:
         raise UnknownEvent(selection.name)

@@ -119,6 +119,20 @@ def reference_required(specs):
     return tuple(required.values())
 
 
+def reference_candidate(sm, leaf, transition, guard_passed=True):
+    """The candidate of ``transition`` at ``leaf``, built field by field."""
+    plan = reference_step_plan(sm, leaf, transition)
+    specs = reference_step_action_specs(plan, transition)
+    return CandidateTransition(
+        transition,
+        guard_passed,
+        reference_required(specs),
+        sm.state(transition.target).description,
+        plan[2],
+        tuple(specs),
+    )
+
+
 def guarded_doc():
     """Own and inherited transitions, an expression guard that passes, one
     that fails, and an action guard."""
@@ -262,6 +276,9 @@ def test_replaced_machine_is_validated_afresh():
 
 @pytest.mark.parametrize("sm", all_machines(), ids=lambda sm: sm.name)
 def test_step_table_matches_reference(sm):
+    """A plan's steps are its guard-passed candidates, each carrying the
+    leaf its step ends in and the actions it fires, as the reference plans
+    them; a failed guard's copy differs in ``guard_passed`` alone."""
     for leaf in leaves(sm):
         table = engine._leaf_plan(sm, leaf).steps
         assert engine._leaf_plan(sm, leaf).steps is table
@@ -269,19 +286,17 @@ def test_step_table_matches_reference(sm):
         for step in table:
             t = step.transition
             plan = reference_step_plan(sm, leaf, t)
-            specs = reference_step_action_specs(plan, t)
             assert step.target_leaf == plan[2]
-            assert list(step.actions) == specs
-            for candidate, passed in ((step.passed, True), (step.blocked, False)):
-                assert candidate == CandidateTransition(
-                    t, passed, reference_required(specs), sm.state(t.target).description
-                )
+            assert list(step.actions) == reference_step_action_specs(plan, t)
+            assert step == reference_candidate(sm, leaf, t)
+            assert step._replace(guard_passed=False) == reference_candidate(sm, leaf, t, False)
 
 
 @pytest.mark.parametrize("sm", all_machines(), ids=lambda sm: sm.name)
 def test_candidates_match_reference(sm):
     """Candidates equal ones built field by field, and two agents on one
-    machine get the same shared objects."""
+    machine get the plan's own objects where a guard passes, and equal
+    copies of their own where one fails."""
     registry = builtin_registry()
     for leaf in leaves(sm):
         for x in (1, 2):
@@ -292,16 +307,15 @@ def test_candidates_match_reference(sm):
                 agent.belief.current_state = leaf
             expected = []
             for t in enabled_transitions(sm, leaf):
-                specs = reference_step_action_specs(reference_step_plan(sm, leaf, t), t)
                 passed = t.guard is None or eval_guard(
                     t.guard, agents[0].belief, registry, agents[0].provider
                 )
-                expected.append(
-                    CandidateTransition(t, passed, reference_required(specs), sm.state(t.target).description)
-                )
+                expected.append(reference_candidate(sm, leaf, t, passed))
             first, second = (candidate_transitions(a) for a in agents)
-            assert list(first) == expected
-            assert all(a is b for a, b in zip(first, second, strict=True))
+            assert list(first) == list(second) == expected
+            steps = engine._leaf_plan(sm, leaf).steps
+            for a, b, step in zip(first, second, steps, strict=True):
+                assert (a is b is step) == a.guard_passed
 
 
 def test_guarded_candidates_see_the_belief():
@@ -353,7 +367,10 @@ def test_candidate_follows_its_guard_from_step_to_step():
         engine.dispatch(agent, EventInstance("set", {"text": text}))
         after = candidate_transitions(agent)[1]
         seen.append((before.guard_passed, after.guard_passed))
-        assert after is (leave.passed if text == "go" else leave.blocked)
+        if text == "go":
+            assert after is leave
+        else:
+            assert after == leave._replace(guard_passed=False) and after is not leave
     assert seen == [(False, True), (True, False), (False, True)]
     assert engine.dispatch(agent, EventInstance("leave")).target_leaf == "Done"
 

@@ -6,9 +6,9 @@ planning happens once per (leaf, transition), ``candidate_transitions``
 returns one read-only sequence equal to a fresh computation, the plan's own
 at an unguarded leaf, ``run`` lists candidates only in a turn
 with no pending event and reads an unguarded leaf's from its plan, a
-decision hands ``dispatch`` its own step while a pending event is resolved
-lazily, and ``run`` still reaches the functions a tracer wraps through the
-module."""
+decision hands ``dispatch`` the candidate it chose while a pending event is
+resolved lazily, and ``run`` still reaches the functions a tracer wraps
+through the module."""
 
 import random
 from collections import Counter
@@ -20,14 +20,9 @@ from machina.belief import kv_set
 from machina.engine import EventInstance, RunLimits, candidate_transitions, run
 from machina.harness import builtin_machine
 from machina.model import UnknownState, enabled_transitions
-from machina.policy import CandidateTransition
 from helpers import agent_for, linear_doc, state
-from test_compile_once import (
-    guarded_doc,
-    reference_required,
-    reference_step_action_specs,
-    reference_step_plan,
-)
+from test_compile_once import guarded_doc, reference_candidate
+from test_engine import shared_event_doc
 
 
 def fresh_machine(name):
@@ -37,14 +32,9 @@ def fresh_machine(name):
 
 def reference_candidates(sm, leaf):
     """The candidates at an unguarded leaf, built field by field."""
-    expected = []
-    for t in enabled_transitions(sm, leaf):
-        assert t.guard is None
-        specs = reference_step_action_specs(reference_step_plan(sm, leaf, t), t)
-        expected.append(
-            CandidateTransition(t, True, reference_required(specs), sm.state(t.target).description)
-        )
-    return expected
+    transitions = enabled_transitions(sm, leaf)
+    assert all(t.guard is None for t in transitions)
+    return [reference_candidate(sm, leaf, t) for t in transitions]
 
 
 def counting(monkeypatch, name):
@@ -265,6 +255,49 @@ def test_dispatch_with_the_run_loops_plan_matches_dispatch_without(name, script)
     assert machine.state(passed.belief.current_state).is_end
 
 
+@pytest.mark.parametrize("case", ["unguarded", "guarded", "shared-event"])
+def test_dispatch_fires_the_candidate_decide_returned(monkeypatch, case):
+    """``dispatch`` gets the very object ``decide`` returned, the plan's own
+    candidate, and the step it fires is that candidate's. At the guarded
+    leaf a failed guard's candidate equals the plan's but for
+    ``guard_passed`` and is never fired; where an external and an internal
+    ``go`` share the event, the decision fires the internal one."""
+    decide, dispatch = engine.decide, engine.dispatch
+    decided, offered, fired = [], [], []
+
+    def recording_decide(*args):
+        offered.append(args[2])
+        decided.append(decide(*args))
+        return decided[-1]
+
+    def recording_dispatch(agent, event, *chosen):
+        fired.append((chosen, dispatch(agent, event, *chosen)))
+        return fired[-1][1]
+
+    monkeypatch.setattr(engine, "decide", recording_decide)
+    monkeypatch.setattr(engine, "dispatch", recording_dispatch)
+    if case == "unguarded":
+        agent, expected = agent_for(linear_doc(3)), [("s1", 0), ("s2", 0)]
+    elif case == "guarded":
+        agent, expected = agent_for(fork_doc()), [("Wait", 2)]
+        kv_set(agent.belief, "flag", "done")
+    else:
+        agent, expected = agent_for(shared_event_doc(on_parent=False)), [("A", 1)]
+    assert run(agent).status == engine.STATUS_COMPLETED
+    memo = agent.machine._memo
+    assert len(decided) == len(fired) == len(expected)
+    for (chosen, _), (passed, outcome), (leaf, index) in zip(decided, fired, expected):
+        assert passed == (chosen,) and passed[0] is chosen is memo[leaf].steps[index]
+        assert outcome.transition is chosen.transition
+        assert (outcome.source_leaf, outcome.target_leaf) == (leaf, chosen.target_leaf)
+    if case == "guarded":
+        (candidates,) = offered
+        blocked, step = candidates[0], memo["Wait"].steps[0]
+        assert not blocked.guard_passed and blocked is not step
+        assert blocked == step._replace(guard_passed=False)
+        assert all(chosen is not blocked for chosen, _ in decided)
+
+
 def test_unknown_leaf_raises_and_is_not_memoized():
     agent = agent_for(fresh_machine("h3"))
     agent.belief.current_state = "Nowhere"
@@ -309,7 +342,7 @@ def test_run_calls_the_module_functions(monkeypatch):
 
     # four fast-forwarded steps in one run; no leaf is guarded, so every turn
     # reads its plan's candidates and none calls candidate_transitions; each
-    # decision hands dispatch the step of the candidate it chose
+    # decision hands dispatch the candidate it chose
     agent = agent_for(linear_doc(5))
     assert run(agent).status == engine.STATUS_COMPLETED
     assert (len(candidates), len(decided), len(dispatched), len(snapshots)) == (0, 4, 4, 1)
@@ -456,13 +489,13 @@ def test_a_stage_at_an_unguarded_leaf_gets_the_plans_read_only_selectable():
         agent = agent_for(doc(guard), policy=[FirstStage()], limits=RunLimits(max_transitions=3))
         assert run(agent).status == engine.STATUS_BUDGET_EXHAUSTED
         plan = agent.machine._memo["A"]
-        passed = [step.passed for step in plan.steps]
+        passed = list(plan.steps)
         assert refused == [AttributeError, TypeError, AttributeError] * 3
         assert len(seen) == 3 and all(list(selectable) == passed for selectable in seen)
         assert [c.transition.event for c in passed] == ["again", "stop"]
         if guard is None:
             assert all(selectable is plan.candidates.selectable for selectable in seen)
-            assert list(plan.candidates) == passed
+            assert plan.candidates is plan.steps
         else:
             assert plan.candidates is None
             assert len({id(selectable) for selectable in seen}) == 3

@@ -34,7 +34,15 @@ from machina.errors import MachinaError, UnencodableText, utf8
 from machina.harness import make_qa_agent
 from machina.keypath import ABSENT
 from machina.model import ActionSpec, ParameterSpec
-from machina.policy import PARSE_RETRIES, LlmPolicy, RulePolicy, rules_from_value
+from machina.policy import (
+    PARSE_RETRIES,
+    LlmPolicy,
+    PolicyFailure,
+    RulePolicy,
+    UnknownEvent,
+    decide,
+    rules_from_value,
+)
 from machina.providers import ScriptedProvider
 from helpers import Unhashable, agent_for, h3_agent, machine_from, s1_scene, state
 
@@ -396,6 +404,83 @@ class TestLoneSurrogate:
 
 
 BAD_COUNTS = [0, -1, 1.5, 3.0, "3", True, None]
+
+
+def two_way_agent(reply: str = "", policy=None) -> Agent:
+    """At ``A`` two internal steps, ``go``, whose ``note`` takes a ``text``
+    string, and ``stop``; the LLM policy's provider sends ``reply`` on every
+    call unless ``policy`` replaces it."""
+    text = {"name": "text", "source": "external", "datatype": "string"}
+    doc = {
+        "name": "two",
+        "states": [state("A", tags=["start"]), state("B", tags=["end"])],
+        "transitions": [
+            {"source": "A", "target": "B", "event": "go",
+             "actions": [{"name": "note", "output_key": "n", "params": [text]}]},
+            {"source": "A", "target": "B", "event": "stop"},
+        ],
+    }
+    provider = ScriptedProvider.from_replies([reply] * (PARSE_RETRIES + 1))
+    return agent_for(doc, provider=provider, policy=policy or [LlmPolicy("pick")])
+
+
+class TestLongEcho:
+    """An unusable reply's event name or argument is quoted in at most 120
+    characters, in the retry's correction and in the run's reason, as an
+    unparseable reply is."""
+
+    @pytest.mark.parametrize("shape", ["event", "argument"])
+    def test_a_long_value_costs_at_most_its_quote_more_than_a_short_one(self, shape):
+        def reply(value):
+            if shape == "event":
+                return json.dumps({"event": value})
+            return json.dumps({"event": "go", "arguments": {"text": [value]}})
+
+        short, long = (run(two_way_agent(reply(value))) for value in ("x", "x" * 15000))
+        for result in short, long:
+            assert result.status == "failed" and result.stats.calls == PARSE_RETRIES + 1
+        # each retry's correction quotes at most 120 characters of the value
+        extra = long.stats.prompt_bytes - short.stats.prompt_bytes
+        assert 0 < extra <= PARSE_RETRIES * 120
+        assert len(short.reason) < len(long.reason) <= len(short.reason) + 120
+
+    def test_a_name_that_fits_is_quoted_whole_and_the_error_keeps_the_full_name(self):
+        fits = "x" * 120
+        assert str(UnknownEvent(fits)) == f"event {fits!r} is not among the candidates"
+        long = "y" * 15000
+        error = UnknownEvent(long)
+        assert error.event == long
+        assert str(error) == f"event {long[:120]!r} is not among the candidates"
+
+
+class TestMisbehavingStage:
+    """A stage whose ``select`` raises, or returns something that is not an
+    event, fails the run with a ``PolicyFailure`` naming the stage before
+    any action runs. A ``MachinaError`` it raises passes through unchanged."""
+
+    @pytest.mark.parametrize("raised", [ValueError("boom"), None, MachinaError("mine")],
+                             ids=["raises", "returns-a-tuple", "raises-machina-error"])
+    def test_the_run_fails_typed_and_no_action_runs(self, raised):
+        class Broken:
+            def select(self, state, selectable, belief, provider):
+                if raised is not None:
+                    raise raised
+                return ("go", {"text": "t"})
+
+        agent = two_way_agent(policy=[Broken()])
+        result = run(agent)
+        assert result.status == "failed"
+        assert agent.belief.execution_log == [] and agent.belief.trajectory == []
+        plan = agent.machine._memo["A"]
+        with pytest.raises(MachinaError) as err:
+            decide(agent.policy, plan.state, plan.candidates, agent.belief, agent.provider)
+        assert result.reason == str(err.value)
+        if isinstance(raised, MachinaError):
+            assert err.value is raised
+        else:
+            assert type(err.value) is PolicyFailure
+            assert result.reason.startswith("policy stage Broken ")
+            assert err.value.__cause__ is raised
 
 
 class TestBadBudgets:

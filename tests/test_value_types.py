@@ -66,14 +66,13 @@ FIELDS = [
     (engine.Agent, [("machine", REQUIRED), ("belief", REQUIRED), ("policy", REQUIRED),
                     ("registry", REQUIRED), ("provider", REQUIRED),
                     ("limits", "RunLimits(max_transitions=10, unhandled_event='error')")]),
-    (engine._Step, [("transition", REQUIRED), ("target_leaf", REQUIRED), ("actions", REQUIRED),
-                    ("passed", REQUIRED), ("blocked", REQUIRED)]),
     (scene.SceneObject, [("id", REQUIRED), ("color", REQUIRED), ("material", REQUIRED),
                          ("shape", REQUIRED), ("size", REQUIRED)]),
     (scene.SceneGraph, [("objects", REQUIRED), ("relations", REQUIRED)]),
     (policy.CandidateTransition, [("transition", REQUIRED), ("guard_passed", REQUIRED),
                                   ("required_external_params", "()"),
-                                  ("target_description", "''")]),
+                                  ("target_description", "''"), ("target_leaf", "''"),
+                                  ("actions", "()")]),
     (policy.PathRef, [("path", REQUIRED)]),
     (policy.Rule, [("emit_event", REQUIRED), ("when_state", "None"), ("when_guard", "None"),
                    ("emit_arguments", "factory:dict")]),
@@ -90,7 +89,7 @@ ids = [cls.__qualname__ for cls, _ in FIELDS]
 
 
 def test_the_table_covers_every_former_dataclass():
-    assert len(FIELDS) == 38 and len(set(ids)) == 38
+    assert len(FIELDS) == 37 and len(set(ids)) == 37
 
 
 @pytest.mark.parametrize("cls, fields", FIELDS, ids=ids)
@@ -151,7 +150,7 @@ def test_mutable_types_start_with_fresh_containers():
 
 
 def samples() -> dict:
-    """One instance of each of the 38 types, built from real parts."""
+    """One instance of each of the 37 types, built from real parts."""
     machine = builtin_machine("react")
     leaf = next(s for s in machine.states if "start" in s.tags).name
     step = engine._leaf_plan(machine, leaf).steps[0]
@@ -196,10 +195,9 @@ def samples() -> dict:
         harness.EvalReport: report,
         engine.RunLimits: engine.RunLimits(5, "ignore"),
         engine.Agent: agent,
-        engine._Step: step,
         scene.SceneObject: item.scene.objects[0],
         scene.SceneGraph: item.scene,
-        policy.CandidateTransition: step.passed,
+        policy.CandidateTransition: step,
         policy.PathRef: policy.PathRef("a.b"),
         policy.Rule: policy.Rule("go", "s", None, {"x": policy.PathRef("a")}),
         policy.RulePolicy: policy.RulePolicy(harness.builtin_rules("routing")),
