@@ -32,7 +32,7 @@ from .engine import (
 from .errors import MachinaError, SchemaError
 from .guards import GuardSyntaxError, GuardTypeError, evaluate, guard_to_text, parse_guard
 from .harness import EvalReport, generate_mini_clevr, oracle_answer, run_eval
-from .json_extract import JsonSyntaxError
+from .json_extract import MAX_JSON_DEPTH, JsonSyntaxError
 from .machine_io import (
     load_machine,
     parse_machine,

@@ -16,7 +16,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import MachinaError, utf8
-from .json_extract import json_writer
+from .json_extract import MAX_JSON_DEPTH, json_writer
 from .keypath import JsonValue, resolve, split_path
 from .model import is_identifier
 from .values import Value
@@ -245,17 +245,17 @@ class NotJsonValue(MachinaError):
 
 
 class NestingTooDeep(NotJsonValue):
-    """A value is nested too deeply to copy."""
+    """A value nests deeper than :data:`~machina.json_extract.MAX_JSON_DEPTH`."""
 
 
-def copy_json(value: object) -> JsonValue:
+def copy_json(value: object, _levels: int = MAX_JSON_DEPTH) -> JsonValue:
     """Deep copy of a plain JSON value, checked in the same pass.
 
     Dicts and lists are rebuilt; strings, integers, booleans, ``None`` and
     finite floats are shared. Anything else raises :class:`NotJsonValue`,
     as does an int with more digits than ``sys.get_int_max_str_digits()``
     (which ``str``, ``json.dumps`` and so a prompt or a trace would refuse
-    to write), and a value nested past the interpreter's recursion limit
+    to write), and a value nested deeper than ``MAX_JSON_DEPTH``
     :class:`NestingTooDeep`. Every value that enters a belief (task
     inputs, event payloads, bound parameters, action outputs, the
     key-value store at snapshot) goes through here, so a belief holds
@@ -265,6 +265,8 @@ def copy_json(value: object) -> JsonValue:
     (a check here would cost 4-6% of a resume-loop event).
     """
     kind = type(value)
+    if not _levels and (kind is dict or kind is list):  # _levels: the levels left
+        raise NestingTooDeep("value is nested too deeply to copy")
     try:
         # scalars inline: most members of a JSON document are leaves, and
         # most leaves are strings (86-97% of the members perfbench's
@@ -273,17 +275,21 @@ def copy_json(value: object) -> JsonValue:
         # up in a set: a class whose metaclass defines __eq__ cannot be hashed.
         # Worth 18% of resume-loop's items/s (BENCH_ablation.json)
         if kind is dict:
-            copied = {
-                k: v
-                if type(v) is str
-                or (type(v) is int and _SHORT_INT_LOW < v < _SHORT_INT_HIGH)
-                or v is None
-                or v is True
-                or v is False
-                else copy_json(v)
-                for k, v in value.items()
-                if type(k) is str
-            }
+            # a loop: on 3.11 a comprehension is a function built per dict, and its
+            # closure over the level cost 5% of resume-loop (BENCH_depthbound.json)
+            inner = _levels - 1
+            copied = {}
+            for k, v in value.items():
+                if type(k) is str:
+                    copied[k] = (
+                        v
+                        if type(v) is str
+                        or (type(v) is int and _SHORT_INT_LOW < v < _SHORT_INT_HIGH)
+                        or v is None
+                        or v is True
+                        or v is False
+                        else copy_json(v, inner)
+                    )
             if len(copied) != len(value):
                 key = next(k for k in value if type(k) is not str)
                 raise NotJsonValue(f"key {key!r} is not a string")
@@ -296,7 +302,7 @@ def copy_json(value: object) -> JsonValue:
                 or v is None
                 or v is True
                 or v is False
-                else copy_json(v)
+                else copy_json(v, _levels - 1)
                 for v in value
             ]
         if (
@@ -308,8 +314,7 @@ def copy_json(value: object) -> JsonValue:
             or (kind is float and math.isfinite(value))
         ):
             return value
-    except RecursionError:
-        # the innermost level that hit the limit raises; the rest pass it on
+    except RecursionError:  # a backstop: every supported Python copies past the bound
         raise NestingTooDeep("value is nested too deeply to copy") from None
     if kind is int:
         raise NotJsonValue(
@@ -334,7 +339,7 @@ def snapshot(belief: Belief) -> Belief:
     :mod:`machina.values`); with a call-count copy then built alike, that
     was worth 2.6% of resume-loop's items/s (BENCH_ablation.json).
     """
-    kv = copy_json(belief.kv)
+    kv = copy_json(belief.kv, MAX_JSON_DEPTH + 1)  # the bound holds per entry
     copy = _new(Belief)
     copy.task_context = list(belief.task_context)
     copy.trajectory = list(belief.trajectory)

@@ -2,12 +2,13 @@
 writers it builds once.
 
 The decoder rejects ``NaN``, ``Infinity``, numbers that overflow to an
-infinite float and strings holding a lone surrogate, so what machina reads it
-can write back as strict UTF-8 JSON. :func:`read_json` decodes a whole
-document (a file, an HTTP body, a REPL payload). :func:`first_json_object`
-and :func:`first_json_array` return the first value that decodes at an
-opening brace or bracket of a chatty LLM reply, and skip, never raise on, the
-rest. :func:`json_writer` builds a ``dumps`` for one encoder configuration.
+infinite float, strings holding a lone surrogate and nesting deeper than
+``MAX_JSON_DEPTH``, so what machina reads it can write back as strict UTF-8
+JSON. :func:`read_json` decodes a whole document (a file, an HTTP body, a
+REPL payload). :func:`first_json_object` and :func:`first_json_array` return
+the first value that decodes at an opening brace or bracket of a chatty LLM
+reply, and skip, never raise on, the rest. :func:`json_writer` builds a
+``dumps`` for one encoder configuration.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ from json.encoder import c_make_encoder, encode_basestring, encode_basestring_as
 from typing import Callable
 
 from .errors import MachinaError
+
+# The deepest JSON machina accepts, on every supported Python: at most this
+# many nested arrays and objects, the value's own level included (``[]`` is
+# 1 deep). The decoder below and ``machina.belief.copy_json`` enforce it.
+# From inside a run under pytest, the shallowest path a value then takes,
+# ``copy.deepcopy`` of a snapshot, goes 473 levels on Python 3.10-3.13: a
+# 2.3x margin, so a ``RecursionError`` is only a backstop.
+MAX_JSON_DEPTH = 200
 
 
 class JsonSyntaxError(MachinaError):
@@ -53,6 +62,12 @@ class _StrictDecoder(json.JSONDecoder):
                 json.dumps(value, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError("a string holds a lone surrogate") from None
+        # only a span with more opening brackets than the bound can nest past it
+        if s.count("[", idx, end) + s.count("{", idx, end) > MAX_JSON_DEPTH:
+            from .json_search import _read
+
+            if _read(s, idx, end)[0]:
+                raise RecursionError("nested deeper than MAX_JSON_DEPTH")
         return value, end
 
 
@@ -61,8 +76,8 @@ _DECODER = _StrictDecoder(parse_constant=_finite, parse_float=_finite)
 
 def read_json(text: str | bytes):
     """Decode one whole strict JSON document (bytes must be UTF-8). Every
-    failure, including an integer too long to convert and nesting too deep to
-    decode, raises :class:`JsonSyntaxError`."""
+    failure, including an integer too long to convert and nesting deeper
+    than :data:`MAX_JSON_DEPTH`, raises :class:`JsonSyntaxError`."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -80,31 +95,28 @@ def read_json(text: str | bytes):
         raise JsonSyntaxError(1, 1, "document nested too deeply") from None
 
 
-def _first_json(open_ch: str, name: str, doc: str) -> Callable[[str], object]:
-    """The finder of the first span opened by ``open_ch`` that decodes as
-    JSON. It decodes the first such bracket itself and imports the search for
-    the rest only when that fails. It is a closure, not a function both
-    finders call, so no extra frame lowers the depth the decoder reaches."""
+def _first_json(text: str, open_ch: str):
+    """First value that decodes at an ``open_ch``; the search loads if the first fails."""
+    start = text.find(open_ch)
+    if start == -1:
+        return None
+    try:
+        return _DECODER.raw_decode(text, start)[0]
+    except (ValueError, RecursionError) as exc:
+        failure = exc
+    from .json_search import search
 
-    def find(text: str):
-        start = text.find(open_ch)
-        if start == -1:
-            return None
-        try:
-            return _DECODER.raw_decode(text, start)[0]
-        except (ValueError, RecursionError) as exc:
-            failure = exc
-        from .json_search import search
-
-        return search(text, open_ch, start, failure)
-
-    find.__name__ = find.__qualname__ = name
-    find.__doc__ = doc
-    return find
+    return search(text, open_ch, start, failure)
 
 
-first_json_object = _first_json("{", "first_json_object", "First ``{...}`` span that is a JSON object.")
-first_json_array = _first_json("[", "first_json_array", "First ``[...]`` span that is a JSON array.")
+def first_json_object(text: str):
+    """First ``{...}`` span that is a JSON object."""
+    return _first_json(text, "{")
+
+
+def first_json_array(text: str):
+    """First ``[...]`` span that is a JSON array."""
+    return _first_json(text, "[")
 
 
 def json_writer(**settings) -> Callable[[object], str]:

@@ -1,14 +1,14 @@
 """The search for the first JSON value in a reply, after its first opening
-bracket failed to decode. :func:`machina.json_extract.first_json_object` and
-``first_json_array`` decode the first bracket themselves and import this
-module only when that fails, so a process whose replies decode at once never
-loads it.
+bracket failed to decode, and the reading of brackets that the decoder uses
+to measure a value's depth. Neither runs, so this module is not loaded,
+while replies decode at once and no value holds more opening brackets than
+:data:`~machina.json_extract.MAX_JSON_DEPTH`.
 
 A failed decoding rules out, without decoding them, the brackets that must
 fail with it, by one of two rules: the brackets still open at the first token
 the decoder refuses (a syntax error, or a number, constant or string it will
-not convert), and, for a value too deep for the decoder, the brackets nested
-deeper than it goes.
+not convert), and, for a value nested deeper than ``MAX_JSON_DEPTH``, the
+brackets nested deeper than that.
 """
 
 from __future__ import annotations
@@ -61,14 +61,14 @@ def _read(text: str, start: int, stop: int, refused: bool = False):
     at ``start``, up to a string with no end or, with ``refused``, the first
     number, constant or string the decoder refuses (a string it refuses is
     one UTF-8 cannot encode: it holds a lone surrogate), and list the
-    brackets outside strings: ``closed``, ``(position, end, depth)`` of each
-    one that closes (its depth counts itself), and ``open``, the position of
-    each one still open where the reading stops.
+    positions of brackets outside strings: ``deep``, each one that closes and
+    nests deeper than ``MAX_JSON_DEPTH`` (its depth counts itself), and
+    ``open``, each one still open where the reading stops.
 
     Where the text is JSON up to a point, this reading and the decoder's
     agree up to it, so a decoding at a bracket still open where a decoding
     failed fails there too. A closer of the other kind closes nothing."""
-    closed: list[tuple[int, int, int]] = []
+    deep: list[int] = []
     stack: list[list] = []  # [position, bracket, depth] of each open bracket
     for token in (_LEAF_TOKENS if refused else _TOKENS).finditer(text, start, stop):
         at = token.start()
@@ -88,10 +88,11 @@ def _read(text: str, start: int, stop: int, refused: bool = False):
                 break
         elif stack and stack[-1][1] == _OPENER[ch]:
             position, _, depth = stack.pop()
-            closed.append((position, token.end(), depth))
+            if depth > json_extract.MAX_JSON_DEPTH:
+                deep.append(position)
             if stack and stack[-1][2] <= depth:
                 stack[-1][2] = depth + 1
-    return closed, [entry[0] for entry in stack]
+    return deep, [entry[0] for entry in stack]
 
 
 def search(text: str, open_ch: str, start: int, failure: Exception):
@@ -102,36 +103,20 @@ def search(text: str, open_ch: str, start: int, failure: Exception):
     never decoded. After a syntax error, or a ``ValueError`` for the first
     number, constant or string the decoder refuses, they are the ones still
     open at that point, read again from ``start`` with :func:`_read`; after a
-    value too deep for the decoder, the ones that never close or nest deeper
-    than the decoder goes, which the first such failure measures. So a reply
-    of ``MAX_REPLY_BYTES`` decodes at few places however its brackets nest,
-    and the value found is the one decoding every bracket in turn would find.
-    The decoder's depth limit counts its caller's frames, so every decoding
-    after the first, and the measuring, runs in this one frame.
+    value nested deeper than ``MAX_JSON_DEPTH``, the ones that never close or
+    nest deeper than that. So a reply of ``MAX_REPLY_BYTES`` decodes at few
+    places however its brackets nest, and the value found is the one decoding
+    every bracket in turn, and skipping what nests too deep, would find.
     """
     doomed: set[int] = set()
-    depth_limit = None
     can_start = _CAN_START[open_ch]
     while text.find(open_ch, start + 1) != -1:
         if isinstance(failure, json.JSONDecodeError):
             doomed.update(_read(text, start, failure.pos)[1])
         elif isinstance(failure, ValueError):  # a number, constant or string it refuses
             doomed.update(_read(text, start, len(text), refused=True)[1])
-        else:  # nested past the decoder's depth limit
-            if depth_limit is None:
-                depth_limit, too_deep = 0, len(text)  # decodes, fails
-                while too_deep - depth_limit > 1:
-                    depth = (depth_limit + too_deep) // 2
-                    try:
-                        json_extract._DECODER.raw_decode("[" * depth + "]" * depth)
-                        depth_limit = depth
-                    except RecursionError:
-                        too_deep = depth
-            closed, never = _read(text, start, len(text))
-            doomed.update(never)
-            for position, _, depth in closed:
-                if depth > depth_limit:
-                    doomed.add(position)
+        else:  # nested deeper than MAX_JSON_DEPTH
+            doomed.update(*_read(text, start, len(text)))
         for match in can_start.finditer(text, start + 1):
             if match.start() not in doomed:
                 start = match.start()

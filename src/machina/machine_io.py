@@ -180,10 +180,7 @@ def machine_from_value(doc: Any) -> StateMachine:
 
 def parse_machine(text: str | bytes) -> StateMachine:
     """Parse machine JSON. Total: always a machine or a raised error."""
-    try:
-        return machine_from_value(read_json(text))
-    except RecursionError:
-        raise SchemaError("", "document nested too deeply") from None
+    return machine_from_value(read_json(text))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The member-by-member JSON copier that ``machina.belief.copy_json``
 replaced, kept as the reference the ``str``-first copier must match: the
 same copy for every value it accepts, the same exception type for every
-value it rejects."""
+value it rejects, ``NestingTooDeep`` for one nested deeper than
+``MAX_JSON_DEPTH``."""
 
 import math
 import sys
 
 from machina.belief import NestingTooDeep, NotJsonValue
+from machina.json_extract import MAX_JSON_DEPTH
 
 
 def _is_scalar(value) -> bool:
@@ -24,12 +26,14 @@ def _int_has_text(value: int) -> bool:
     return True
 
 
-def reference_copy_json(value: object):
+def reference_copy_json(value: object, depth: int = 1):
     kind = type(value)
+    if depth > MAX_JSON_DEPTH and (kind is dict or kind is list):
+        raise NestingTooDeep("value is nested too deeply to copy")
     try:
         if kind is dict:
             copied = {
-                k: v if _is_scalar(v) else reference_copy_json(v)
+                k: v if _is_scalar(v) else reference_copy_json(v, depth + 1)
                 for k, v in value.items()
                 if type(k) is str
             }
@@ -38,7 +42,7 @@ def reference_copy_json(value: object):
                 raise NotJsonValue(f"key {key!r} is not a string")
             return copied
         if kind is list:
-            return [v if _is_scalar(v) else reference_copy_json(v) for v in value]
+            return [v if _is_scalar(v) else reference_copy_json(v, depth + 1) for v in value]
         if (
             _is_scalar(value)
             or (kind is int and _int_has_text(value))

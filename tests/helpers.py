@@ -30,6 +30,26 @@ def machine_from(doc: dict) -> StateMachine:
     return parse_machine(json.dumps(doc))
 
 
+def nested_list(depth: int):
+    """``0`` inside ``depth`` lists."""
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def nesting(value) -> int:
+    """How many arrays and objects ``value`` nests, itself included, counted
+    level by level, so a value deeper than the recursion limit is counted."""
+    depth, level = 0, [value]
+    while True:
+        containers = [v for v in level if isinstance(v, (list, dict))]
+        if not containers:
+            return depth
+        depth += 1
+        level = [c for v in containers for c in (v.values() if isinstance(v, dict) else v)]
+
+
 def state(name: str, **extra) -> dict:
     return {"name": name, "description": "", **extra}
 

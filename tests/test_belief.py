@@ -504,6 +504,14 @@ class TestCopyJson:
     def test_matches_the_reference_copier(self, value):
         assert outcome(copy_json, value) == outcome(reference_copy_json, value)
 
+    @pytest.mark.parametrize("depth", [json_extract.MAX_JSON_DEPTH, json_extract.MAX_JSON_DEPTH + 1])
+    def test_matches_the_reference_copier_at_and_past_the_bound(self, depth):
+        value = "leaf"
+        for level in range(depth):
+            value = [value] if level % 2 else {"k": value}
+        for placed_value in placed(value):
+            assert outcome(copy_json, placed_value) == outcome(reference_copy_json, placed_value)
+
 
 def members(value) -> list:
     """A JSON value and every value nested in it."""

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import machina.json_extract as json_extract
-from machina.json_extract import first_json_array, first_json_object, json_writer
+from machina.json_extract import MAX_JSON_DEPTH, first_json_array, first_json_object, json_writer
 from machina.providers import MAX_REPLY_BYTES
+from helpers import nesting
 
 
 # Reference: a string-aware scanner for balanced spans, each tried with
@@ -163,14 +164,22 @@ def test_adversarial_reply_is_fast(text):
 
 # Reference: the finder as it was before failed decodings named the brackets
 # that fail with them. It decodes at every opening bracket in turn, so a
-# reply of deeply nested or never-closed brackets takes seconds.
+# reply of deeply nested or never-closed brackets takes seconds. It uses the
+# strict decoder's scanner without the decoder's own checks: a value holding
+# a lone surrogate, which UTF-8 cannot write, or nested deeper than
+# MAX_JSON_DEPTH, is skipped here.
 def _reference_first_json(text, open_ch):
     start = text.find(open_ch)
     while start != -1:
         try:
-            return json_extract._DECODER.raw_decode(text, start)[0]
-        except (ValueError, RecursionError):
-            start = text.find(open_ch, start + 1)
+            value = json.JSONDecoder.raw_decode(json_extract._DECODER, text, start)[0]
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except (ValueError, RecursionError):  # UnicodeEncodeError is a ValueError
+            pass
+        else:
+            if nesting(value) <= MAX_JSON_DEPTH:
+                return value
+        start = text.find(open_ch, start + 1)
     return None
 
 
@@ -256,32 +265,21 @@ def test_nested_failures_decode_a_few_times_not_once_per_bracket(monkeypatch, na
     counter = _CountingDecoder()
     monkeypatch.setattr(json_extract, "_DECODER", counter)
     assert first_json_array(text) is None
-    # one failed decoding, plus the probes that measure the decoder's depth
-    assert counter.calls <= 2 + MAX_REPLY_BYTES.bit_length()
-
-
-def _depth(value):
-    depth = 0
-    while value:
-        value = value[0]
-        depth += 1
-    return depth
-
-
-def _reference_first_array(text):
-    # as many frames above the decoder as first_json_array has when it
-    # decodes after a failure, so the decoder's depth limit, which counts
-    # them, is the same for both
-    return _reference_first_json(text, "[")
+    # one failed decoding; where the decoder gives out before a chain's 900
+    # levels, one more, at the outermost bracket within MAX_JSON_DEPTH
+    assert counter.calls <= 2
 
 
 def test_a_too_deep_start_is_skipped_up_to_the_first_that_fits(monkeypatch):
     text = "[" * 4000 + "]" * 4000
-    assert _depth(first_json_array(text)) == _depth(_reference_first_array(text))
+    found = first_json_array(text)
+    assert nesting(found) == MAX_JSON_DEPTH
+    assert found == _reference_first_json(text, "[")
     counter = _CountingDecoder()
     monkeypatch.setattr(json_extract, "_DECODER", counter)
     first_json_array(text)
-    assert counter.calls <= 2 + MAX_REPLY_BYTES.bit_length()
+    # the outermost bracket, too deep, then the outermost within the bound
+    assert counter.calls <= 2
 
 
 LAZY_SEARCH_PROBE = """
