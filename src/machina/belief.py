@@ -251,18 +251,19 @@ class NestingTooDeep(NotJsonValue):
 def copy_json(value: object, _levels: int = MAX_JSON_DEPTH) -> JsonValue:
     """Deep copy of a plain JSON value, checked in the same pass.
 
-    Dicts and lists are rebuilt; strings, integers, booleans, ``None`` and
-    finite floats are shared. Anything else raises :class:`NotJsonValue`,
-    as does an int with more digits than ``sys.get_int_max_str_digits()``
-    (which ``str``, ``json.dumps`` and so a prompt or a trace would refuse
-    to write), and a value nested deeper than ``MAX_JSON_DEPTH``
-    :class:`NestingTooDeep`. Every value that enters a belief (task
-    inputs, event payloads, bound parameters, action outputs, the
-    key-value store at snapshot) goes through here, so a belief holds
-    only what strict JSON can write, except that strings are shared
-    unchecked: one holding a lone surrogate gets through, and the next
-    prompt refuses it with :class:`~machina.errors.UnencodableText`, unsent
-    (a check here would cost 4-6% of a resume-loop event).
+    Dicts and lists are new containers, a list of strings only copied whole
+    and any other rebuilt member by member; strings, integers, booleans,
+    ``None`` and finite floats are shared. Anything else raises
+    :class:`NotJsonValue`, as does an int with more digits than
+    ``sys.get_int_max_str_digits()`` (which ``str``, ``json.dumps`` and so
+    a prompt or a trace would refuse to write), and a value nested deeper
+    than ``MAX_JSON_DEPTH`` :class:`NestingTooDeep`. Every value that
+    enters a belief (task inputs, event payloads, bound parameters, action
+    outputs, the key-value store at snapshot) goes through here, so a
+    belief holds only what strict JSON can write, except that strings are
+    shared unchecked: one holding a lone surrogate gets through, and the
+    next prompt refuses it with :class:`~machina.errors.UnencodableText`,
+    unsent (a check here would cost 4-6% of a resume-loop event).
     """
     kind = type(value)
     if not _levels and (kind is dict or kind is list):  # _levels: the levels left
@@ -295,6 +296,14 @@ def copy_json(value: object, _levels: int = MAX_JSON_DEPTH) -> JsonValue:
                 raise NotJsonValue(f"key {key!r} is not a string")
             return copied
         if kind is list:
+            # string-only (an empty one too): one type pass and a C copy, in
+            # place of the comprehension 3.11 builds as a function per call.
+            # Worth 6.4% of resume-loop's items/s (BENCH_stringcopy.json)
+            for v in value:
+                if type(v) is not str:
+                    break
+            else:
+                return value[:]
             return [
                 v
                 if type(v) is str

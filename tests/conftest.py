@@ -2,11 +2,11 @@
 
 Tier-1 runs under Hypothesis's default profile. ``deep`` gives every test
 that takes its example count from the profile, such as the statechart
-reference fuzz, the reply-search fuzz, the decision plan's property and the
-scene filter's properties, ten times as many examples; CI runs those under
-it:
+reference fuzz, the reply-search fuzz, the decision plan's property, the
+scene filter's properties and the JSON copier's, ten times as many examples;
+CI runs those under it:
 
-    PYTHONPATH=src python -m pytest tests/test_statechart_reference.py tests/test_json_extract.py tests/test_decision_plan.py::test_a_plain_list_and_the_plan_sequence_decide_alike tests/test_scene_filter.py --hypothesis-profile=deep
+    PYTHONPATH=src python -m pytest tests/test_statechart_reference.py tests/test_json_extract.py tests/test_decision_plan.py::test_a_plain_list_and_the_plan_sequence_decide_alike tests/test_scene_filter.py tests/test_belief.py::TestCopyJson --hypothesis-profile=deep
 
 When a ``@given`` test fails, Hypothesis's pytest plugin imports
 ``hypothesis.extra._patching`` inside a report hook to write a patch. With

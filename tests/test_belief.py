@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 
@@ -427,6 +428,40 @@ MIXED_VALUES = st.recursive(
 )
 
 
+STRING_CONTAINERS = st.lists(st.text(max_size=8), max_size=5) | st.dictionaries(
+    st.text(max_size=8), st.text(max_size=8), max_size=5
+)
+# one member that is not a str, so a list holding it must skip copy_json's
+# string-only shortcut: a subclass of str or int, another type, a NaN, an
+# int with more digits than the default limit, or a string-only container
+FOREIGN_MEMBERS = st.one_of(
+    st.text().map(_Str),
+    st.integers().map(_Int),
+    st.binary(max_size=4),
+    st.sets(st.integers(), max_size=3),
+    st.builds(Unhashable),
+    st.just(math.nan),
+    st.just(5000).map(lambda digits: 10**digits),
+    STRING_CONTAINERS,
+)
+FOREIGN_KEYS = st.one_of(st.integers(), st.none(), st.text().map(_Str))
+
+
+@st.composite
+def string_only_containers(draw, foreign=FOREIGN_MEMBERS, foreign_keys=FOREIGN_KEYS):
+    """Lists and dicts of 0-40 strings, with at most one foreign member (in
+    a dict, a value drawn from ``foreign`` or a key from ``foreign_keys``,
+    if given) put at a drawn position."""
+    items = draw(st.lists(st.tuples(st.text(max_size=8), st.text(max_size=8)), max_size=40))
+    as_dict = draw(st.booleans())
+    if draw(st.booleans()):
+        key, value = draw(st.text(max_size=8)), draw(foreign)
+        if as_dict and foreign_keys is not None and draw(st.booleans()):
+            key, value = draw(foreign_keys), draw(st.text(max_size=8))
+        items.insert(draw(st.integers(0, len(items))), (key, value))
+    return dict(items) if as_dict else [v for _, v in items]
+
+
 def outcome(copier, value) -> tuple:
     """``copier(value)``, or the type and message of what it raised."""
     try:
@@ -481,7 +516,7 @@ class TestCopyJson:
             copy_json({"t": ([1], "x")})
         assert isinstance(info.value, MachinaError)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)
     @given(
         st.recursive(
             st.one_of(
@@ -493,16 +528,20 @@ class TestCopyJson:
             ),
             lambda children: st.lists(children) | st.dictionaries(st.text(), children),
         )
+        | string_only_containers(STRING_CONTAINERS, None)
     )
     def test_copy_is_equal_and_shares_no_container(self, value):
         copied = copy_json(value)
         assert copied == value
         assert not containers(copied) & containers(value)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(JSON_VALUES, MIXED_VALUES))
+    @settings(max_examples=3 * settings.default.max_examples, deadline=None)
+    @given(st.one_of(JSON_VALUES, MIXED_VALUES, string_only_containers()))
     def test_matches_the_reference_copier(self, value):
-        assert outcome(copy_json, value) == outcome(reference_copy_json, value)
+        result = outcome(copy_json, value)
+        assert result == outcome(reference_copy_json, value)
+        if result[0] == "copied":
+            assert not containers(result[1]) & containers(value)
 
     @pytest.mark.parametrize("depth", [json_extract.MAX_JSON_DEPTH, json_extract.MAX_JSON_DEPTH + 1])
     def test_matches_the_reference_copier_at_and_past_the_bound(self, depth):

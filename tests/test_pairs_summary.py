@@ -1,7 +1,7 @@
 """``tools/pairs.py``'s summary: medians and quartiles per side, pairs won in
 each metric's direction, and the gap read against the ``before`` side's
-interquartile range; and a failed run, which is not correct and
-leaves its pair out of the summary."""
+interquartile range; a failed run, which is not correct and leaves its pair
+out of the summary; and the one directory both sides run from."""
 
 import importlib.util
 import json
@@ -85,6 +85,8 @@ print(json.dumps({"correct": True, "metrics": {"items_per_s": {"value": 5.0}}}))
 def fake_tree(root, script):
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(script)
+    (root / "src").mkdir()
+    (root / "BENCHMARK.json").write_text("{}")
     return root
 
 
@@ -99,13 +101,13 @@ def fake_tree(root, script):
     ids=["table-row-then-exit-1", "report-then-exit-2", "no-output", "no-report"],
 )
 def test_a_failed_run_is_not_correct_and_has_no_metrics(tmp_path, script):
-    run = pairs.run_once(fake_tree(tmp_path, script), "w", 7)
+    run = pairs.run_once(fake_tree(tmp_path / "tree", script), "w", 7, tmp_path / "run")
     assert (run["correct"], run["metrics"]) == (False, {})
     assert "error" in run
 
 
 def test_a_good_run_reads_its_report(tmp_path):
-    run = pairs.run_once(fake_tree(tmp_path, GOOD_RUN), "w", 7)
+    run = pairs.run_once(fake_tree(tmp_path / "tree", GOOD_RUN), "w", 7, tmp_path / "run")
     assert run == {
         "exit": 0,
         "correct": True,
@@ -116,7 +118,9 @@ def test_a_good_run_reads_its_report(tmp_path):
 
 
 def test_a_run_that_prints_no_host_factor_records_none(tmp_path):
-    run = pairs.run_once(fake_tree(tmp_path, GOOD_RUN.replace("host factor", "no factor")), "w", 7)
+    run = pairs.run_once(
+        fake_tree(tmp_path / "tree", GOOD_RUN.replace("host factor", "no factor")), "w", 7, tmp_path / "run"
+    )
     assert (run["correct"], run["host_factor"]) == (True, None)
 
 
@@ -132,3 +136,28 @@ def test_failed_runs_still_give_a_report_and_exit_1(tmp_path, capsys):
     assert {r["host_factor"] for r in report["runs"]["after"]} == {None}
     assert all(isinstance(r["load_1m"], float) for side in report["runs"].values() for r in side)
     assert "host factor 1.025)" in err and "host factor None)" in err
+
+
+# names the side it was copied from, the directory it runs in, and whether
+# it found the staged BENCHMARK.json and src/ there and no bytecode cache
+WHERE_RUN = """import json, os
+print("inputs", open("perfbench/side.txt").read(), os.getcwd())
+staged = os.path.isfile("BENCHMARK.json") and os.path.isdir("src")
+cached = any("__pycache__" in dirs for _, dirs, _ in os.walk("."))
+print(json.dumps({"correct": staged and not cached, "metrics": {"items_per_s": {"value": 1.0}}}))
+"""
+
+
+def test_both_sides_run_from_one_directory_holding_their_own_copy(tmp_path, capsys):
+    for side in ("before", "after"):
+        tree = fake_tree(tmp_path / side, WHERE_RUN)
+        (tree / "perfbench" / "side.txt").write_text(side)
+        (tree / "src" / "__pycache__").mkdir()
+    argv = ["--before", str(tmp_path / "before"), "--after", str(tmp_path / "after"), "--workload", "w"]
+    assert pairs.main(argv) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    seen = {side: {tuple(r["inputs"].split()[1:]) for r in runs[side]} for side in runs}
+    (before_side, before_cwd), = seen["before"]
+    (after_side, after_cwd), = seen["after"]
+    assert (before_side, after_side) == ("before", "after")
+    assert before_cwd == after_cwd and Path(before_cwd) not in (tmp_path / "before", tmp_path / "after")

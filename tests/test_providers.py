@@ -42,16 +42,26 @@ class TestScripted:
 
     def test_strict_match(self):
         p = ScriptedProvider([ScriptStep(reply="ok", match="classify")])
+        before = p.snapshot_stats()
         with pytest.raises(ScriptMismatch):
             p.complete(req("a filter prompt"))
+        assert before.calls == 0
         assert p.snapshot_stats().calls == 1  # failed call still counted
 
     def test_exhausted_second_call(self):
         p = ScriptedProvider.from_replies(["once"])
         p.complete(req())
+        before = p.snapshot_stats()
         with pytest.raises(ScriptExhausted):
             p.complete(req())
+        assert before.calls == 1
         assert p.snapshot_stats().calls == 2
+
+    def test_snapshots_with_no_call_between_are_equal(self):
+        p = ScriptedProvider.from_replies(["ab"])
+        assert p.snapshot_stats() == p.snapshot_stats() == CallStats()
+        p.complete(req("abc"))
+        assert p.snapshot_stats() == p.snapshot_stats() == CallStats(1, 3, 2)
 
     def test_deterministic_replay(self):
         steps = ["a", "b", "c"]
@@ -212,6 +222,7 @@ class TestHttp:
         sleeps = []
         provider = HttpProvider(stub_server, model="m", api_key="k", sleep=sleeps.append)
         assert provider.complete(req()) == "after retry"
+        assert provider.snapshot_stats() == provider.snapshot_stats()
         assert provider.snapshot_stats().calls == 2
         assert sleeps == [0.5]
 
@@ -219,9 +230,11 @@ class TestHttp:
         _Handler.plan = [(503, {}), (503, {}), (503, {})]
         sleeps = []
         provider = HttpProvider(stub_server, model="m", api_key="k", sleep=sleeps.append)
+        before = provider.snapshot_stats()
         with pytest.raises(HttpError) as err:
             provider.complete(req())
         assert err.value.status == 503
+        assert before == CallStats()
         assert provider.snapshot_stats().calls == 3
         assert sleeps == [0.5, 2.0]
 

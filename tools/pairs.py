@@ -5,7 +5,11 @@
 Runs ``python3 perfbench/run.py --workload W --seed N --seconds 20`` once in
 each checkout for each of 10 pairs, one run at a time, ``--before`` first in
 even pairs and ``--after`` first in odd ones, so a drift in host load lands
-on both sides. Each run uses its own checkout's ``perfbench/`` and ``src/``.
+on both sides. Before each run, its checkout's ``src/``, ``perfbench/`` and
+``BENCHMARK.json`` are copied, without ``__pycache__``, into one scratch
+directory that is emptied first, and the run starts there: both sides run
+from the same absolute path, so a difference in path length or in cached
+bytecode does not land on one side only.
 A run that exits non-zero or prints no report counts as not correct and its
 pair is left out of the summary; the exit code is then 1. Each run's
 record keeps the host's one-minute load average read just before it
@@ -32,9 +36,11 @@ import argparse
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,9 +57,15 @@ def end_to_end() -> dict[str, str]:
     return {m["name"]: m["better"] for m in declared}
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, run_dir: Path) -> dict:
+    """One run of ``tree``'s benchmark, copied into an emptied ``run_dir``
+    and started there."""
+    shutil.rmtree(run_dir, ignore_errors=True)
+    for name in ("src", "perfbench"):
+        shutil.copytree(tree / name, run_dir / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(tree / "BENCHMARK.json", run_dir / "BENCHMARK.json")
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS)]
-    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=run_dir, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     inputs = [line for line in lines if line.startswith("inputs ")]
     factors = [float(m[1]) for m in map(HOST_FACTOR.match, lines) if m]
@@ -127,18 +139,20 @@ def main(argv=None) -> int:
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
     runs = {"before": [], "after": []}
     first = []
-    for pair in range(PAIRS):
-        order = ("before", "after") if pair % 2 == 0 else ("after", "before")
-        first.append(order[0])
-        for side in order:
-            load = os.getloadavg()[0]
-            run = {**run_once(sides[side], args.workload, args.seed), "load_1m": load}
-            runs[side].append(run)
-            print(
-                f"pair {pair} {side}: {run['metrics'].get('items_per_s')} "
-                f"(load {load:.2f}, host factor {run['host_factor']})",
-                file=sys.stderr,
-            )
+    with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
+        run_dir = Path(scratch) / "tree"
+        for pair in range(PAIRS):
+            order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+            first.append(order[0])
+            for side in order:
+                load = os.getloadavg()[0]
+                run = {**run_once(sides[side], args.workload, args.seed, run_dir), "load_1m": load}
+                runs[side].append(run)
+                print(
+                    f"pair {pair} {side}: {run['metrics'].get('items_per_s')} "
+                    f"(load {load:.2f}, host factor {run['host_factor']})",
+                    file=sys.stderr,
+                )
     summary = summarize(runs, end_to_end())
     for name, s in summary.items():
         print(
